@@ -25,13 +25,45 @@ fn bypasses(schedule: &Schedule, load: InstId, other: InstId) -> bool {
     schedule.placement(load) < schedule.placement(other)
 }
 
+/// The relaxable edges a schedule bypassed, as per-instruction marks. Only
+/// loads and stores read their mark.
+struct SpeculationMarks {
+    /// Placed before the source of a relaxable memory or control edge into
+    /// it: a marked load is emitted as speculative.
+    speculative: Vec<bool>,
+    /// A load is placed before it across a relaxable memory edge from it: a
+    /// marked store checks the Memory Conflict Buffer.
+    checks_mcb: Vec<bool>,
+}
+
+impl SpeculationMarks {
+    /// Computes every mark in one pass over the relaxable edges.
+    fn new(block: &IrBlock, graph: &DepGraph, schedule: &Schedule) -> SpeculationMarks {
+        let mut marks = SpeculationMarks {
+            speculative: vec![false; block.len()],
+            checks_mcb: vec![false; block.len()],
+        };
+        for e in graph.edges().iter().filter(|e| e.relaxable && bypasses(schedule, e.to, e.from)) {
+            match e.kind {
+                DepKind::Memory => {
+                    marks.speculative[e.to.index()] = true;
+                    marks.checks_mcb[e.from.index()] = true;
+                }
+                DepKind::Control => marks.speculative[e.to.index()] = true,
+                DepKind::Data | DepKind::Order => {}
+            }
+        }
+        marks
+    }
+}
+
+/// Lowers one IR instruction. `marks` is `None` for the recovery sequence,
+/// which never speculates.
 fn lower(
     block: &IrBlock,
-    graph: &DepGraph,
-    schedule: &Schedule,
     alloc: &RegAlloc,
+    marks: Option<&SpeculationMarks>,
     id: InstId,
-    for_recovery: bool,
 ) -> Option<Op> {
     let inst = block.inst(id);
     let seq = inst.original_seq as u32;
@@ -48,40 +80,22 @@ fn lower(
             a: operand(alloc, *a),
             b: operand(alloc, *b),
         },
-        IrOp::Load { width: w, base, offset } => {
-            let speculative = !for_recovery
-                && graph.edges().iter().any(|e| {
-                    e.relaxable
-                        && e.to == id
-                        && matches!(e.kind, DepKind::Memory | DepKind::Control)
-                        && bypasses(schedule, id, e.from)
-                });
-            Op::Load {
-                width: width(*w),
-                dst: alloc.reg(id).expect("load produces a value"),
-                base: operand(alloc, *base),
-                offset: *offset,
-                speculative,
-                original_seq: seq,
-            }
-        }
-        IrOp::Store { width: w, value, base, offset } => {
-            let checks_mcb = !for_recovery
-                && graph.edges().iter().any(|e| {
-                    e.relaxable
-                        && e.from == id
-                        && e.kind == DepKind::Memory
-                        && bypasses(schedule, e.to, id)
-                });
-            Op::Store {
-                width: width(*w),
-                value: operand(alloc, *value),
-                base: operand(alloc, *base),
-                offset: *offset,
-                checks_mcb,
-                original_seq: seq,
-            }
-        }
+        IrOp::Load { width: w, base, offset } => Op::Load {
+            width: width(*w),
+            dst: alloc.reg(id).expect("load produces a value"),
+            base: operand(alloc, *base),
+            offset: *offset,
+            speculative: marks.is_some_and(|m| m.speculative[id.index()]),
+            original_seq: seq,
+        },
+        IrOp::Store { width: w, value, base, offset } => Op::Store {
+            width: width(*w),
+            value: operand(alloc, *value),
+            base: operand(alloc, *base),
+            offset: *offset,
+            checks_mcb: marks.is_some_and(|m| m.checks_mcb[id.index()]),
+            original_seq: seq,
+        },
         IrOp::WriteReg { reg, value } => Op::CommitReg { reg: *reg, src: operand(alloc, *value) },
         IrOp::SideExit { cond, a, b, target } => Op::SideExit {
             cond: *cond,
@@ -114,12 +128,21 @@ pub fn generate(
     schedule: &Schedule,
     alloc: &RegAlloc,
 ) -> TranslatedBlock {
+    emit(block, schedule, alloc, &SpeculationMarks::new(block, graph, schedule))
+}
+
+fn emit(
+    block: &IrBlock,
+    schedule: &Schedule,
+    alloc: &RegAlloc,
+    marks: &SpeculationMarks,
+) -> TranslatedBlock {
     let mut bundles: Vec<Bundle> = (0..schedule.cycles()).map(|_| Bundle::new()).collect();
     // Place ops cycle by cycle, keeping slot order.
     let mut order: Vec<InstId> = block.insts().iter().map(|i| i.id).collect();
     order.sort_by_key(|id| schedule.placement(*id));
     for id in order {
-        if let Some(op) = lower(block, graph, schedule, alloc, id, false) {
+        if let Some(op) = lower(block, alloc, Some(marks), id) {
             let cycle = schedule.placement(id).cycle as usize;
             bundles[cycle].slots.push(op);
         }
@@ -130,11 +153,8 @@ pub fn generate(
         bundles.pop();
     }
 
-    let recovery: Vec<Op> = block
-        .insts()
-        .iter()
-        .filter_map(|inst| lower(block, graph, schedule, alloc, inst.id, true))
-        .collect();
+    let recovery: Vec<Op> =
+        block.insts().iter().filter_map(|inst| lower(block, alloc, None, inst.id)).collect();
 
     let guest_inst_count = block.insts().iter().map(|i| i.original_seq + 1).max().unwrap_or(0);
 
@@ -151,8 +171,47 @@ pub fn generate(
 mod tests {
     use super::*;
     use crate::schedule::schedule;
+    use crate::testgen;
     use dbt_ir::{BlockKind, DfgOptions};
     use dbt_riscv::Reg;
+
+    /// The marks as `lower` used to compute them: one scan of every edge
+    /// per load and per store.
+    fn marks_by_edge_scan(
+        block: &IrBlock,
+        graph: &DepGraph,
+        schedule: &Schedule,
+    ) -> SpeculationMarks {
+        let speculative = block
+            .insts()
+            .iter()
+            .map(|inst| {
+                let id = inst.id;
+                inst.op.is_load()
+                    && graph.edges().iter().any(|e| {
+                        e.relaxable
+                            && e.to == id
+                            && matches!(e.kind, DepKind::Memory | DepKind::Control)
+                            && bypasses(schedule, id, e.from)
+                    })
+            })
+            .collect();
+        let checks_mcb = block
+            .insts()
+            .iter()
+            .map(|inst| {
+                let id = inst.id;
+                inst.op.is_store()
+                    && graph.edges().iter().any(|e| {
+                        e.relaxable
+                            && e.from == id
+                            && e.kind == DepKind::Memory
+                            && bypasses(schedule, e.to, id)
+                    })
+            })
+            .collect();
+        SpeculationMarks { speculative, checks_mcb }
+    }
 
     /// Guest order: slow value ; store [a0] ; v = load const-addr ;
     /// leak = load v ; commit ; jump — the Spectre v4 shape where the store
@@ -258,5 +317,24 @@ mod tests {
         assert!(last.slots.iter().any(|op| op.is_terminator()));
         assert!(translated.guest_inst_count >= 4);
         assert!(translated.phys_reg_count >= 3);
+    }
+
+    #[test]
+    fn one_pass_marks_emit_what_the_per_op_scan_emitted() {
+        let mut speculative_blocks = 0;
+        for index in 0..2_000 {
+            let case = testgen::case(index);
+            let Ok(sched) = schedule(&case.block, &case.graph, case.issue_width) else {
+                panic!("case {index} must schedule");
+            };
+            let alloc = RegAlloc::allocate(&case.block);
+            let translated = generate(&case.block, &case.graph, &sched, &alloc);
+            let by_scan = marks_by_edge_scan(&case.block, &case.graph, &sched);
+            assert_eq!(translated, emit(&case.block, &sched, &alloc, &by_scan), "case {index}");
+            if translated.speculative_load_count() > 0 {
+                speculative_blocks += 1;
+            }
+        }
+        assert!(speculative_blocks > 100, "only {speculative_blocks} blocks speculate");
     }
 }

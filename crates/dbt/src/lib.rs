@@ -36,6 +36,8 @@ pub mod regalloc;
 pub mod schedule;
 pub mod service;
 pub mod tcache;
+#[cfg(test)]
+mod testgen;
 pub mod trace_builder;
 pub mod translate;
 

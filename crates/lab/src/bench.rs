@@ -1,11 +1,14 @@
-//! `lab bench`: the simulator-throughput microbenchmark.
+//! `lab bench`: one cold run per registry workload.
 //!
 //! Runs every registry workload (the Polybench-style suite plus
 //! `ptr-matmul`) once on the unprotected default platform and reports,
 //! per workload, the cycle-domain result (cycles, guest instructions,
-//! blocks — deterministic, diffable) alongside the host-side throughput
-//! (elapsed wall-clock, guest instructions and simulated cycles per
-//! second — machine-dependent by nature).
+//! blocks — deterministic, diffable) alongside host-side rates (elapsed
+//! wall-clock, guest instructions and simulated cycles per second —
+//! machine-dependent by nature). Each run starts cold, so the rates cover
+//! session set-up and translation as well as simulation; they are not
+//! simulator throughput. The repository benchmark (`perfbench/`) times
+//! translation and execution apart.
 //!
 //! The JSON layout keeps the two domains on *disjoint lines*: every
 //! wall-clock member is named `elapsed_us` or `*_per_sec` and nothing

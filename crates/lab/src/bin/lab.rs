@@ -114,8 +114,8 @@ fn usage() -> &'static str {
      \x20                          program under --policy: per-phase cycle\n\
      \x20                          attribution, speculation events, and a\n\
      \x20                          Chrome-trace export via --trace\n\
-     \x20 bench                    simulator-throughput microbenchmark over\n\
-     \x20                          every registry workload (writes\n\
+     \x20 bench                    one cold run per registry workload,\n\
+     \x20                          translation included (writes\n\
      \x20                          BENCH_sim-throughput.json with --json-dir)\n\
      \x20 analyze <program|path>   per-block speculative-taint verdicts\n\
      \x20                          (a workload name, ptr-matmul, spectre-v1,\n\
@@ -508,8 +508,8 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `lab bench`: simulator-throughput microbenchmark over every registry
-/// workload. The cycle/instruction columns are deterministic; the
+/// `lab bench`: one cold run per registry workload, translation
+/// included. The cycle/instruction columns are deterministic; the
 /// wall-clock throughput members live on their own lines so CI can diff
 /// the artifact with those lines excluded.
 fn cmd_bench(args: &Args) -> Result<(), String> {

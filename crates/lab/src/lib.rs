@@ -30,9 +30,10 @@
 //! * [`profile`] — `lab profile`: the deterministic hot-path profile of
 //!   one program (per-phase cycle attribution, speculation events,
 //!   Chrome-trace export), byte-stable run to run;
-//! * [`mod@bench`] — `lab bench`: the simulator-throughput microbenchmark
-//!   behind the `BENCH_sim-throughput.json` artifact (deterministic
-//!   cycle data, clearly-separated wall-clock throughput lines);
+//! * [`mod@bench`] — `lab bench`: one cold run per registry workload,
+//!   translation included, behind the `BENCH_sim-throughput.json`
+//!   artifact (deterministic cycle data, clearly-separated wall-clock
+//!   lines);
 //! * [`table`] — the human-readable tables of the paper (Figure 4 layout,
 //!   Section V-A attack table).
 //!
