@@ -1,83 +1,8 @@
 //! Latency-producing data-cache front end used by the VLIW core.
-//!
-//! With the optional `obs` cargo feature, every cache additionally
-//! mirrors access/miss counts into the process-wide metrics registry
-//! (`dbt_cache_accesses_total{level="l1d"}` /
-//! `dbt_cache_misses_total{level="l1d"}`). The mirror is *sampled*: the
-//! hot [`DataCache::access`] path only bumps two plain integers, and the
-//! shared atomics are touched once per `OBS_SAMPLE_INTERVAL` accesses —
-//! so the cost stays near zero and the default build carries none of it.
-//! The mirror is pure observability; the deterministic [`CacheStats`]
-//! counters and every latency are identical with the feature on or off.
 
 use crate::config::CacheConfig;
 use crate::set_assoc::SetAssocCache;
 use crate::stats::CacheStats;
-
-/// How many accesses a cache tallies locally before flushing the tally to
-/// the global metrics registry (`obs` feature only).
-#[cfg(feature = "obs")]
-pub const OBS_SAMPLE_INTERVAL: u64 = 1024;
-
-/// The sampled mirror into the global metrics registry.
-#[cfg(feature = "obs")]
-#[derive(Debug)]
-struct ObsMirror {
-    accesses: std::sync::Arc<dbt_obs::Counter>,
-    misses: std::sync::Arc<dbt_obs::Counter>,
-    pending_accesses: u64,
-    pending_misses: u64,
-}
-
-#[cfg(feature = "obs")]
-impl ObsMirror {
-    fn new() -> ObsMirror {
-        let registry = dbt_obs::MetricsRegistry::global();
-        ObsMirror {
-            accesses: registry.counter_with(
-                "dbt_cache_accesses_total",
-                "Simulated data-cache accesses (sampled mirror).",
-                &[("level", "l1d")],
-            ),
-            misses: registry.counter_with(
-                "dbt_cache_misses_total",
-                "Simulated data-cache misses (sampled mirror).",
-                &[("level", "l1d")],
-            ),
-            pending_accesses: 0,
-            pending_misses: 0,
-        }
-    }
-
-    fn record(&mut self, miss: bool) {
-        self.pending_accesses += 1;
-        self.pending_misses += u64::from(miss);
-        if self.pending_accesses >= OBS_SAMPLE_INTERVAL {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        self.accesses.add(self.pending_accesses);
-        self.misses.add(self.pending_misses);
-        self.pending_accesses = 0;
-        self.pending_misses = 0;
-    }
-}
-
-#[cfg(feature = "obs")]
-impl Clone for ObsMirror {
-    /// A clone starts its own tally — copying the pending counts would
-    /// report them twice once both caches flush.
-    fn clone(&self) -> ObsMirror {
-        ObsMirror {
-            accesses: std::sync::Arc::clone(&self.accesses),
-            misses: std::sync::Arc::clone(&self.misses),
-            pending_accesses: 0,
-            pending_misses: 0,
-        }
-    }
-}
 
 /// Result of a single data-cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,8 +26,6 @@ pub struct AccessOutcome {
 pub struct DataCache {
     cache: SetAssocCache,
     stats: CacheStats,
-    #[cfg(feature = "obs")]
-    obs: ObsMirror,
 }
 
 impl DataCache {
@@ -112,12 +35,7 @@ impl DataCache {
     ///
     /// Panics if the configuration is invalid (see [`CacheConfig::is_valid`]).
     pub fn new(config: CacheConfig) -> DataCache {
-        DataCache {
-            cache: SetAssocCache::new(config),
-            stats: CacheStats::default(),
-            #[cfg(feature = "obs")]
-            obs: ObsMirror::new(),
-        }
+        DataCache { cache: SetAssocCache::new(config), stats: CacheStats::default() }
     }
 
     /// The cache geometry.
@@ -129,27 +47,17 @@ impl DataCache {
     ///
     /// Misses allocate the line (write-allocate policy) and pay the miss
     /// latency; hits pay the hit latency.
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
         let cfg = *self.cache.config();
-        let outcome = if self.cache.lookup(addr) {
+        if self.cache.lookup(addr) {
             self.stats.record_hit(is_write);
             AccessOutcome { hit: true, latency: cfg.hit_latency, evicted_line: None }
         } else {
             self.stats.record_miss(is_write);
             let evicted_line = self.cache.fill(addr);
             AccessOutcome { hit: false, latency: cfg.miss_latency, evicted_line }
-        };
-        #[cfg(feature = "obs")]
-        self.obs.record(!outcome.hit);
-        outcome
-    }
-
-    /// Flushes the sampled observability tally to the global metrics
-    /// registry immediately, instead of waiting for the next
-    /// [`OBS_SAMPLE_INTERVAL`] boundary.
-    #[cfg(feature = "obs")]
-    pub fn flush_obs(&mut self) {
-        self.obs.flush();
+        }
     }
 
     /// Returns `true` if the line containing `addr` is resident (no LRU
@@ -252,53 +160,5 @@ mod tests {
         d.access(64, false);
         let third = d.access(128, false);
         assert_eq!(third.evicted_line, Some(0));
-    }
-
-    /// The global counters are shared across tests, so the assertions are
-    /// monotonic (at-least deltas), never absolute.
-    #[cfg(feature = "obs")]
-    #[test]
-    fn obs_mirror_flushes_sampled_counters() {
-        let registry = dbt_obs::MetricsRegistry::global();
-        let accesses = registry.counter_with(
-            "dbt_cache_accesses_total",
-            "Simulated data-cache accesses (sampled mirror).",
-            &[("level", "l1d")],
-        );
-        let misses = registry.counter_with(
-            "dbt_cache_misses_total",
-            "Simulated data-cache misses (sampled mirror).",
-            &[("level", "l1d")],
-        );
-        let (acc_before, miss_before) = (accesses.get(), misses.get());
-        let mut d = DataCache::new(CacheConfig::default());
-        for i in 0..OBS_SAMPLE_INTERVAL {
-            d.access(i * 8, false);
-        }
-        assert!(
-            accesses.get() >= acc_before + OBS_SAMPLE_INTERVAL,
-            "a full interval flushes without an explicit flush_obs"
-        );
-        d.access(0, false);
-        d.flush_obs();
-        assert!(accesses.get() > acc_before + OBS_SAMPLE_INTERVAL);
-        assert!(misses.get() > miss_before, "the cold accesses missed");
-        // The deterministic per-cache stats are untouched by the mirror.
-        assert_eq!(d.stats().accesses(), OBS_SAMPLE_INTERVAL + 1);
-
-        // Cloning must not double-report: the clone starts a fresh tally,
-        // so flushing it right away adds nothing. (Same test — this is
-        // the only test touching these global counters, which keeps the
-        // equality assertion race-free under parallel test threads.)
-        let mut fresh = DataCache::new(CacheConfig::default());
-        for i in 0..10 {
-            fresh.access(i * 8, false);
-        }
-        let before_clone = accesses.get();
-        let mut clone = fresh.clone();
-        clone.flush_obs();
-        assert_eq!(accesses.get(), before_clone, "the clone had nothing pending");
-        fresh.flush_obs();
-        assert_eq!(accesses.get(), before_clone + 10);
     }
 }

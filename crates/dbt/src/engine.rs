@@ -2,6 +2,7 @@
 //! scheduling and code generation together.
 
 use crate::config::DbtConfig;
+use crate::pcmap::PcMap;
 use crate::profile::Profile;
 use crate::schedule::ScheduleError;
 use crate::service::{compile_path, CompileProduct, TranslationService};
@@ -13,7 +14,6 @@ use dbt_vliw::TranslatedBlock;
 use ghostbusters::report::MitigationSummary;
 use ghostbusters::MitigationReport;
 use spectaint::LeakageVerdict;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -107,7 +107,7 @@ pub struct DbtEngine {
     config: DbtConfig,
     profile: Profile,
     tcache: TranslationCache,
-    branch_meta: HashMap<u64, BranchMeta>,
+    branch_meta: PcMap<BranchMeta>,
     summary: MitigationSummary,
     reports: Vec<(u64, MitigationReport)>,
     stats: EngineStats,
@@ -136,7 +136,7 @@ impl DbtEngine {
             config,
             profile: Profile::new(),
             tcache: TranslationCache::new(),
-            branch_meta: HashMap::new(),
+            branch_meta: PcMap::default(),
             summary: MitigationSummary::new(),
             reports: Vec::new(),
             stats: EngineStats::default(),
@@ -386,7 +386,7 @@ mod tests {
         let optimized = engine.block_for(entry, &mem).unwrap();
         assert!(engine.tcache().has_optimized(entry));
         // The superblock merges past the bounds check and speculates.
-        assert!(optimized.bundles.len() > 1);
+        assert!(optimized.bundles().len() > 1);
     }
 
     #[test]

@@ -31,6 +31,7 @@
 pub mod codegen;
 pub mod config;
 pub mod engine;
+mod pcmap;
 pub mod profile;
 pub mod regalloc;
 pub mod schedule;

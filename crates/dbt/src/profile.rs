@@ -1,6 +1,6 @@
 //! Run-time profile collected by the DBT engine.
 
-use std::collections::HashMap;
+use crate::pcmap::PcMap;
 
 /// Outcome counters of one conditional branch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -37,8 +37,8 @@ impl BranchCounters {
 /// block into the superblock and the scheduler hoists its loads.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
-    block_entries: HashMap<u64, u64>,
-    branches: HashMap<u64, BranchCounters>,
+    block_entries: PcMap<u64>,
+    branches: PcMap<BranchCounters>,
 }
 
 impl Profile {

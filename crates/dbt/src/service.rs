@@ -500,12 +500,6 @@ impl TranslationService {
         })
     }
 
-    /// The process-wide shared service.
-    pub fn global() -> Arc<TranslationService> {
-        static GLOBAL: OnceLock<Arc<TranslationService>> = OnceLock::new();
-        Arc::clone(GLOBAL.get_or_init(TranslationService::new))
-    }
-
     /// Snapshot of the counters.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {

@@ -1,10 +1,10 @@
 //! Translation cache: maps guest entry addresses to translated blocks and,
 //! for optimised translations, to their cached leakage verdicts.
 
+use crate::pcmap::PcMap;
 use dbt_ir::IrBlock;
 use dbt_vliw::TranslatedBlock;
 use spectaint::LeakageVerdict;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The tier of a cached translation.
@@ -43,8 +43,8 @@ pub struct CachedTranslation {
 /// address.
 #[derive(Debug, Clone, Default)]
 pub struct TranslationCache {
-    basic: HashMap<u64, Arc<TranslatedBlock>>,
-    optimized: HashMap<u64, CachedTranslation>,
+    basic: PcMap<Arc<TranslatedBlock>>,
+    optimized: PcMap<CachedTranslation>,
 }
 
 impl TranslationCache {
@@ -178,13 +178,7 @@ mod tests {
     use super::*;
 
     fn dummy_block(pc: u64) -> TranslatedBlock {
-        TranslatedBlock {
-            entry_pc: pc,
-            bundles: vec![],
-            phys_reg_count: 0,
-            recovery: vec![],
-            guest_inst_count: 0,
-        }
+        TranslatedBlock::new(pc, vec![], 0, vec![], 0)
     }
 
     fn dummy_verdict(pc: u64) -> LeakageVerdict {

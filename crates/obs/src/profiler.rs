@@ -188,6 +188,7 @@ impl Profiler {
     }
 
     /// Attributes `cycles` simulated cycles to `phase`.
+    #[inline]
     pub fn attribute(&mut self, phase: Phase, cycles: u64) {
         match phase {
             Phase::Fetch => self.phases.fetch += cycles,

@@ -84,6 +84,7 @@ pub enum BranchCond {
 
 impl BranchCond {
     /// Evaluates the branch condition on two 64-bit register values.
+    #[inline]
     pub fn eval(self, lhs: u64, rhs: u64) -> bool {
         match self {
             BranchCond::Eq => lhs == rhs,
@@ -165,6 +166,7 @@ pub enum AluOp {
 
 impl AluOp {
     /// Applies the operation to two 64-bit values.
+    #[inline]
     pub fn apply(self, a: u64, b: u64) -> u64 {
         match self {
             AluOp::Add => a.wrapping_add(b),

@@ -73,6 +73,7 @@ impl GuestMemory {
         &self.bytes
     }
 
+    #[inline]
     fn check(&self, addr: u64, size: u64) -> Result<usize, MemError> {
         let limit = self.bytes.len() as u64;
         if addr.checked_add(size).is_none_or(|end| end > limit) {
@@ -86,13 +87,19 @@ impl GuestMemory {
     /// # Errors
     ///
     /// Returns [`MemError::OutOfBounds`] if the access leaves the image.
+    #[inline]
     pub fn load(&self, addr: u64, size: u64) -> Result<u64, MemError> {
         let base = self.check(addr, size)?;
-        let mut value = 0u64;
-        for i in 0..size as usize {
-            value |= (self.bytes[base + i] as u64) << (8 * i);
-        }
-        Ok(value)
+        let bytes = &self.bytes[base..base + size as usize];
+        Ok(match *bytes {
+            [b] => b as u64,
+            [b0, b1] => u16::from_le_bytes([b0, b1]) as u64,
+            [b0, b1, b2, b3] => u32::from_le_bytes([b0, b1, b2, b3]) as u64,
+            [b0, b1, b2, b3, b4, b5, b6, b7] => {
+                u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
+            }
+            _ => bytes.iter().enumerate().fold(0, |value, (i, &b)| value | (b as u64) << (8 * i)),
+        })
     }
 
     /// Stores the low `size` bytes (1, 2, 4 or 8) of `value` at `addr`.
@@ -100,10 +107,20 @@ impl GuestMemory {
     /// # Errors
     ///
     /// Returns [`MemError::OutOfBounds`] if the access leaves the image.
+    #[inline]
     pub fn store(&mut self, addr: u64, size: u64, value: u64) -> Result<(), MemError> {
         let base = self.check(addr, size)?;
-        for i in 0..size as usize {
-            self.bytes[base + i] = (value >> (8 * i)) as u8;
+        let bytes = &mut self.bytes[base..base + size as usize];
+        match bytes.len() {
+            1 => bytes[0] = value as u8,
+            2 => bytes.copy_from_slice(&(value as u16).to_le_bytes()),
+            4 => bytes.copy_from_slice(&(value as u32).to_le_bytes()),
+            8 => bytes.copy_from_slice(&value.to_le_bytes()),
+            _ => {
+                for (i, byte) in bytes.iter_mut().enumerate() {
+                    *byte = (value >> (8 * i)) as u8;
+                }
+            }
         }
         Ok(())
     }
@@ -192,6 +209,23 @@ mod tests {
         assert!(mem.load_u8(15).is_ok());
         // Address + size overflow must not wrap.
         assert!(mem.load(u64::MAX, 8).is_err());
+    }
+
+    #[test]
+    fn every_width_reaches_the_last_byte_and_not_one_past() {
+        for size in [1u64, 2, 4, 8] {
+            let mut mem = GuestMemory::new(64);
+            let last = 64 - size;
+            let value = 0x8877_6655_4433_2211u64;
+            mem.store(last, size, value).unwrap();
+            let mask = u64::MAX >> (64 - 8 * size);
+            assert_eq!(mem.load(last, size), Ok(value & mask), "{size}-byte load");
+            assert_eq!(mem.as_bytes()[last as usize..], value.to_le_bytes()[..size as usize]);
+            let past = MemError::OutOfBounds { addr: last + 1, size, limit: 64 };
+            assert_eq!(mem.load(last + 1, size), Err(past));
+            assert_eq!(mem.store(last + 1, size, value), Err(past));
+            assert_eq!(mem.as_bytes()[..last as usize], [0; 64][..last as usize]);
+        }
     }
 
     #[test]

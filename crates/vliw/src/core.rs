@@ -18,6 +18,28 @@
 //! rolls the block back and re-executes its sequential recovery code.
 //! In both cases the data cache keeps whatever lines the misspeculated
 //! accesses fetched — the micro-architectural trace the attacks exploit.
+//!
+//! # The stall computation
+//!
+//! Which operands a bundle waits on depends only on the code, so
+//! [`TranslatedBlock::new`] lists them once per bundle: the physical
+//! registers its slots read, and whether it holds an `rdcycle`. Per block,
+//! the core keeps two ready-time arrays over the physical registers, one
+//! for values produced by an ALU operation (or a squashed load) and one
+//! for values produced by a load; a register's entry in the array that
+//! does not match its producer is 0. A bundle issues at the latest of the
+//! cycle after its predecessor issued, the ALU deadline (the ALU array
+//! folded over its wait list) and the memory deadline (the memory array
+//! folded over the same list, and the completion of every outstanding
+//! access if it reads the cycle counter).
+//!
+//! The profiler charges the stall up to the ALU deadline to the issue
+//! phase and the rest to the execute phase. Those two deadlines are the
+//! ones the per-slot scan it replaced computes (kept for tests as
+//! `VliwCore::execute_block_reference`): `max` commutes, a 0 entry never
+//! raises a deadline, and no memory access completes while a bundle's
+//! waits are folded. So every cycle count and every phase attribution is
+//! unchanged.
 
 use crate::isa::{AccessWidth, Op, Operand, TranslatedBlock};
 use crate::mcb::MemoryConflictBuffer;
@@ -127,6 +149,30 @@ pub struct VliwCore {
     cycles: u64,
     stats: CoreStats,
     profiler: Profiler,
+    scratch: Scratch,
+}
+
+/// The per-block register file and ready times, kept across blocks so
+/// executing one allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Physical register values.
+    phys: Vec<u64>,
+    /// Ready cycle of each register an ALU operation (or a squashed load)
+    /// wrote; 0 where a load wrote.
+    ready_alu: Vec<u64>,
+    /// Ready cycle of each register a load wrote; 0 elsewhere.
+    ready_mem: Vec<u64>,
+}
+
+impl Scratch {
+    /// Zero-fills all three at `len` registers, as fresh vectors would be.
+    fn reset(&mut self, len: usize) {
+        for values in [&mut self.phys, &mut self.ready_alu, &mut self.ready_mem] {
+            values.clear();
+            values.resize(len, 0);
+        }
+    }
 }
 
 fn alu_latency(op: AluOp) -> u64 {
@@ -141,6 +187,7 @@ fn alu_latency(op: AluOp) -> u64 {
 /// memory-produced operands raise the memory deadline (`t_mem`, charged
 /// to the execute phase), everything else raises the scoreboard deadline
 /// (`t_alu`, charged to the issue phase).
+#[cfg(any(test, debug_assertions))]
 fn wait_operand(
     ready: &[u64],
     from_mem: &[bool],
@@ -175,6 +222,7 @@ impl VliwCore {
             cycles: 0,
             stats: CoreStats::new(),
             profiler: Profiler::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -251,6 +299,241 @@ impl VliwCore {
     /// Returns a [`CoreError`] if a non-speculative access faults, a bundle
     /// exceeds the issue width, or the block is malformed.
     pub fn execute_block(
+        &mut self,
+        block: &TranslatedBlock,
+        mem: &mut GuestMemory,
+    ) -> Result<BlockOutcome, CoreError> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.reset(block.phys_reg_count as usize);
+        let outcome = self.run_block(block, mem, &mut scratch);
+        self.scratch = scratch;
+        outcome
+    }
+
+    fn run_block(
+        &mut self,
+        block: &TranslatedBlock,
+        mem: &mut GuestMemory,
+        scratch: &mut Scratch,
+    ) -> Result<BlockOutcome, CoreError> {
+        let Scratch { phys, ready_alu, ready_mem } = scratch;
+        let entry_snapshot = self.arch.clone();
+        let mut last_mem_complete = 0u64;
+        let mut issue_time = 0u64;
+        let mut first = true;
+        let block_start = self.cycles;
+        self.mcb.clear();
+        self.stats.blocks_executed += 1;
+
+        for (bundle, waits) in block.bundles.iter().zip(&block.waits) {
+            if bundle.slots.len() > self.config.issue_width {
+                return Err(CoreError::IssueWidthExceeded {
+                    entry_pc: block.entry_pc,
+                    slots: bundle.slots.len(),
+                });
+            }
+            // In-order issue with scoreboard stalls: `t_alu` is the
+            // deadline set by ALU-produced operands (charged to the issue
+            // phase), `t_mem` the one set by memory-produced operands and
+            // `rdcycle` (charged to the execute phase). Each ready-time
+            // array holds 0 where the other applies, so folding both over
+            // every awaited register raises only the producer's deadline.
+            let earliest = if first { 0 } else { issue_time + 1 };
+            if !first {
+                self.profiler.attribute(Phase::Fetch, 1);
+            }
+            first = false;
+            let mut t_alu = earliest;
+            let mut t_mem = earliest;
+            for &reg in &block.wait_regs[waits.start as usize..waits.end as usize] {
+                t_alu = t_alu.max(ready_alu[reg as usize]);
+                t_mem = t_mem.max(ready_mem[reg as usize]);
+            }
+            if waits.rdcycle {
+                t_mem = t_mem.max(last_mem_complete);
+            }
+            let t = t_alu.max(t_mem);
+            self.profiler.attribute(Phase::Issue, t_alu - earliest);
+            self.profiler.attribute(Phase::Execute, t - t_alu.max(earliest));
+            issue_time = t;
+            self.stats.bundles_issued += 1;
+
+            for op in &bundle.slots {
+                match op {
+                    Op::Nop => {}
+                    Op::Fence => {
+                        self.profiler.events.fence_stalls += 1;
+                    }
+                    Op::Alu { op: alu, dst, a, b } => {
+                        let va = self.read_operand(phys, *a);
+                        let vb = self.read_operand(phys, *b);
+                        phys[dst.index()] = alu.apply(va, vb);
+                        ready_alu[dst.index()] = t + alu_latency(*alu);
+                        ready_mem[dst.index()] = 0;
+                        self.stats.ops_executed += 1;
+                    }
+                    Op::RdCycle { dst } => {
+                        phys[dst.index()] = self.cycles + t;
+                        ready_alu[dst.index()] = t + 1;
+                        ready_mem[dst.index()] = 0;
+                        self.stats.ops_executed += 1;
+                    }
+                    Op::Load { width, dst, base, offset, speculative, original_seq } => {
+                        self.stats.ops_executed += 1;
+                        let addr = self.read_operand(phys, *base).wrapping_add(*offset as u64);
+                        let in_bounds = addr
+                            .checked_add(width.bytes as u64)
+                            .is_some_and(|end| end <= mem.len() as u64);
+                        if !in_bounds {
+                            if *speculative {
+                                // Faults raised by misspeculated loads are
+                                // squashed; the destination gets a dummy
+                                // value and the cache is untouched.
+                                phys[dst.index()] = 0;
+                                ready_alu[dst.index()] = t + 1;
+                                ready_mem[dst.index()] = 0;
+                                continue;
+                            }
+                            return Err(CoreError::MemFault { addr, bytes: width.bytes });
+                        }
+                        let outcome = self.dcache.access(addr, false);
+                        self.profile_access(outcome.hit);
+                        let raw = mem.load(addr, width.bytes as u64).expect("bounds checked");
+                        phys[dst.index()] = sign_extend_load(raw, *width);
+                        let done = t + outcome.latency;
+                        ready_alu[dst.index()] = 0;
+                        ready_mem[dst.index()] = done;
+                        last_mem_complete = last_mem_complete.max(done);
+                        if *speculative {
+                            self.stats.speculative_loads += 1;
+                            self.profiler.events.speculative_loads += 1;
+                            self.mcb.record_load(addr, width.bytes, *original_seq);
+                        }
+                    }
+                    Op::Store { width, value, base, offset, checks_mcb, original_seq } => {
+                        self.stats.ops_executed += 1;
+                        let addr = self.read_operand(phys, *base).wrapping_add(*offset as u64);
+                        if *checks_mcb && self.mcb.store_conflicts(addr, width.bytes, *original_seq)
+                        {
+                            // Memory-dependency misspeculation: roll back and
+                            // re-execute sequentially. Cache contents are
+                            // intentionally NOT restored.
+                            self.stats.rollbacks += 1;
+                            self.profiler.events.mcb_hits += 1;
+                            self.arch = entry_snapshot;
+                            self.mcb.clear();
+                            let penalty = t + self.config.rollback_penalty;
+                            let (next_pc, recovery_cycles) = self.execute_recovery(block, mem)?;
+                            let total = penalty + recovery_cycles;
+                            self.profiler.attribute(Phase::Rollback, total - t);
+                            self.profiler.record("block", block.entry_pc, block_start, total);
+                            self.profiler.record(
+                                "rollback",
+                                block.entry_pc,
+                                block_start + t,
+                                total - t,
+                            );
+                            self.cycles += total;
+                            return Ok(BlockOutcome { next_pc, cycles: total, rolled_back: true });
+                        }
+                        let in_bounds = addr
+                            .checked_add(width.bytes as u64)
+                            .is_some_and(|end| end <= mem.len() as u64);
+                        if !in_bounds {
+                            return Err(CoreError::MemFault { addr, bytes: width.bytes });
+                        }
+                        let value = self.read_operand(phys, *value);
+                        mem.store(addr, width.bytes as u64, value).expect("bounds checked");
+                        let outcome = self.dcache.access(addr, true);
+                        self.profile_access(outcome.hit);
+                    }
+                    Op::CacheFlush { base, offset } => {
+                        self.stats.ops_executed += 1;
+                        let addr = self.read_operand(phys, *base).wrapping_add(*offset as u64);
+                        self.dcache.flush_line(addr);
+                    }
+                    Op::CommitReg { reg, src } => {
+                        self.stats.ops_executed += 1;
+                        let value = self.read_operand(phys, *src);
+                        self.arch.set_reg(*reg, value);
+                    }
+                    Op::SideExit { cond, a, b, target } => {
+                        self.stats.ops_executed += 1;
+                        let va = self.read_operand(phys, *a);
+                        let vb = self.read_operand(phys, *b);
+                        if cond.eval(va, vb) {
+                            self.stats.side_exits_taken += 1;
+                            self.profiler.events.mispredicts += 1;
+                            let total = t + 1;
+                            self.profiler.attribute(Phase::Commit, 1);
+                            self.profiler.record("block", block.entry_pc, block_start, total);
+                            self.profiler.record("mispredict", block.entry_pc, block_start + t, 1);
+                            self.cycles += total;
+                            self.mcb.clear();
+                            return Ok(BlockOutcome {
+                                next_pc: Some(*target),
+                                cycles: total,
+                                rolled_back: false,
+                            });
+                        }
+                    }
+                    Op::Jump { target } => {
+                        self.stats.ops_executed += 1;
+                        let total = t + 1;
+                        self.profiler.attribute(Phase::Commit, 1);
+                        self.profiler.record("block", block.entry_pc, block_start, total);
+                        self.cycles += total;
+                        self.mcb.clear();
+                        return Ok(BlockOutcome {
+                            next_pc: Some(*target),
+                            cycles: total,
+                            rolled_back: false,
+                        });
+                    }
+                    Op::JumpIndirect { target } => {
+                        self.stats.ops_executed += 1;
+                        let target = self.read_operand(phys, *target);
+                        let total = t + 1;
+                        self.profiler.attribute(Phase::Commit, 1);
+                        self.profiler.record("block", block.entry_pc, block_start, total);
+                        self.cycles += total;
+                        self.mcb.clear();
+                        return Ok(BlockOutcome {
+                            next_pc: Some(target),
+                            cycles: total,
+                            rolled_back: false,
+                        });
+                    }
+                    Op::Halt => {
+                        self.stats.ops_executed += 1;
+                        let total = t + 1;
+                        self.profiler.attribute(Phase::Commit, 1);
+                        self.profiler.record("block", block.entry_pc, block_start, total);
+                        self.cycles += total;
+                        self.mcb.clear();
+                        return Ok(BlockOutcome {
+                            next_pc: None,
+                            cycles: total,
+                            rolled_back: false,
+                        });
+                    }
+                }
+            }
+        }
+        Err(CoreError::MissingTerminator { entry_pc: block.entry_pc })
+    }
+
+    /// [`VliwCore::execute_block`] as it was before the per-bundle wait
+    /// lists and the scratch buffers: it matches every slot to find the
+    /// operands a bundle waits on and allocates its register file per
+    /// block. Tests run both in lockstep and require identical outcomes,
+    /// state, statistics and profiles; release builds leave it out.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`VliwCore::execute_block`].
+    #[cfg(any(test, debug_assertions))]
+    pub fn execute_block_reference(
         &mut self,
         block: &TranslatedBlock,
         mem: &mut GuestMemory,
@@ -587,9 +870,9 @@ mod tests {
     #[test]
     fn straight_line_block_commits_registers() {
         let (mut core, mut mem) = mk_core();
-        let block = TranslatedBlock {
-            entry_pc: 0x1000,
-            bundles: vec![
+        let block = TranslatedBlock::new(
+            0x1000,
+            vec![
                 bundle(vec![Op::Alu {
                     op: AluOp::Add,
                     dst: PhysReg(0),
@@ -601,10 +884,10 @@ mod tests {
                     Op::Jump { target: 0x2000 },
                 ]),
             ],
-            phys_reg_count: 1,
-            recovery: vec![],
-            guest_inst_count: 2,
-        };
+            1,
+            vec![],
+            2,
+        );
         let outcome = core.execute_block(&block, &mut mem).unwrap();
         assert_eq!(outcome.next_pc, Some(0x2000));
         assert!(!outcome.rolled_back);
@@ -616,9 +899,9 @@ mod tests {
     fn load_latency_stalls_consumer() {
         let (mut core, mut mem) = mk_core();
         mem.store_u64(0x100, 7).unwrap();
-        let block = TranslatedBlock {
-            entry_pc: 0,
-            bundles: vec![
+        let block = TranslatedBlock::new(
+            0,
+            vec![
                 bundle(vec![Op::Load {
                     width: AccessWidth::DOUBLE,
                     dst: PhysReg(0),
@@ -638,10 +921,10 @@ mod tests {
                     Op::Halt,
                 ]),
             ],
-            phys_reg_count: 2,
-            recovery: vec![],
-            guest_inst_count: 3,
-        };
+            2,
+            vec![],
+            3,
+        );
         let outcome = core.execute_block(&block, &mut mem).unwrap();
         assert_eq!(core.arch().reg(Reg::A0), 8);
         // A cold-cache miss (60 cycles by default) must be visible.
@@ -651,28 +934,30 @@ mod tests {
     #[test]
     fn cache_hits_are_faster_than_misses() {
         let (mut core, mut mem) = mk_core();
-        let make_block = || TranslatedBlock {
-            entry_pc: 0,
-            bundles: vec![
-                bundle(vec![Op::Load {
-                    width: AccessWidth::DOUBLE,
-                    dst: PhysReg(0),
-                    base: Operand::Imm(0x200),
-                    offset: 0,
-                    speculative: false,
-                    original_seq: 0,
-                }]),
-                bundle(vec![Op::Alu {
-                    op: AluOp::Add,
-                    dst: PhysReg(1),
-                    a: Operand::Phys(PhysReg(0)),
-                    b: Operand::Imm(0),
-                }]),
-                bundle(vec![Op::Halt]),
-            ],
-            phys_reg_count: 2,
-            recovery: vec![],
-            guest_inst_count: 2,
+        let make_block = || {
+            TranslatedBlock::new(
+                0,
+                vec![
+                    bundle(vec![Op::Load {
+                        width: AccessWidth::DOUBLE,
+                        dst: PhysReg(0),
+                        base: Operand::Imm(0x200),
+                        offset: 0,
+                        speculative: false,
+                        original_seq: 0,
+                    }]),
+                    bundle(vec![Op::Alu {
+                        op: AluOp::Add,
+                        dst: PhysReg(1),
+                        a: Operand::Phys(PhysReg(0)),
+                        b: Operand::Imm(0),
+                    }]),
+                    bundle(vec![Op::Halt]),
+                ],
+                2,
+                vec![],
+                2,
+            )
         };
         let cold = core.execute_block(&make_block(), &mut mem).unwrap();
         let warm = core.execute_block(&make_block(), &mut mem).unwrap();
@@ -682,9 +967,9 @@ mod tests {
     #[test]
     fn taken_side_exit_skips_later_commits() {
         let (mut core, mut mem) = mk_core();
-        let block = TranslatedBlock {
-            entry_pc: 0,
-            bundles: vec![
+        let block = TranslatedBlock::new(
+            0,
+            vec![
                 bundle(vec![Op::SideExit {
                     cond: BranchCond::Eq,
                     a: Operand::Imm(1),
@@ -696,10 +981,10 @@ mod tests {
                     Op::Jump { target: 0x4000 },
                 ]),
             ],
-            phys_reg_count: 0,
-            recovery: vec![],
-            guest_inst_count: 2,
-        };
+            0,
+            vec![],
+            2,
+        );
         let outcome = core.execute_block(&block, &mut mem).unwrap();
         assert_eq!(outcome.next_pc, Some(0x3000));
         assert_eq!(core.arch().reg(Reg::A0), 0, "commit after a taken exit must not happen");
@@ -711,9 +996,9 @@ mod tests {
         let (mut core, mut mem) = mk_core();
         // The load is scheduled before the exit (hoisted), the exit is taken:
         // architecturally nothing happens, but the line stays in the cache.
-        let block = TranslatedBlock {
-            entry_pc: 0,
-            bundles: vec![
+        let block = TranslatedBlock::new(
+            0,
+            vec![
                 bundle(vec![Op::Load {
                     width: AccessWidth::BYTE_U,
                     dst: PhysReg(0),
@@ -730,10 +1015,10 @@ mod tests {
                 }]),
                 bundle(vec![Op::Halt]),
             ],
-            phys_reg_count: 1,
-            recovery: vec![],
-            guest_inst_count: 3,
-        };
+            1,
+            vec![],
+            3,
+        );
         let outcome = core.execute_block(&block, &mut mem).unwrap();
         assert_eq!(outcome.next_pc, Some(0x9000));
         assert!(core.dcache().is_resident(0x5000));
@@ -745,9 +1030,9 @@ mod tests {
         mem.store_u64(0x800, 111).unwrap();
         // Guest order: store 222 -> [0x800] (seq 1); load [0x800] (seq 2);
         // commit a0 <- load. The schedule hoists the load above the store.
-        let block = TranslatedBlock {
-            entry_pc: 0,
-            bundles: vec![
+        let block = TranslatedBlock::new(
+            0,
+            vec![
                 bundle(vec![Op::Load {
                     width: AccessWidth::DOUBLE,
                     dst: PhysReg(0),
@@ -769,8 +1054,8 @@ mod tests {
                     Op::Halt,
                 ]),
             ],
-            phys_reg_count: 1,
-            recovery: vec![
+            1,
+            vec![
                 Op::Store {
                     width: AccessWidth::DOUBLE,
                     value: Operand::Imm(222),
@@ -790,8 +1075,8 @@ mod tests {
                 Op::CommitReg { reg: Reg::A0, src: Operand::Phys(PhysReg(0)) },
                 Op::Halt,
             ],
-            guest_inst_count: 3,
-        };
+            3,
+        );
         let outcome = core.execute_block(&block, &mut mem).unwrap();
         assert!(outcome.rolled_back);
         assert_eq!(outcome.next_pc, None);
@@ -806,9 +1091,9 @@ mod tests {
     #[test]
     fn speculative_load_fault_is_squashed() {
         let (mut core, mut mem) = mk_core();
-        let block = TranslatedBlock {
-            entry_pc: 0,
-            bundles: vec![
+        let block = TranslatedBlock::new(
+            0,
+            vec![
                 bundle(vec![Op::Load {
                     width: AccessWidth::DOUBLE,
                     dst: PhysReg(0),
@@ -819,19 +1104,19 @@ mod tests {
                 }]),
                 bundle(vec![Op::Halt]),
             ],
-            phys_reg_count: 1,
-            recovery: vec![Op::Halt],
-            guest_inst_count: 1,
-        };
+            1,
+            vec![Op::Halt],
+            1,
+        );
         assert!(core.execute_block(&block, &mut mem).is_ok());
     }
 
     #[test]
     fn non_speculative_fault_is_an_error() {
         let (mut core, mut mem) = mk_core();
-        let block = TranslatedBlock {
-            entry_pc: 0,
-            bundles: vec![
+        let block = TranslatedBlock::new(
+            0,
+            vec![
                 bundle(vec![Op::Load {
                     width: AccessWidth::DOUBLE,
                     dst: PhysReg(0),
@@ -842,20 +1127,53 @@ mod tests {
                 }]),
                 bundle(vec![Op::Halt]),
             ],
-            phys_reg_count: 1,
-            recovery: vec![Op::Halt],
-            guest_inst_count: 1,
-        };
+            1,
+            vec![Op::Halt],
+            1,
+        );
         assert!(matches!(core.execute_block(&block, &mut mem), Err(CoreError::MemFault { .. })));
+    }
+
+    #[test]
+    fn checked_store_to_a_wrapped_address_faults() {
+        let (mut core, mut mem) = mk_core();
+        let block = TranslatedBlock::new(
+            0,
+            vec![
+                bundle(vec![Op::Load {
+                    width: AccessWidth::DOUBLE,
+                    dst: PhysReg(0),
+                    base: Operand::Imm(0x100),
+                    offset: 0,
+                    speculative: true,
+                    original_seq: 2,
+                }]),
+                bundle(vec![Op::Store {
+                    width: AccessWidth::DOUBLE,
+                    value: Operand::Imm(1),
+                    base: Operand::Imm(-4),
+                    offset: 0,
+                    checks_mcb: true,
+                    original_seq: 1,
+                }]),
+                bundle(vec![Op::Halt]),
+            ],
+            1,
+            vec![Op::Halt],
+            2,
+        );
+        let fault = Err(CoreError::MemFault { addr: u64::MAX - 3, bytes: 8 });
+        assert_eq!(core.clone().execute_block_reference(&block, &mut mem.clone()), fault);
+        assert_eq!(core.execute_block(&block, &mut mem), fault);
     }
 
     #[test]
     fn rdcycle_observes_memory_latency() {
         let (mut core, mut mem) = mk_core();
         // rdcycle ; load (miss) ; rdcycle ; commit the difference.
-        let block = TranslatedBlock {
-            entry_pc: 0,
-            bundles: vec![
+        let block = TranslatedBlock::new(
+            0,
+            vec![
                 bundle(vec![Op::RdCycle { dst: PhysReg(0) }]),
                 bundle(vec![Op::Load {
                     width: AccessWidth::BYTE_U,
@@ -877,10 +1195,10 @@ mod tests {
                     Op::Halt,
                 ]),
             ],
-            phys_reg_count: 4,
-            recovery: vec![],
-            guest_inst_count: 5,
-        };
+            4,
+            vec![],
+            5,
+        );
         core.execute_block(&block, &mut mem).unwrap();
         let miss_delta = core.arch().reg(Reg::A0);
         assert!(miss_delta >= CacheConfig::default().miss_latency);
@@ -896,13 +1214,7 @@ mod tests {
     fn issue_width_is_enforced() {
         let (mut core, mut mem) = mk_core();
         let too_wide = bundle(vec![Op::Nop, Op::Nop, Op::Nop, Op::Nop, Op::Halt]);
-        let block = TranslatedBlock {
-            entry_pc: 0,
-            bundles: vec![too_wide],
-            phys_reg_count: 0,
-            recovery: vec![],
-            guest_inst_count: 1,
-        };
+        let block = TranslatedBlock::new(0, vec![too_wide], 0, vec![], 1);
         assert!(matches!(
             core.execute_block(&block, &mut mem),
             Err(CoreError::IssueWidthExceeded { .. })
@@ -912,13 +1224,7 @@ mod tests {
     #[test]
     fn missing_terminator_is_detected() {
         let (mut core, mut mem) = mk_core();
-        let block = TranslatedBlock {
-            entry_pc: 0x42,
-            bundles: vec![bundle(vec![Op::Nop])],
-            phys_reg_count: 0,
-            recovery: vec![],
-            guest_inst_count: 1,
-        };
+        let block = TranslatedBlock::new(0x42, vec![bundle(vec![Op::Nop])], 0, vec![], 1);
         assert!(matches!(
             core.execute_block(&block, &mut mem),
             Err(CoreError::MissingTerminator { entry_pc: 0x42 })
@@ -928,9 +1234,9 @@ mod tests {
     /// A block that stalls on both a load (execute phase) and a slow ALU
     /// result (issue phase), ending in a halt.
     fn stall_block() -> TranslatedBlock {
-        TranslatedBlock {
-            entry_pc: 0x1000,
-            bundles: vec![
+        TranslatedBlock::new(
+            0x1000,
+            vec![
                 bundle(vec![Op::Load {
                     width: AccessWidth::DOUBLE,
                     dst: PhysReg(0),
@@ -956,10 +1262,10 @@ mod tests {
                     Op::Halt,
                 ]),
             ],
-            phys_reg_count: 3,
-            recovery: vec![],
-            guest_inst_count: 4,
-        }
+            3,
+            vec![],
+            4,
+        )
     }
 
     #[test]
@@ -984,9 +1290,9 @@ mod tests {
         mem.store_u64(0x800, 111).unwrap();
         // Reuse the MCB-conflict shape: hoisted load, conflicting store,
         // sequential recovery.
-        let block = TranslatedBlock {
-            entry_pc: 0,
-            bundles: vec![
+        let block = TranslatedBlock::new(
+            0,
+            vec![
                 bundle(vec![Op::Load {
                     width: AccessWidth::DOUBLE,
                     dst: PhysReg(0),
@@ -1008,8 +1314,8 @@ mod tests {
                     Op::Halt,
                 ]),
             ],
-            phys_reg_count: 1,
-            recovery: vec![
+            1,
+            vec![
                 Op::Fence,
                 Op::Load {
                     width: AccessWidth::DOUBLE,
@@ -1021,8 +1327,8 @@ mod tests {
                 },
                 Op::Halt,
             ],
-            guest_inst_count: 3,
-        };
+            3,
+        );
         let outcome = core.execute_block(&block, &mut mem).unwrap();
         assert!(outcome.rolled_back);
         let profiler = core.profiler();

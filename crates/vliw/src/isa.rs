@@ -249,14 +249,36 @@ impl fmt::Display for Bundle {
     }
 }
 
+/// What one bundle waits on before it can issue, read off its slots when
+/// the block is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BundleWaits {
+    /// Start of the bundle's run in [`TranslatedBlock`]'s wait list.
+    pub(crate) start: u32,
+    /// End (exclusive) of that run.
+    pub(crate) end: u32,
+    /// Whether a slot is an `rdcycle`, which also waits for every
+    /// outstanding memory access.
+    pub(crate) rdcycle: bool,
+}
+
 /// A block of VLIW code produced by the DBT engine for one guest (super)
 /// block.
+///
+/// [`TranslatedBlock::new`] also records, per bundle, the physical
+/// registers its slots read and whether it holds an `rdcycle`: everything
+/// the core's stall computation needs from the code. The core folds those
+/// lists into two ready-time arrays, one for ALU-produced and one for
+/// load-produced values, instead of matching every slot twice; the
+/// [`core`](crate::core) module docs explain why cycle counts and phase
+/// attribution stay what the per-slot scan gave. The bundles are
+/// read-only once built, so the lists cannot go stale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranslatedBlock {
     /// Guest address this block translates.
     pub entry_pc: u64,
     /// The scheduled bundles.
-    pub bundles: Vec<Bundle>,
+    pub(crate) bundles: Vec<Bundle>,
     /// Number of physical registers the block uses.
     pub phys_reg_count: u16,
     /// Sequential recovery code (original program order, no speculation),
@@ -264,9 +286,71 @@ pub struct TranslatedBlock {
     pub recovery: Vec<Op>,
     /// Number of guest instructions this block covers.
     pub guest_inst_count: usize,
+    /// Per bundle: its run of `wait_regs` and whether it reads the cycle
+    /// counter.
+    pub(crate) waits: Vec<BundleWaits>,
+    /// The physical registers each bundle reads, deduplicated per bundle,
+    /// bundle after bundle.
+    pub(crate) wait_regs: Vec<u16>,
+}
+
+/// The physical registers `op` reads.
+fn phys_reads(op: &Op) -> impl Iterator<Item = PhysReg> {
+    let (a, b) = match op {
+        Op::Alu { a, b, .. } | Op::SideExit { a, b, .. } => (Some(*a), Some(*b)),
+        Op::Store { value, base, .. } => (Some(*value), Some(*base)),
+        Op::Load { base, .. } | Op::CacheFlush { base, .. } => (Some(*base), None),
+        Op::CommitReg { src, .. } => (Some(*src), None),
+        Op::JumpIndirect { target } => (Some(*target), None),
+        Op::Nop | Op::Jump { .. } | Op::Halt | Op::Fence | Op::RdCycle { .. } => (None, None),
+    };
+    a.into_iter().chain(b).filter_map(|operand| match operand {
+        Operand::Phys(p) => Some(p),
+        Operand::Arch(_) | Operand::Imm(_) => None,
+    })
 }
 
 impl TranslatedBlock {
+    /// Builds a block and its per-bundle wait lists.
+    pub fn new(
+        entry_pc: u64,
+        bundles: Vec<Bundle>,
+        phys_reg_count: u16,
+        recovery: Vec<Op>,
+        guest_inst_count: usize,
+    ) -> TranslatedBlock {
+        let mut waits = Vec::with_capacity(bundles.len());
+        let mut wait_regs = Vec::new();
+        let mut regs = Vec::new();
+        for bundle in &bundles {
+            regs.clear();
+            regs.extend(bundle.slots.iter().flat_map(phys_reads).map(|p| p.0));
+            regs.sort_unstable();
+            regs.dedup();
+            let start = wait_regs.len();
+            wait_regs.extend_from_slice(&regs);
+            waits.push(BundleWaits {
+                start: start as u32,
+                end: wait_regs.len() as u32,
+                rdcycle: bundle.slots.iter().any(|op| matches!(op, Op::RdCycle { .. })),
+            });
+        }
+        TranslatedBlock {
+            entry_pc,
+            bundles,
+            phys_reg_count,
+            recovery,
+            guest_inst_count,
+            waits,
+            wait_regs,
+        }
+    }
+
+    /// The scheduled bundles.
+    pub fn bundles(&self) -> &[Bundle] {
+        &self.bundles
+    }
+
     /// Total number of operations across all bundles (excluding nops).
     pub fn op_count(&self) -> usize {
         self.bundles.iter().map(Bundle::useful_ops).sum()
@@ -349,9 +433,9 @@ mod tests {
 
     #[test]
     fn translated_block_counts() {
-        let block = TranslatedBlock {
-            entry_pc: 0x100,
-            bundles: vec![
+        let block = TranslatedBlock::new(
+            0x100,
+            vec![
                 Bundle {
                     slots: vec![
                         Op::Load {
@@ -367,12 +451,47 @@ mod tests {
                 },
                 Bundle { slots: vec![Op::Halt] },
             ],
-            phys_reg_count: 1,
-            recovery: vec![Op::Halt],
-            guest_inst_count: 2,
-        };
+            1,
+            vec![Op::Halt],
+            2,
+        );
         assert_eq!(block.op_count(), 2);
         assert_eq!(block.speculative_load_count(), 1);
         assert!(block.to_string().contains("bundles"));
+    }
+
+    #[test]
+    fn wait_lists_hold_each_bundles_physical_reads_once() {
+        let p = |i| Operand::Phys(PhysReg(i));
+        let block = TranslatedBlock::new(
+            0,
+            vec![
+                Bundle { slots: vec![Op::RdCycle { dst: PhysReg(0) }, Op::Nop] },
+                Bundle {
+                    slots: vec![
+                        Op::Alu { op: AluOp::Add, dst: PhysReg(2), a: p(1), b: p(0) },
+                        Op::Store {
+                            width: AccessWidth::DOUBLE,
+                            value: p(1),
+                            base: Operand::Arch(Reg::A0),
+                            offset: 0,
+                            checks_mcb: false,
+                            original_seq: 1,
+                        },
+                        Op::CommitReg { reg: Reg::A1, src: Operand::Imm(3) },
+                    ],
+                },
+                Bundle { slots: vec![Op::JumpIndirect { target: p(2) }] },
+            ],
+            3,
+            vec![],
+            3,
+        );
+        let lists: Vec<(&[u16], bool)> = block
+            .waits
+            .iter()
+            .map(|w| (&block.wait_regs[w.start as usize..w.end as usize], w.rdcycle))
+            .collect();
+        assert_eq!(lists, [(&[][..], true), (&[0, 1][..], false), (&[2][..], false)]);
     }
 }

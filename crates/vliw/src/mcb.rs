@@ -55,14 +55,21 @@ impl MemoryConflictBuffer {
     /// Returns `true` if a store of `bytes` bytes at `addr`, originating from
     /// guest position `store_seq`, conflicts with a recorded speculative
     /// load that originally came *after* the store.
+    ///
+    /// Byte ranges do not wrap: a store that runs past the top of the
+    /// address space overlaps no load near address 0. The core checks the
+    /// MCB before it bounds-checks the store, so such an address is
+    /// possible here; the store then faults.
     pub fn store_conflicts(&self, addr: u64, bytes: u8, store_seq: u32) -> bool {
         if self.overflowed {
             return true;
         }
-        let store_end = addr + bytes as u64;
+        let end = |start: u64, bytes: u8| u128::from(start) + u128::from(bytes);
+        let store_end = end(addr, bytes);
         self.entries.iter().any(|e| {
-            let load_end = e.addr + e.bytes as u64;
-            e.original_seq > store_seq && addr < load_end && e.addr < store_end
+            e.original_seq > store_seq
+                && u128::from(addr) < end(e.addr, e.bytes)
+                && u128::from(e.addr) < store_end
         })
     }
 
@@ -106,6 +113,15 @@ mod tests {
         assert!(!mcb.store_conflicts(0xf8, 8, 3));
         // One byte overlap at the start.
         assert!(mcb.store_conflicts(0xf9, 8, 3));
+    }
+
+    #[test]
+    fn a_store_past_the_top_of_the_address_space_does_not_wrap() {
+        let mut mcb = MemoryConflictBuffer::new(4);
+        mcb.record_load(0x0, 8, 10);
+        assert!(!mcb.store_conflicts(u64::MAX - 3, 8, 3));
+        mcb.record_load(u64::MAX - 7, 8, 10);
+        assert!(mcb.store_conflicts(u64::MAX - 3, 8, 3));
     }
 
     #[test]
