@@ -48,7 +48,7 @@ pub use profile::Profile;
 pub use schedule::{Schedule, ScheduleError};
 pub use service::{
     AnalysedProduct, AnalysisProduct, CompileProduct, ServiceStats, Translated, TranslationService,
-    DEFAULT_SERVICE_CAPACITY,
+    DEFAULT_SERVICE_BUDGET_PRODUCTS,
 };
 pub use tcache::{CachedTranslation, Tier, TranslationCache};
 pub use trace_builder::{GuestPath, PathElement};

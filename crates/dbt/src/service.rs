@@ -18,17 +18,18 @@
 //!   all policies as well.
 //!
 //! Entries are grouped per program fingerprint (see
-//! [`Program::fingerprint`](dbt_riscv::Program)) behind `Arc`s; eviction is
-//! bounded and least-recently-used at program granularity. Every query
-//! resolves to exactly one compile process-wide, even when several sweep
-//! workers demand the same key concurrently (late askers block on the
-//! winner's `OnceLock`), so hit/miss counters are deterministic for a given
-//! job list regardless of thread count — *as long as the resident program
-//! set stays within the capacity bound*. Once eviction engages under
-//! concurrency, the LRU victim depends on thread timing and evicted
-//! programs re-miss, so deterministic counters require a capacity at least
-//! as large as the working set (the default, [`DEFAULT_SERVICE_CAPACITY`],
-//! is far above any standard sweep).
+//! [`Program::fingerprint`](dbt_riscv::Program)) in a [`BoundedMap`]
+//! weighing one per compile product (analysis or codegen slot; a
+//! product's size is bounded because `max_trace_guest_insts` bounds every
+//! path); past the budget, whole least-recently-used programs are
+//! evicted. Every query resolves to exactly one compile process-wide, even
+//! when several sweep workers demand the same key concurrently (late
+//! askers block on the winner's `OnceLock`), so hit/miss counters are
+//! deterministic for a given job list regardless of thread count — *as
+//! long as the resident products stay within the budget*, which
+//! [`DEFAULT_SERVICE_BUDGET_PRODUCTS`] does for every in-repo working set.
+//! Once eviction engages under concurrency, the LRU victim depends on
+//! thread timing and evicted programs re-miss.
 
 use crate::codegen::generate;
 use crate::config::DbtConfig;
@@ -40,7 +41,7 @@ use crate::translate::translate_path;
 use dbt_ir::{BlockKind, DepGraph, DfgOptions, InstId, IrBlock};
 use dbt_obs::{Histogram, MetricsRegistry, Span, StageSpan, DEFAULT_LATENCY_BOUNDS_MICROS};
 use dbt_persist::codec::{ByteReader, ByteWriter};
-use dbt_persist::PersistStore;
+use dbt_persist::{BoundedMap, PersistStore};
 use dbt_vliw::TranslatedBlock;
 use ghostbusters::{apply_with_verdict, MitigationPolicy, MitigationReport};
 use spectaint::{Gadget, LeakageVerdict, TaintSource, TaintSourceKind};
@@ -193,7 +194,7 @@ pub struct ServiceStats {
     pub misses: u64,
     /// Program entries currently resident.
     pub programs: usize,
-    /// Program entries evicted to honour the capacity bound.
+    /// Program entries evicted to honour the product budget.
     pub evictions: u64,
 }
 
@@ -225,7 +226,7 @@ impl ServiceStats {
         registry
             .counter(
                 "dbt_translate_evictions_total",
-                "Program entries evicted to honour the capacity bound.",
+                "Program entries evicted to honour the product budget.",
             )
             .set(self.evictions);
     }
@@ -367,12 +368,12 @@ pub(crate) fn compile_path(
 /// One cache slot: filled exactly once, shared between waiting threads.
 type Slot<T> = Arc<OnceLock<Result<T, DbtError>>>;
 
-/// Memoized queries of one guest program.
+/// Memoized queries of one guest program. It weighs one compile product
+/// per slot against the service's budget.
 #[derive(Debug, Default)]
 struct ProgramTranslations {
-    analyses: Mutex<HashMap<u64, Slot<AnalysisProduct>>>,
-    codegens: Mutex<HashMap<u64, Slot<CompileProduct>>>,
-    last_used: AtomicU64,
+    analyses: HashMap<u64, Slot<AnalysisProduct>>,
+    codegens: HashMap<u64, Slot<CompileProduct>>,
 }
 
 /// Resolved phase-timing handles (one histogram per compile stage);
@@ -416,85 +417,71 @@ impl ServiceMetrics {
 /// ```
 #[derive(Debug)]
 pub struct TranslationService {
-    capacity: usize,
-    programs: Mutex<HashMap<u64, Arc<ProgramTranslations>>>,
+    programs: Mutex<BoundedMap<u64, ProgramTranslations>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-    tick: AtomicU64,
     metrics: Option<ServiceMetrics>,
     persist: Option<Arc<PersistStore>>,
 }
 
-/// Default bound on resident program entries. Far above any standard sweep
-/// (14 workloads + attack variants), so bounded eviction only engages in
-/// genuinely long-lived services.
-pub const DEFAULT_SERVICE_CAPACITY: usize = 128;
+/// Default budget of resident compile products (one per analysis or
+/// codegen slot). It holds every in-repo working set — the largest, the
+/// full `lab sweep` on one service, is 1,159 products over 17 programs —
+/// while keeping a daemon that faces an unbounded key space (fresh
+/// platform knobs, uploads) from growing without limit.
+pub const DEFAULT_SERVICE_BUDGET_PRODUCTS: u64 = 1536;
 
 impl TranslationService {
-    /// A service with the default capacity.
+    /// A service with the default budget.
     pub fn new() -> Arc<TranslationService> {
-        TranslationService::with_capacity(DEFAULT_SERVICE_CAPACITY)
+        TranslationService::with_budget(DEFAULT_SERVICE_BUDGET_PRODUCTS)
     }
 
-    /// A service bounded to `capacity` resident program entries (least
-    /// recently used programs are evicted beyond that).
+    /// A service bounded to `products` resident compile products: beyond
+    /// that, the least recently used programs are evicted whole. The
+    /// program being translated is never the victim.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Arc<TranslationService> {
-        TranslationService::build(capacity, None, None)
+    /// Panics if `products` is zero.
+    pub fn with_budget(products: u64) -> Arc<TranslationService> {
+        TranslationService::build(products, None, None)
     }
 
-    /// A default-capacity service whose compile stages record wall-clock
+    /// A default-budget service whose compile stages record wall-clock
     /// phase timings into `registry` (the
     /// `dbt_translate_phase_seconds{phase="analysis"|"codegen"}`
     /// families). Only *actual* compiles are timed — memoized answers
     /// never touch the clock — and the timings are pure observability:
     /// deterministic products, counters and cycle outputs are identical
     /// to an uninstrumented service.
-    pub fn with_metrics(registry: &MetricsRegistry) -> Arc<TranslationService> {
-        TranslationService::build(
-            DEFAULT_SERVICE_CAPACITY,
-            Some(ServiceMetrics::resolve(registry)),
-            None,
-        )
-    }
-
-    /// [`TranslationService::with_metrics`] plus a durable tier for the
-    /// expensive analysis artifact: the `spectaint` leakage verdict of
-    /// every optimised superblock is read through from (and written
-    /// behind to) `persist`, keyed by program fingerprint + analysis
-    /// key. The verdict drives selective mitigation, so a warm disk
-    /// tier lets a restarted daemon skip re-running the taint analysis
-    /// while producing byte-identical products — entries that fail to
-    /// decode, or whose block coordinates contradict the freshly
-    /// translated block, are quarantined and recomputed.
-    pub fn with_metrics_and_persist(
+    ///
+    /// With a durable tier (`persist`), the expensive analysis artifact —
+    /// the `spectaint` leakage verdict of every optimised superblock — is
+    /// read through from (and written behind to) it, keyed by program
+    /// fingerprint + analysis key. The verdict drives selective
+    /// mitigation, so a warm disk tier lets a restarted daemon skip the
+    /// taint analysis while producing byte-identical products; entries
+    /// that fail to decode, or whose block coordinates contradict the
+    /// freshly translated block, are quarantined and recomputed.
+    pub fn with_metrics(
         registry: &MetricsRegistry,
-        persist: Arc<PersistStore>,
+        persist: Option<Arc<PersistStore>>,
     ) -> Arc<TranslationService> {
-        TranslationService::build(
-            DEFAULT_SERVICE_CAPACITY,
-            Some(ServiceMetrics::resolve(registry)),
-            Some(persist),
-        )
+        let metrics = Some(ServiceMetrics::resolve(registry));
+        TranslationService::build(DEFAULT_SERVICE_BUDGET_PRODUCTS, metrics, persist)
     }
 
     fn build(
-        capacity: usize,
+        products: u64,
         metrics: Option<ServiceMetrics>,
         persist: Option<Arc<PersistStore>>,
     ) -> Arc<TranslationService> {
-        assert!(capacity >= 1, "the translation service needs room for at least one program");
+        assert!(products >= 1, "the translation service needs a budget of at least one product");
         Arc::new(TranslationService {
-            capacity,
-            programs: Mutex::new(HashMap::new()),
+            programs: Mutex::new(BoundedMap::new(products)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
             metrics,
             persist,
         })
@@ -502,45 +489,47 @@ impl TranslationService {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> ServiceStats {
+        let programs = self.programs.lock().expect("service poisoned");
         ServiceStats {
             hits: self.hits.load(Ordering::SeqCst),
             misses: self.misses.load(Ordering::SeqCst),
-            programs: self.programs.lock().expect("service poisoned").len(),
-            evictions: self.evictions.load(Ordering::SeqCst),
+            programs: programs.len(),
+            evictions: programs.evictions(),
         }
     }
 
-    /// The resident program entry for `fingerprint`, creating (and, if the
-    /// capacity bound is exceeded, evicting the least recently used other
-    /// entry) as needed.
-    fn program_entry(&self, fingerprint: u64) -> Arc<ProgramTranslations> {
-        let mut programs = self.programs.lock().expect("service poisoned");
-        let tick = self.tick.fetch_add(1, Ordering::SeqCst);
-        let entry = Arc::clone(programs.entry(fingerprint).or_default());
-        entry.last_used.store(tick, Ordering::SeqCst);
-        if programs.len() > self.capacity {
-            let victim = programs
-                .iter()
-                .filter(|(fp, _)| **fp != fingerprint)
-                .min_by_key(|(fp, e)| (e.last_used.load(Ordering::SeqCst), **fp))
-                .map(|(fp, _)| *fp);
-            if let Some(victim) = victim {
-                programs.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        entry
+    /// Compile products resident across all programs: what the budget
+    /// bounds.
+    pub fn resident_products(&self) -> u64 {
+        self.programs.lock().expect("service poisoned").weight()
     }
 
-    /// Resolves one memoized query: returns the cached value for `key` or
-    /// computes it exactly once process-wide, counting a hit or a miss.
+    /// Resolves one memoized query of program `program`: returns the
+    /// cached value for `key` in the slot table `table` picks, or computes
+    /// it exactly once process-wide, counting a hit or a miss. A new slot
+    /// adds one product to the program's weight, which may evict other
+    /// least recently used programs.
     fn query<T: Clone>(
         &self,
-        slots: &Mutex<HashMap<u64, Slot<T>>>,
+        program: u64,
+        table: fn(&mut ProgramTranslations) -> &mut HashMap<u64, Slot<T>>,
         key: u64,
         compute: impl FnOnce() -> Result<T, DbtError>,
     ) -> (Result<T, DbtError>, bool) {
-        let slot = Arc::clone(slots.lock().expect("service poisoned").entry(key).or_default());
+        let slot = {
+            let mut programs = self.programs.lock().expect("service poisoned");
+            let entry = programs.get_or_insert_with(program, 0, Default::default);
+            let slots = table(entry);
+            match slots.get(&key) {
+                Some(slot) => Arc::clone(slot),
+                None => {
+                    let slot = Slot::default();
+                    slots.insert(key, Arc::clone(&slot));
+                    programs.add_weight(&program, 1);
+                    slot
+                }
+            }
+        };
         let mut computed = false;
         let result = slot
             .get_or_init(|| {
@@ -570,7 +559,6 @@ impl TranslationService {
         path: &GuestPath,
         kind: BlockKind,
     ) -> Result<Translated, DbtError> {
-        let entry = self.program_entry(program_fingerprint);
         let options = effective_options(config, kind);
         let optimised = matches!(kind, BlockKind::Superblock { .. });
         let path_fp = path_fingerprint(path, kind);
@@ -579,27 +567,23 @@ impl TranslationService {
         // its key and every policy shares the product.
         let policy = optimised.then_some(config.policy);
         let codegen_key = hash64(&(analysis_key, policy, config.issue_width));
-        let (product, cache_hit) = self.query(&entry.codegens, codegen_key, || {
-            let (analysis, _) = self.query(&entry.analyses, analysis_key, || {
-                let _span = self.metrics.as_ref().map(|m| Span::on(&m.analysis_seconds));
-                let _stage = StageSpan::enter("translate.analysis");
-                match &self.persist {
-                    None => run_analysis(path, kind, options),
-                    Some(tier) => run_analysis_persist(
-                        tier,
-                        program_fingerprint,
-                        analysis_key,
-                        path,
-                        kind,
-                        options,
-                    ),
-                }
-            });
+        let fp = program_fingerprint;
+        let analyse = || {
+            let _span = self.metrics.as_ref().map(|m| Span::on(&m.analysis_seconds));
+            let _stage = StageSpan::enter("translate.analysis");
+            match &self.persist {
+                None => run_analysis(path, kind, options),
+                Some(tier) => run_analysis_persist(tier, fp, analysis_key, path, kind, options),
+            }
+        };
+        let compile = || {
+            let (analysis, _) = self.query(fp, |p| &mut p.analyses, analysis_key, analyse);
             let analysis = analysis?;
             let _span = self.metrics.as_ref().map(|m| Span::on(&m.codegen_seconds));
             let _stage = StageSpan::enter("translate.codegen");
             run_codegen(&analysis, config.policy, config.issue_width)
-        });
+        };
+        let (product, cache_hit) = self.query(fp, |p| &mut p.codegens, codegen_key, compile);
         Ok(Translated { product: product?, cache_hit })
     }
 }
@@ -682,18 +666,28 @@ mod tests {
     #[test]
     fn capacity_bound_evicts_the_least_recently_used_program() {
         let (mem, entry) = straightline_memory();
-        let service = TranslationService::with_capacity(2);
+        // Each program's basic-tier translation is two products (analysis
+        // and codegen), so a budget of four holds two programs.
+        let service = TranslationService::with_budget(4);
         let path = basic_path(&mem, entry);
         let config = DbtConfig::unprotected();
         for program in 1..=3u64 {
             let _ = service.translate(program, &config, &path, BlockKind::Basic).unwrap();
         }
         let stats = service.stats();
-        assert_eq!(stats.programs, 2, "capacity bound holds");
-        assert_eq!(stats.evictions, 1);
+        assert_eq!(stats.programs, 2, "the product budget holds");
+        assert_eq!(stats.evictions, 1, "one whole program was evicted");
+        assert_eq!(service.resident_products(), 4);
         // Program 1 was the least recently used and must re-translate.
         let again = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
         assert!(!again.cache_hit);
+        // A program growing in place evicts the others: a second codegen
+        // slot for program 1 (another issue width) pushes program 3 out.
+        let wide = DbtConfig { issue_width: 8, ..DbtConfig::unprotected() };
+        let _ = service.translate(1, &wide, &path, BlockKind::Basic).unwrap();
+        let stats = service.stats();
+        assert_eq!((stats.programs, stats.evictions), (1, 3));
+        assert_eq!(service.resident_products(), 3);
     }
 
     #[test]
@@ -713,16 +707,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one program")]
+    #[should_panic(expected = "at least one product")]
     fn zero_capacity_is_rejected() {
-        let _ = TranslationService::with_capacity(0);
+        let _ = TranslationService::with_budget(0);
     }
 
     #[test]
     fn metered_service_times_actual_compiles_only() {
         let (mem, entry) = straightline_memory();
         let registry = MetricsRegistry::new();
-        let service = TranslationService::with_metrics(&registry);
+        let service = TranslationService::with_metrics(&registry, None);
         let path = basic_path(&mem, entry);
         let config = DbtConfig::unprotected();
         let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
@@ -799,7 +793,7 @@ mod tests {
         let first = {
             let tier = dbt_persist::PersistStore::open(&root).unwrap();
             let registry = MetricsRegistry::new();
-            let service = TranslationService::with_metrics_and_persist(&registry, tier.clone());
+            let service = TranslationService::with_metrics(&registry, Some(tier.clone()));
             let first = service.translate(1, &config, &path, kind).unwrap();
             assert_eq!(tier.stats().writes, 1, "the superblock verdict was published");
             first
@@ -808,7 +802,7 @@ mod tests {
         // and produces an identical product.
         let tier = dbt_persist::PersistStore::open(&root).unwrap();
         let registry = MetricsRegistry::new();
-        let service = TranslationService::with_metrics_and_persist(&registry, tier.clone());
+        let service = TranslationService::with_metrics(&registry, Some(tier.clone()));
         let second = service.translate(1, &config, &path, kind).unwrap();
         assert!(!second.cache_hit, "the in-memory memo is cold after a restart");
         assert_eq!(tier.stats().hits, 1, "the verdict came from disk");
@@ -847,7 +841,7 @@ mod tests {
         };
         assert!(tier.put(VERDICT_KIND, &key, &encode_verdict(&wrong)));
         let registry = MetricsRegistry::new();
-        let service = TranslationService::with_metrics_and_persist(&registry, tier.clone());
+        let service = TranslationService::with_metrics(&registry, Some(tier.clone()));
         let translated = service.translate(1, &config, &path, kind).unwrap();
         let verdict = translated.product.analysed.unwrap().verdict;
         assert_ne!(verdict.entry_pc, 0xbad, "the planted verdict was not believed");

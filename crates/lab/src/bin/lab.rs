@@ -965,8 +965,8 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
     let report = format!(
         "{{\n  \"schema\": \"dbt-serve-loadgen/v1\",\n  \"clients\": {},\n  \
          \"iterations\": {},\n  \"requests\": {},\n  \"ok\": {},\n  \"busy\": {},\n  \
-         \"errors\": {},\n  \"mismatches\": {},\n  \"elapsed_ms\": {},\n  \
-         \"requests_per_sec\": {:.1},\n  \"run_memo\": {{\"hits\": {}, \"misses\": {}, \
+         \"errors\": {},\n  \"mismatches\": {},\n  \
+         \"run_memo\": {{\"hits\": {}, \"misses\": {}, \
          \"hit_rate\": {:.6}}},\n  \"translation\": {{\"hits\": {}, \"misses\": {}, \
          \"hit_rate\": {:.6}}}\n}}\n",
         args.clients,
@@ -976,8 +976,6 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
         outcome.busy,
         outcome.errors,
         outcome.mismatches,
-        outcome.elapsed.as_millis(),
-        outcome.requests_per_sec(),
         memo_hits,
         memo_misses,
         rate(memo_hits, memo_misses),
@@ -1006,10 +1004,9 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
     }
     if !args.quiet {
         eprintln!(
-            "[loadgen] {} ok / {} busy in {:?}; run-memo hit rate {:.1}%, translation {:.1}%",
+            "[loadgen] {} ok / {} busy; run-memo hit rate {:.1}%, translation {:.1}%",
             outcome.ok,
             outcome.busy,
-            outcome.elapsed,
             100.0 * rate(memo_hits, memo_misses),
             100.0 * rate(translation_hits, translation_misses)
         );
@@ -1224,10 +1221,10 @@ fn latency_snapshot(
 }
 
 /// `lab router-bench`: the loadgen mix through an in-process router at
-/// 1, 2 and 4 in-process backends. Everything but the wall-clock members
-/// is deterministic — shard assignment hashes backend *indices*, so the
-/// per-backend `forwarded` counts are stable run over run and CI diffs
-/// the artifact with the `elapsed_ms`/`requests_per_sec` lines excluded.
+/// 1, 2 and 4 in-process backends. Every member is deterministic — shard
+/// assignment hashes backend *indices*, so the per-backend `forwarded`
+/// counts are stable run over run and CI diffs the whole artifact. Speed
+/// through the router is perfbench's `serve-hits` workload, not this.
 fn cmd_router_bench(args: &Args) -> Result<(), String> {
     let requests = loadgen_requests(args.threads);
     let mut runs = Vec::new();
@@ -1276,8 +1273,7 @@ fn cmd_router_bench(args: &Args) -> Result<(), String> {
         runs.push(format!(
             "    {{\n      \"backends\": {},\n      \"requests\": {},\n      \"ok\": {},\n      \
              \"busy\": {},\n      \"errors\": {},\n      \"mismatches\": {},\n      \
-             \"forwarded\": [{}],\n      \"elapsed_ms\": {},\n      \
-             \"requests_per_sec\": {:.1}\n    }}",
+             \"forwarded\": [{}]\n    }}",
             fleet_size,
             outcome.requests,
             outcome.ok,
@@ -1285,8 +1281,6 @@ fn cmd_router_bench(args: &Args) -> Result<(), String> {
             outcome.errors,
             outcome.mismatches,
             served.join(", "),
-            outcome.elapsed.as_millis(),
-            outcome.requests_per_sec(),
         ));
     }
     let report = format!(

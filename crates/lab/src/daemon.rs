@@ -35,7 +35,7 @@ use dbt_obs::{EventLog, LogLevel, MetricsRegistry};
 use dbt_persist::{PersistEvent, PersistStats, PersistStore};
 use dbt_platform::{
     ProgramRef, ProgramStore, RunMemo, TranslationService, DEFAULT_MEMO_CAPACITY,
-    DEFAULT_STORE_CAPACITY,
+    DEFAULT_STORE_BUDGET_BYTES,
 };
 use dbt_riscv::Program;
 use dbt_serve::{LabBackend, ProgramSource, RunKnobs};
@@ -120,14 +120,8 @@ impl LabDaemon {
         cache_dir: Option<&str>,
     ) -> Result<LabDaemon, String> {
         let obs = MetricsRegistry::new();
-        let (service, memo, store, persist, events) = match cache_dir {
-            None => (
-                TranslationService::with_metrics(&obs),
-                RunMemo::new(),
-                ProgramStore::new(),
-                None,
-                None,
-            ),
+        let (persist, events) = match cache_dir {
+            None => (None, None),
             Some(dir) => {
                 let tier = PersistStore::open(dir)
                     .map_err(|e| format!("cannot open cache dir `{dir}`: {e}"))?;
@@ -158,15 +152,12 @@ impl LabDaemon {
                         &[("root", &tier.root().display().to_string())],
                     );
                 }
-                (
-                    TranslationService::with_metrics_and_persist(&obs, Arc::clone(&tier)),
-                    RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier)),
-                    ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, Arc::clone(&tier)),
-                    Some(tier),
-                    Some(events),
-                )
+                (Some(tier), Some(events))
             }
         };
+        let service = TranslationService::with_metrics(&obs, persist.clone());
+        let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, persist.clone());
+        let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, persist.clone());
         // Every analyzable program label becomes a lazily-seeded registry
         // entry of the store, so `registry:<name>` refs (and bare names)
         // resolve without building anything until first use.

@@ -19,6 +19,8 @@
 //! wholesale, and a byte-budget LRU GC (by access-stamped mtime) bounds
 //! the directory.
 //!
+//! [`BoundedMap`] is the in-memory LRU the tiers above share.
+//!
 //! The crate is bottom-level and std-only: it knows nothing about
 //! programs, runs or verdicts — callers bring their own binary codecs
 //! (the [`codec`] module has the length-prefixed reader/writer they
@@ -29,7 +31,9 @@
 //! responses are byte-identical whatever the cache warmth; only
 //! wall-clock and `*_persist_*` counters may differ.
 
+mod bounded;
 pub mod codec;
 mod store;
 
+pub use bounded::BoundedMap;
 pub use store::{GcOutcome, PersistEvent, PersistStats, PersistStore, ENTRY_SCHEMA, ENTRY_VERSION};

@@ -56,4 +56,4 @@ pub use processor::{DbtProcessor, PlatformConfig, PlatformError, RunSummary};
 pub use profile::ProfileReport;
 pub use run::PolicyComparison;
 pub use session::{Session, SessionBuilder};
-pub use store::{ProgramRef, ProgramStore, StoreStats, DEFAULT_STORE_CAPACITY};
+pub use store::{ProgramRef, ProgramStore, StoreStats, DEFAULT_STORE_BUDGET_BYTES};

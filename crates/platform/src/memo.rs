@@ -26,7 +26,7 @@
 //! same scenarios pays one simulation per distinct scenario, and every
 //! repeat is answered from the memo.
 //!
-//! With a durable tier attached ([`RunMemo::with_persist`]), a miss
+//! With a durable tier attached ([`RunMemo::with_capacity`]), a miss
 //! consults the on-disk store before simulating and publishes fresh
 //! results behind the write: a restarted daemon answers its old working
 //! set from disk without simulating anything. The hit/miss counters are
@@ -37,8 +37,7 @@
 
 use crate::processor::RunSummary;
 use dbt_persist::codec::{ByteReader, ByteWriter};
-use dbt_persist::PersistStore;
-use std::collections::HashMap;
+use dbt_persist::{BoundedMap, PersistStore};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -97,7 +96,7 @@ fn decode_cached_run(bytes: &[u8]) -> Option<CachedRun> {
 ///
 /// Built by [`RunKey::new`] from the actual program and configuration, so
 /// a key cannot be constructed from stale inputs by accident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RunKey {
     /// [`Program::fingerprint`](dbt_riscv::Program::fingerprint) of the
     /// guest program.
@@ -179,15 +178,8 @@ impl MemoStats {
     }
 }
 
-/// One memo slot: filled exactly once, shared between waiting threads,
-/// with a last-use tick for LRU eviction.
-#[derive(Debug, Default)]
-struct MemoSlot {
-    cell: OnceLock<Result<CachedRun, String>>,
-    last_used: AtomicU64,
-}
-
-type Slot = Arc<MemoSlot>;
+/// One memo slot: filled exactly once, shared between waiting threads.
+type Slot = Arc<OnceLock<Result<CachedRun, String>>>;
 
 /// Default bound on resident entries. Entries are tiny (a summary, two
 /// counters and at most a secret's worth of bytes), so the bound is far
@@ -198,8 +190,9 @@ pub const DEFAULT_MEMO_CAPACITY: usize = 4096;
 /// The content-addressed, thread-safe run-summary memo.
 ///
 /// The memo is bounded: beyond the capacity, the least recently used
-/// entry is evicted (the same scheme the `TranslationService` uses at
-/// program granularity). The hit/miss counters stay deterministic for a
+/// entry is evicted (a [`BoundedMap`] weighing every entry 1, the same
+/// map the program store and the `TranslationService` bound their own
+/// units with). The hit/miss counters stay deterministic for a
 /// given job list as long as the distinct-key working set fits the
 /// capacity — once eviction engages under concurrency, the victim depends
 /// on thread timing and evicted keys re-miss.
@@ -227,49 +220,22 @@ pub const DEFAULT_MEMO_CAPACITY: usize = 4096;
 /// ```
 #[derive(Debug)]
 pub struct RunMemo {
-    capacity: usize,
-    slots: Mutex<HashMap<RunKey, Slot>>,
+    slots: Mutex<BoundedMap<RunKey, Slot>>,
     persist: Option<Arc<PersistStore>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-    tick: AtomicU64,
-}
-
-impl Default for RunMemo {
-    fn default() -> RunMemo {
-        RunMemo {
-            capacity: DEFAULT_MEMO_CAPACITY,
-            slots: Mutex::new(HashMap::new()),
-            persist: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-        }
-    }
 }
 
 impl RunMemo {
-    /// An empty memo with the default capacity, behind an [`Arc`], ready
-    /// to share across threads.
+    /// An empty memo with the default capacity and no durable tier,
+    /// behind an [`Arc`], ready to share across threads.
     pub fn new() -> Arc<RunMemo> {
-        RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY)
+        RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, None)
     }
 
     /// A memo bounded to `capacity` resident entries (least recently used
-    /// entries are evicted beyond that).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Arc<RunMemo> {
-        assert!(capacity >= 1, "the run memo needs room for at least one entry");
-        Arc::new(RunMemo { capacity, ..RunMemo::default() })
-    }
-
-    /// [`RunMemo::with_capacity`] plus a durable tier: misses consult
-    /// `persist` before simulating, fresh successful results are
+    /// entries are evicted beyond that). With a durable tier (`persist`),
+    /// misses consult it before simulating, fresh successful results are
     /// published behind the write, and entries that fail to decode are
     /// quarantined and recomputed. Failed runs are memoized in memory
     /// only — an error is never written to disk.
@@ -277,18 +243,24 @@ impl RunMemo {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_persist(capacity: usize, persist: Arc<PersistStore>) -> Arc<RunMemo> {
+    pub fn with_capacity(capacity: usize, persist: Option<Arc<PersistStore>>) -> Arc<RunMemo> {
         assert!(capacity >= 1, "the run memo needs room for at least one entry");
-        Arc::new(RunMemo { capacity, persist: Some(persist), ..RunMemo::default() })
+        Arc::new(RunMemo {
+            slots: Mutex::new(BoundedMap::new(capacity as u64)),
+            persist,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        })
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> MemoStats {
+        let slots = self.slots.lock().expect("run memo poisoned");
         MemoStats {
             hits: self.hits.load(Ordering::SeqCst),
             misses: self.misses.load(Ordering::SeqCst),
-            entries: self.slots.lock().expect("run memo poisoned").len(),
-            evictions: self.evictions.load(Ordering::SeqCst),
+            entries: slots.len(),
+            evictions: slots.evictions(),
         }
     }
 
@@ -296,21 +268,7 @@ impl RunMemo {
     /// used *other* entry if the capacity bound is exceeded) as needed.
     fn slot(&self, key: RunKey) -> Slot {
         let mut slots = self.slots.lock().expect("run memo poisoned");
-        let tick = self.tick.fetch_add(1, Ordering::SeqCst);
-        let slot = Arc::clone(slots.entry(key).or_default());
-        slot.last_used.store(tick, Ordering::SeqCst);
-        if slots.len() > self.capacity {
-            let victim = slots
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(k, s)| (s.last_used.load(Ordering::SeqCst), k.program, k.config))
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                slots.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        slot
+        Arc::clone(slots.get_or_insert_with(key, 1, Slot::default))
     }
 
     /// Returns the cached run for `key`, simulating it (exactly once
@@ -334,7 +292,6 @@ impl RunMemo {
         let slot = self.slot(key);
         let mut computed = false;
         let result = slot
-            .cell
             .get_or_init(|| {
                 computed = true;
                 if let Some(tier) = &self.persist {
@@ -444,7 +401,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_the_least_recently_used_entry() {
-        let memo = RunMemo::with_capacity(2);
+        let memo = RunMemo::with_capacity(2, None);
         for config in 1..=3u64 {
             let _ = memo.get_or_run(RunKey { program: 1, config }, || Ok(sample_run(config)));
         }
@@ -466,7 +423,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_is_rejected() {
-        let _ = RunMemo::with_capacity(0);
+        let _ = RunMemo::with_capacity(0, None);
     }
 
     fn fresh_root(tag: &str) -> std::path::PathBuf {
@@ -508,13 +465,13 @@ mod tests {
         let tier = dbt_persist::PersistStore::open(&root).unwrap();
         let key = RunKey { program: 0xabc, config: 0xdef };
         let first = {
-            let memo = RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier));
+            let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, Some(Arc::clone(&tier)));
             memo.get_or_run(key, || Ok(sample_run(77))).unwrap()
         };
         // A new memo (a restarted daemon) over the same root: the run
         // comes back identical with the closure never invoked.
         let tier2 = dbt_persist::PersistStore::open(&root).unwrap();
-        let memo = RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier2));
+        let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, Some(Arc::clone(&tier2)));
         let again =
             memo.get_or_run(key, || panic!("a warm disk tier must not re-simulate")).unwrap();
         assert_eq!(first, again);
@@ -535,12 +492,12 @@ mod tests {
         let tier = dbt_persist::PersistStore::open(&root).unwrap();
         let key = RunKey { program: 1, config: 2 };
         {
-            let memo = RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier));
+            let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, Some(Arc::clone(&tier)));
             assert!(memo.get_or_run(key, || Err("boom".to_string())).is_err());
         }
         assert_eq!(tier.stats().writes, 0);
         // A restarted memo re-runs the failed key.
-        let memo = RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier));
+        let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, Some(Arc::clone(&tier)));
         let ok = memo.get_or_run(key, || Ok(sample_run(5))).unwrap();
         assert_eq!(ok.summary.cycles, 5);
         std::fs::remove_dir_all(&root).unwrap();
@@ -553,12 +510,12 @@ mod tests {
         let key = RunKey { program: 0x11, config: 0x22 };
         // Plant a store-valid entry whose payload is not a cached run.
         assert!(tier.put(RUN_KIND, &run_key_hex(key), b"not a run payload"));
-        let memo = RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier));
+        let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, Some(Arc::clone(&tier)));
         let got = memo.get_or_run(key, || Ok(sample_run(8))).unwrap();
         assert_eq!(got.summary.cycles, 8, "the recompute answered");
         assert_eq!(tier.stats().corrupt_quarantined, 1);
         // The recompute re-published; a fresh memo now reads it back.
-        let memo = RunMemo::with_persist(DEFAULT_MEMO_CAPACITY, Arc::clone(&tier));
+        let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, Some(Arc::clone(&tier)));
         let again = memo.get_or_run(key, || panic!("republished")).unwrap();
         assert_eq!(got, again);
         std::fs::remove_dir_all(&root).unwrap();

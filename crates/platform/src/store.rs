@@ -25,7 +25,7 @@
 //!
 //! [`RunMemo`]: crate::RunMemo
 
-use dbt_persist::PersistStore;
+use dbt_persist::{BoundedMap, PersistStore};
 use dbt_riscv::Program;
 use std::collections::HashMap;
 use std::fmt;
@@ -131,7 +131,7 @@ pub struct StoreStats {
     pub dedup_hits: u64,
     /// Registry entries built by lazy seeding so far.
     pub seeded: u64,
-    /// Uploaded entries evicted to honour the capacity bound.
+    /// Uploaded entries evicted to honour the byte budget.
     pub evictions: u64,
 }
 
@@ -165,7 +165,7 @@ impl StoreStats {
         registry
             .counter(
                 "dbt_store_evictions_total",
-                "Uploaded entries evicted to honour the capacity bound.",
+                "Uploaded entries evicted to honour the byte budget.",
             )
             .set(self.evictions);
     }
@@ -174,28 +174,25 @@ impl StoreStats {
 /// Builds a named registry program on first use.
 type Builder = Box<dyn Fn() -> Result<Program, String> + Send + Sync>;
 
-/// One named entry: the builder plus a once-filled fingerprint slot, so
-/// lazy seeding happens exactly once process-wide even under concurrency.
+/// One named entry: the builder plus a once-filled program slot, so lazy
+/// seeding happens exactly once process-wide even under concurrency.
 struct NamedEntry {
     build: Builder,
-    seeded: OnceLock<Result<u64, String>>,
+    seeded: OnceLock<Result<Arc<Program>, String>>,
 }
 
-/// One resident program with its LRU bookkeeping. Seeded registry
-/// programs are *pinned*: their fingerprints live in once-filled
-/// [`NamedEntry`] slots that are never rebuilt, so evicting them would
-/// turn every later `registry:` resolve into a permanent error.
-struct Resident {
-    program: Arc<Program>,
-    last_used: u64,
-    pinned: bool,
-}
+/// Default budget of unpinned image bytes: 4 MiB, about 256 uploads of
+/// the Spectre-v1 gadget (its probe array alone is 16 KiB). It exists so
+/// a daemon facing replicated fleet uploads (the `dbt-router` copies
+/// every upload to all backends) cannot grow without limit; pinned
+/// registry seeds do not count against it.
+pub const DEFAULT_STORE_BUDGET_BYTES: u64 = 4 << 20;
 
-/// Default bound on resident programs. Far above any standard workload
-/// set; it exists so a daemon facing replicated fleet uploads (the
-/// `dbt-router` copies every upload to all backends) cannot grow without
-/// limit.
-pub const DEFAULT_STORE_CAPACITY: usize = 1024;
+/// What a resident program weighs against the store's budget: its guest
+/// image, four bytes per instruction plus the initialised data.
+fn image_bytes(program: &Program) -> u64 {
+    4 * program.len() as u64 + program.data().len() as u64
+}
 
 /// The thread-safe, content-addressed program store.
 ///
@@ -216,38 +213,19 @@ pub const DEFAULT_STORE_CAPACITY: usize = 1024;
 /// assert_eq!(store.stats().programs, 1);
 /// ```
 ///
-/// The store is bounded ([`DEFAULT_STORE_CAPACITY`] by default, see
-/// [`ProgramStore::with_capacity`]): beyond the capacity, the least
-/// recently used *unpinned* entry is evicted — uploaded and inline
-/// programs re-upload cheaply, while lazily-seeded registry programs are
-/// pinned for the store's lifetime (their builders run at most once, so
-/// an evicted seed could never come back).
+/// The store is bounded by image bytes ([`DEFAULT_STORE_BUDGET_BYTES`]
+/// by default, see [`ProgramStore::with_budget`]): beyond the budget, the
+/// least recently used *unpinned* entries are evicted — uploaded and
+/// inline programs re-upload cheaply, while lazily-seeded registry
+/// programs are pinned for the store's lifetime (their builders run at
+/// most once, so an evicted seed could never come back).
 pub struct ProgramStore {
-    capacity: usize,
-    programs: Mutex<HashMap<u64, Resident>>,
+    programs: Mutex<BoundedMap<u64, Arc<Program>>>,
     named: Mutex<HashMap<String, Arc<NamedEntry>>>,
     persist: Option<Arc<PersistStore>>,
     uploads: AtomicU64,
     dedup_hits: AtomicU64,
     seeded: AtomicU64,
-    evictions: AtomicU64,
-    tick: AtomicU64,
-}
-
-impl Default for ProgramStore {
-    fn default() -> ProgramStore {
-        ProgramStore {
-            capacity: DEFAULT_STORE_CAPACITY,
-            programs: Mutex::new(HashMap::new()),
-            named: Mutex::new(HashMap::new()),
-            persist: None,
-            uploads: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
-            seeded: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-        }
-    }
 }
 
 impl fmt::Debug for ProgramStore {
@@ -257,39 +235,40 @@ impl fmt::Debug for ProgramStore {
 }
 
 impl ProgramStore {
-    /// An empty store with the default capacity behind an [`Arc`], ready
-    /// to share across threads.
+    /// An empty store with the default budget and no durable tier, behind
+    /// an [`Arc`], ready to share across threads.
     pub fn new() -> Arc<ProgramStore> {
-        ProgramStore::with_capacity(DEFAULT_STORE_CAPACITY)
+        ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, None)
     }
 
-    /// A store bounded to `capacity` resident programs: beyond it, the
-    /// least recently used unpinned entry is evicted on insert. Pinned
-    /// (seeded registry) entries never count as victims, so the resident
-    /// count can exceed a capacity smaller than the registry itself.
+    /// A store whose unpinned programs may hold `budget_bytes` of guest
+    /// image in total: beyond it, the least recently used unpinned
+    /// entries are evicted on insert. The program being interned is never
+    /// the victim, so an upload larger than the whole budget still
+    /// resolves (until the next insert). Pinned (seeded registry) entries
+    /// sit outside the budget.
     ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Arc<ProgramStore> {
-        assert!(capacity >= 1, "the program store needs room for at least one entry");
-        Arc::new(ProgramStore { capacity, ..ProgramStore::default() })
-    }
-
-    /// [`ProgramStore::with_capacity`] plus a durable tier: uploaded and
-    /// inline programs are published as program images behind the write,
-    /// [`ProgramStore::get`] misses read through to disk (so an evicted
-    /// or restart-lost upload stays resolvable by `fp:` ref), and
+    /// With a durable tier (`persist`), uploaded and inline programs are
+    /// published as program images behind the write, [`ProgramStore::get`]
+    /// misses read through to disk (so an evicted or restart-lost upload
+    /// stays resolvable by `fp:` ref), and
     /// [`ProgramStore::reseed_from_persist`] restores the whole uploaded
     /// set at boot. Registry seeds are rebuilt by their builders, never
     /// persisted.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
-    pub fn with_persist(capacity: usize, persist: Arc<PersistStore>) -> Arc<ProgramStore> {
-        assert!(capacity >= 1, "the program store needs room for at least one entry");
-        Arc::new(ProgramStore { capacity, persist: Some(persist), ..ProgramStore::default() })
+    /// Panics if `budget_bytes` is zero.
+    pub fn with_budget(budget_bytes: u64, persist: Option<Arc<PersistStore>>) -> Arc<ProgramStore> {
+        assert!(budget_bytes >= 1, "the program store needs a budget of at least one byte");
+        Arc::new(ProgramStore {
+            programs: Mutex::new(BoundedMap::new(budget_bytes)),
+            named: Mutex::new(HashMap::new()),
+            persist,
+            uploads: AtomicU64::new(0),
+            dedup_hits: AtomicU64::new(0),
+            seeded: AtomicU64::new(0),
+        })
     }
 
     /// Registers a named registry entry. The builder runs lazily, at most
@@ -315,66 +294,60 @@ impl ProgramStore {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> StoreStats {
+        let programs = self.programs.lock().expect("program store poisoned");
         StoreStats {
-            programs: self.programs.lock().expect("program store poisoned").len(),
+            programs: programs.len(),
             uploads: self.uploads.load(Ordering::SeqCst),
             dedup_hits: self.dedup_hits.load(Ordering::SeqCst),
             seeded: self.seeded.load(Ordering::SeqCst),
-            evictions: self.evictions.load(Ordering::SeqCst),
+            evictions: programs.evictions(),
         }
     }
 
-    /// Interns `program` under its content fingerprint, evicting the
-    /// least recently used unpinned *other* entry if the capacity bound
-    /// is exceeded. Returns the fingerprint and whether the content was
-    /// already resident. `pin` marks the entry as never-evictable
-    /// (sticky: a later unpinned intern of the same content keeps the
-    /// pin). `publish` writes newly resident unpinned programs behind to
-    /// the durable tier (off for boot re-seeds and disk read-throughs,
-    /// whose images are already on disk).
-    fn intern_entry(&self, program: Program, pin: bool, publish: bool) -> (u64, bool) {
+    /// Guest image bytes of the resident unpinned programs: what the
+    /// budget bounds.
+    pub fn resident_bytes(&self) -> u64 {
+        self.programs.lock().expect("program store poisoned").weight()
+    }
+
+    /// Interns `program` under its content fingerprint, evicting least
+    /// recently used unpinned *other* entries while the byte budget is
+    /// exceeded. Returns the resident program, taken while the lock is
+    /// still held (a concurrent insert may evict it right after), and
+    /// whether the content was already resident. `pin` marks the entry as
+    /// never-evictable (sticky: a later unpinned intern of the same
+    /// content keeps the pin). `publish` writes newly resident unpinned
+    /// programs behind to the durable tier (off for boot re-seeds and disk
+    /// read-throughs, whose images are already on disk).
+    fn intern_entry(&self, program: Program, pin: bool, publish: bool) -> (Arc<Program>, bool) {
         let fp = program.fingerprint();
-        let tick = self.tick.fetch_add(1, Ordering::SeqCst);
+        // A seed joins at weight 0 and is pinned at once, so it never
+        // counts against the budget.
+        let weight = if pin { 0 } else { image_bytes(&program) };
         let mut programs = self.programs.lock().expect("program store poisoned");
-        let mut fresh = None;
-        let resident = match programs.get_mut(&fp) {
-            Some(entry) => {
-                entry.last_used = tick;
-                entry.pinned |= pin;
-                true
-            }
+        let (program, resident) = match programs.get(&fp) {
+            Some(resident) => (Arc::clone(resident), true),
             None => {
                 let program = Arc::new(program);
-                if publish && !pin {
-                    fresh = Some(Arc::clone(&program));
-                }
-                programs.insert(fp, Resident { program, last_used: tick, pinned: pin });
-                false
+                programs.insert(fp, Arc::clone(&program), weight);
+                (program, false)
             }
         };
-        if programs.len() > self.capacity {
-            let victim = programs
-                .iter()
-                .filter(|(k, entry)| **k != fp && !entry.pinned)
-                .min_by_key(|(k, entry)| (entry.last_used, **k))
-                .map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                programs.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::SeqCst);
-            }
+        if pin {
+            programs.pin(&fp);
         }
         drop(programs);
         // Write-behind outside the lock: the publish is best-effort I/O
         // and must not serialize the store.
-        if let (Some(tier), Some(program)) = (&self.persist, fresh) {
+        if let Some(tier) = self.persist.as_ref().filter(|_| publish && !pin && !resident) {
             tier.put(PROG_KIND, &prog_key_hex(fp), program.to_image().as_bytes());
         }
-        (fp, resident)
+        (program, resident)
     }
 
     /// [`ProgramStore::intern_entry`] without pinning (uploads and inline
     /// sources), published to the durable tier when one is attached.
-    fn intern(&self, program: Program) -> (u64, bool) {
+    fn intern(&self, program: Program) -> (Arc<Program>, bool) {
         self.intern_entry(program, false, true)
     }
 
@@ -383,22 +356,17 @@ impl ProgramStore {
     /// already resident).
     pub fn upload(&self, program: Program) -> (u64, bool) {
         self.uploads.fetch_add(1, Ordering::SeqCst);
-        let (fp, dedup) = self.intern(program);
+        let (program, dedup) = self.intern(program);
         if dedup {
             self.dedup_hits.fetch_add(1, Ordering::SeqCst);
         }
-        (fp, dedup)
+        (program.fingerprint(), dedup)
     }
 
     /// The resident program with content fingerprint `fp`, if any.
     /// Counts as a use for LRU purposes.
     fn lookup(&self, fp: u64) -> Option<Arc<Program>> {
-        let tick = self.tick.fetch_add(1, Ordering::SeqCst);
-        let mut programs = self.programs.lock().expect("program store poisoned");
-        programs.get_mut(&fp).map(|entry| {
-            entry.last_used = tick;
-            Arc::clone(&entry.program)
-        })
+        self.programs.lock().expect("program store poisoned").get(&fp).map(|p| Arc::clone(p))
     }
 
     /// The program with content fingerprint `fp`, if it is resident or
@@ -410,8 +378,7 @@ impl ProgramStore {
             return Some(program);
         }
         let program = self.fetch_persisted(fp)?;
-        let (fp, _) = self.intern_entry(program, false, false);
-        self.lookup(fp)
+        Some(self.intern_entry(program, false, false).0)
     }
 
     /// Reads the image published under `fp` from the durable tier and
@@ -486,7 +453,7 @@ impl ProgramStore {
                 let entry = entry.ok_or_else(|| {
                     format!("unknown program `{name}`; valid programs: {}", self.names().join(", "))
                 })?;
-                let fp = entry
+                entry
                     .seeded
                     .get_or_init(|| {
                         let program = (entry.build)()?;
@@ -496,21 +463,18 @@ impl ProgramStore {
                         // persisted: the builder is the durable copy.
                         Ok(self.intern_entry(program, true, false).0)
                     })
-                    .clone()?;
-                self.get(fp).ok_or_else(|| format!("seeded program `{name}` vanished"))
+                    .clone()
             }
             ProgramRef::Fingerprint(fp) => self.get(*fp).ok_or_else(|| {
                 format!("no program with fingerprint fp:{fp:016x} is resident (upload it first)")
             }),
             ProgramRef::InlineAsm(source) => {
                 let program = dbt_riscv::parse_asm(source).map_err(|e| e.to_string())?;
-                let (fp, _) = self.intern(program);
-                Ok(self.get(fp).expect("just interned"))
+                Ok(self.intern(program).0)
             }
             ProgramRef::InlineImage(source) => {
                 let program = Program::from_image(source).map_err(|e| e.to_string())?;
-                let (fp, _) = self.intern(program);
-                Ok(self.get(fp).expect("just interned"))
+                Ok(self.intern(program).0)
             }
         }
     }
@@ -569,30 +533,74 @@ mod tests {
         );
     }
 
+    /// `tiny(value)` plus `data` bytes of initialised data.
+    fn sized(value: i64, data: u64) -> Program {
+        let mut asm = Assembler::new();
+        asm.alloc_data("payload", data);
+        asm.li(Reg::A0, value);
+        asm.ecall();
+        asm.assemble().unwrap()
+    }
+
     #[test]
     fn capacity_bound_evicts_the_least_recently_used_upload() {
-        let store = ProgramStore::with_capacity(2);
-        let (first, _) = store.upload(tiny(1));
-        let (second, _) = store.upload(tiny(2));
+        // Two instructions (8 bytes) plus 1000 data bytes each: two fit.
+        assert_eq!(image_bytes(&sized(1, 1000)), 1008);
+        let store = ProgramStore::with_budget(2100, None);
+        let (first, _) = store.upload(sized(1, 1000));
+        let (second, _) = store.upload(sized(2, 1000));
+        assert_eq!(store.resident_bytes(), 2016);
         // Touch the older entry so the newer one becomes the LRU victim.
         assert!(store.get(first).is_some());
-        let (third, _) = store.upload(tiny(3));
+        let (third, _) = store.upload(sized(3, 1000));
         let stats = store.stats();
-        assert_eq!(stats.programs, 2, "capacity bound holds");
+        assert_eq!(stats.programs, 2, "the byte budget holds");
         assert_eq!(stats.evictions, 1);
+        assert_eq!(store.resident_bytes(), 2016);
         assert!(store.get(first).is_some(), "recently used entries survive");
         assert!(store.get(second).is_none(), "the LRU entry was evicted");
         assert!(store.get(third).is_some());
         // An evicted program is not gone forever: re-uploading restores it
         // (as a fresh store, not a dedup hit).
-        let (again, dedup) = store.upload(tiny(2));
+        let (again, dedup) = store.upload(sized(2, 1000));
         assert_eq!(again, second);
         assert!(!dedup, "the evicted entry really left the store");
+        // An upload larger than the whole budget still resolves: it evicts
+        // everything else, never itself.
+        let (huge, _) = store.upload(sized(4, 5000));
+        assert!(store.get(huge).is_some());
+        assert_eq!((store.stats().programs, store.resident_bytes()), (1, 5008));
+    }
+
+    #[test]
+    fn inline_programs_resolve_while_other_inserts_evict_them() {
+        // Every program outweighs the whole budget, so each insert evicts
+        // all the others: a resolve that looked its program up again after
+        // interning it would find another thread's insert had evicted it.
+        let store = ProgramStore::with_budget(1, None);
+        std::thread::scope(|scope| {
+            for thread in 0..2i64 {
+                let store = &store;
+                scope.spawn(move || {
+                    for i in 0..300 {
+                        let value = thread * 1000 + i;
+                        let program_ref = if i % 2 == 0 {
+                            ProgramRef::InlineAsm(format!(".data p, 64\nli a0, {value}\necall\n"))
+                        } else {
+                            ProgramRef::InlineImage(sized(value, 64).to_image())
+                        };
+                        let program = store.resolve(&program_ref);
+                        assert!(program.is_ok(), "{program_ref}: {:?}", program.err());
+                    }
+                });
+            }
+        });
+        assert!(store.stats().evictions >= 598, "{:?}", store.stats());
     }
 
     #[test]
     fn seeded_registry_programs_are_pinned_against_eviction() {
-        let store = ProgramStore::with_capacity(1);
+        let store = ProgramStore::with_budget(1, None);
         store.register("tiny", || Ok(tiny(7)));
         let r = ProgramRef::parse("tiny").unwrap();
         let seeded_fp = store.resolve(&r).unwrap().fingerprint();
@@ -610,9 +618,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one entry")]
+    #[should_panic(expected = "at least one byte")]
     fn zero_capacity_is_rejected() {
-        let _ = ProgramStore::with_capacity(0);
+        let _ = ProgramStore::with_budget(0, None);
     }
 
     #[test]
@@ -670,7 +678,7 @@ mod tests {
         let root = fresh_root("reseed");
         let fp = {
             let tier = dbt_persist::PersistStore::open(&root).unwrap();
-            let store = ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, tier);
+            let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, Some(tier));
             let (fp, dedup) = store.upload(tiny(1));
             assert!(!dedup);
             fp
@@ -678,7 +686,7 @@ mod tests {
         // A restarted store over the same root: boot re-seed restores
         // the upload, upload/dedup counters stay untouched.
         let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let store = ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, Arc::clone(&tier));
+        let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, Some(Arc::clone(&tier)));
         assert_eq!(store.reseed_from_persist(), 1);
         assert_eq!(store.reseed_from_persist(), 0, "a second re-seed finds everything resident");
         let stats = store.stats();
@@ -699,11 +707,11 @@ mod tests {
         let root = fresh_root("readthrough");
         let fp = {
             let tier = dbt_persist::PersistStore::open(&root).unwrap();
-            let store = ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, tier);
+            let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, Some(tier));
             store.upload(tiny(2)).0
         };
         let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let store = ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, tier);
+        let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, Some(tier));
         assert_eq!(store.stats().programs, 0);
         let program = store.get(fp).expect("a persisted image answers a cold get");
         assert_eq!(program.fingerprint(), fp);
@@ -719,7 +727,7 @@ mod tests {
         // one whose image decodes to a different fingerprint.
         assert!(tier.put(PROG_KIND, &prog_key_hex(0xdead), b"not an image"));
         assert!(tier.put(PROG_KIND, &prog_key_hex(0xbeef), tiny(3).to_image().as_bytes()));
-        let store = ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, Arc::clone(&tier));
+        let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, Some(Arc::clone(&tier)));
         assert_eq!(store.reseed_from_persist(), 0);
         assert!(store.get(0xdead).is_none());
         assert!(store.get(0xbeef).is_none());
@@ -732,7 +740,7 @@ mod tests {
     fn registry_seeds_are_never_published() {
         let root = fresh_root("seeds");
         let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let store = ProgramStore::with_persist(DEFAULT_STORE_CAPACITY, Arc::clone(&tier));
+        let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, Some(Arc::clone(&tier)));
         store.register("tiny", || Ok(tiny(7)));
         let _ = store.resolve(&ProgramRef::parse("tiny").unwrap()).unwrap();
         assert_eq!(tier.stats().writes, 0, "builders are the durable copy of registry seeds");

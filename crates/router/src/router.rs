@@ -3,9 +3,9 @@
 //!
 //! Request flow:
 //!
-//! 1. a handler thread reads one NDJSON frame (the exact bounded framing
-//!    of `dbt-serve`, via [`read_frame`]) and decodes it together with
-//!    its v3 envelope ([`FrameMeta`]);
+//! 1. the daemon's own accept and line loops ([`spawn_acceptor`]) read
+//!    one NDJSON frame, decoded with its v3 envelope ([`FrameMeta`]);
+//!    every socket the router touches is a `dbt-serve` [`Conn`];
 //! 2. the auth gate and the per-client token bucket run first — both off
 //!    by default, both answered by the router itself (`error` /
 //!    `quota_exceeded` frames), so no denied request ever reaches a
@@ -47,16 +47,15 @@ use crate::limiter::TokenBucket;
 use crate::merge::merge_expositions;
 use crate::ring::{HashRing, DEFAULT_RING_REPLICAS};
 use dbt_obs::{
-    Counter, EventLog, Gauge, Histogram, LogLevel, MetricsRegistry, Span, SpanRecord, SpanRecorder,
-    TraceClock, DEFAULT_LATENCY_BOUNDS_MICROS,
+    Counter, EventLog, Gauge, LogLevel, MetricsRegistry, SpanRecord, SpanRecorder, TraceClock,
 };
 use dbt_serve::json::escape;
 use dbt_serve::{
-    read_frame, Frame, FrameMeta, JsonValue, Request, Response, DEFAULT_MAX_FRAME_BYTES,
+    logs_response, spawn_acceptor, wake_acceptor, Conn, ConnectOptions, FrameMeta, JsonValue,
+    LineService, OpMetrics, Request, Response, DEFAULT_MAX_FRAME_BYTES,
 };
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -115,38 +114,6 @@ impl Default for RouterConfig {
     }
 }
 
-/// One pooled backend connection (reader half buffered, writer half
-/// flushed per frame — same discipline as the `dbt-serve` client).
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Conn {
-    fn open(addr: SocketAddr) -> std::io::Result<Conn> {
-        let stream = TcpStream::connect(addr)?;
-        let writer = stream.try_clone()?;
-        Ok(Conn { reader: BufReader::new(stream), writer })
-    }
-
-    /// Sends one frame line and reads one response line.
-    fn roundtrip(&mut self, line: &str) -> std::io::Result<String> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "backend closed the connection",
-            ));
-        }
-        while reply.ends_with('\n') || reply.ends_with('\r') {
-            reply.pop();
-        }
-        Ok(reply)
-    }
-}
-
 /// One backend daemon: address, breaker state, connection pool and its
 /// pre-registered per-backend metric handles.
 struct Backend {
@@ -181,7 +148,7 @@ impl Backend {
             }
             // The pooled connection went stale; fall through to a fresh one.
         }
-        let mut conn = Conn::open(self.addr)?;
+        let mut conn = Conn::connect(self.addr)?;
         let reply = conn.roundtrip(line)?;
         self.forwarded.inc();
         self.pool.lock().expect("backend pool lock").push(conn);
@@ -214,21 +181,11 @@ impl Backend {
     }
 }
 
-/// The request `op` labels the router pre-registers — the same set as
-/// `dbt-serve`, so fleet dashboards join on identical label values.
-const OP_LABELS: [&str; 12] = [
-    "analyze", "health", "invalid", "logs", "metrics", "profile", "run", "shutdown", "stats",
-    "sweep", "trace", "upload",
-];
-
 /// The router's own metric families on a per-router registry, resolved
 /// once at startup.
 struct RouterMetrics {
     registry: Arc<MetricsRegistry>,
-    /// `dbt_router_requests_total{op=...}`, parallel to [`OP_LABELS`].
-    requests: Vec<Arc<Counter>>,
-    /// `dbt_router_request_seconds{op=...}`, parallel to [`OP_LABELS`].
-    latency: Vec<Arc<Histogram>>,
+    ops: OpMetrics,
     failovers: Arc<Counter>,
     busy_relayed: Arc<Counter>,
     auth_failures: Arc<Counter>,
@@ -242,30 +199,12 @@ struct RouterMetrics {
 impl RouterMetrics {
     fn new() -> RouterMetrics {
         let registry = MetricsRegistry::new();
-        let requests = OP_LABELS
-            .iter()
-            .map(|op| {
-                registry.counter_with(
-                    "dbt_router_requests_total",
-                    "Request frames seen by the router, by op (`invalid` = never decoded).",
-                    &[("op", op)],
-                )
-            })
-            .collect();
-        let latency = OP_LABELS
-            .iter()
-            .map(|op| {
-                registry.histogram_with(
-                    "dbt_router_request_seconds",
-                    "Wall-clock request latency through the router, by op.",
-                    DEFAULT_LATENCY_BOUNDS_MICROS,
-                    &[("op", op)],
-                )
-            })
-            .collect();
+        let ops_help = [
+            "Request frames seen by the router, by op (`invalid` = never decoded).",
+            "Wall-clock request latency through the router, by op.",
+        ];
         RouterMetrics {
-            requests,
-            latency,
+            ops: OpMetrics::register(&registry, "dbt_router", ops_help),
             failovers: registry.counter(
                 "dbt_router_failovers_total",
                 "Relay attempts moved to the next backend after a transport failure.",
@@ -295,18 +234,6 @@ impl RouterMetrics {
             ),
             registry,
         }
-    }
-
-    /// Index of `op` in [`OP_LABELS`]; unknown strings land on `invalid`.
-    fn op_index(op: &str) -> usize {
-        OP_LABELS.iter().position(|known| *known == op).unwrap_or_else(|| {
-            OP_LABELS.iter().position(|known| *known == "invalid").expect("invalid is registered")
-        })
-    }
-
-    /// Total request frames seen — the `router.requests` stats member.
-    fn total_requests(&self) -> u64 {
-        self.requests.iter().map(|counter| counter.get()).sum()
     }
 }
 
@@ -374,17 +301,6 @@ struct ConnState {
     peer: String,
     /// Set once any frame on this connection presented a valid token.
     authenticated: bool,
-    frame_seq: u64,
-}
-
-impl ConnState {
-    /// Deterministic fallback trace id for router-originated answers:
-    /// the n-th frame of a connection is `r<n>`.
-    fn next_trace(&mut self) -> String {
-        let trace = format!("r{}", self.frame_seq);
-        self.frame_seq += 1;
-        trace
-    }
 }
 
 /// What a dispatched request answers with.
@@ -423,25 +339,32 @@ struct Shared {
     probe_wake: (Mutex<()>, Condvar),
 }
 
-impl Shared {
+impl LineService for Shared {
+    type Session = ConnState;
+
+    fn open(&self, conn: &mut Conn) -> ConnState {
+        let peer = conn
+            .socket()
+            .peer_addr()
+            .map(|addr| addr.ip().to_string())
+            .unwrap_or_else(|_| "unknown".to_string());
+        ConnState { peer, authenticated: false }
+    }
+
     /// Answers one request line: the encoded response frame to write and
     /// whether the router must stop afterwards.
-    fn respond(&self, line: &str, conn: &mut ConnState) -> (String, bool) {
+    fn respond(&self, conn: &mut ConnState, seq: u64, line: &str) -> (String, bool) {
         let start_micros = self.spans.now_micros();
         let (decoded, meta) = match Request::decode_frame_meta(line) {
             Ok((request, meta)) => (Ok(request), meta),
             Err(error) => (Err(error), FrameMeta::default()),
         };
-        // Generated eagerly, like the daemon's `t<n>` ids: the n-th frame
-        // of a connection is `r<n>` whether or not the client chose its
-        // own id, so the sequence stays deterministic either way.
-        let generated = conn.next_trace();
-        let trace = meta.trace_id.clone().unwrap_or(generated);
+        // The router's fallback trace id for the n-th frame of a
+        // connection is `r<n>`, like the daemon's `t<n>`.
+        let trace = meta.trace_id.clone().unwrap_or_else(|| format!("r{seq}"));
         let heavy = decoded.as_ref().map(Request::is_heavy).unwrap_or(false);
         let op = decoded.as_ref().map(Request::op).unwrap_or("invalid");
-        let index = RouterMetrics::op_index(op);
-        self.metrics.requests[index].inc();
-        let span = Span::on(&self.metrics.latency[index]);
+        let span = self.metrics.ops.count(op);
         let (answer, stop) = self.dispatch(line, decoded, &meta, &trace, conn);
         drop(span);
         if heavy {
@@ -464,6 +387,24 @@ impl Shared {
         (frame, stop)
     }
 
+    fn stopping(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Idempotently stops the router: flags, wakes the prober, pokes the
+    /// acceptor awake.
+    fn stop(&self) {
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            self.events.log(LogLevel::Info, "router.lifecycle", "stopping", None, &[]);
+            let (lock, cvar) = &self.probe_wake;
+            drop(lock.lock().expect("probe wake lock"));
+            cvar.notify_all();
+            wake_acceptor(self.addr);
+        }
+    }
+}
+
+impl Shared {
     /// The gate-then-route pipeline behind [`Shared::respond`].
     fn dispatch(
         &self,
@@ -516,20 +457,7 @@ impl Shared {
             Request::Trace { target } => {
                 Response::Ok { op: "trace".to_string(), body: self.stitched_trace_body(target) }
             }
-            Request::Logs { level } => {
-                match level.as_deref().map_or(Some(LogLevel::Debug), LogLevel::parse) {
-                    Some(min_level) => {
-                        Response::Ok { op: "logs".to_string(), body: self.events.json(min_level) }
-                    }
-                    None => Response::Error {
-                        op: "logs".to_string(),
-                        error: format!(
-                            "unknown log level `{}` (expected debug|info|warn|error)",
-                            level.as_deref().unwrap_or("")
-                        ),
-                    },
-                }
-            }
+            Request::Logs { level } => logs_response(&self.events, level.as_deref()),
             _ => unreachable!("only observability ops are routed here"),
         }
     }
@@ -851,7 +779,7 @@ impl Shared {
              \"backends\": [{}]}}",
             self.backends.len(),
             self.up_count(),
-            self.metrics.total_requests(),
+            self.metrics.ops.total(),
             forwarded.join(", "),
             self.metrics.failovers.get(),
             self.metrics.busy_relayed.get(),
@@ -905,7 +833,14 @@ impl Shared {
             self.metrics.probes.inc();
             let seq = self.probe_seq.fetch_add(1, Ordering::Relaxed);
             let start_micros = self.spans.now_micros();
-            let outcome = probe_once(backend.addr, self.config.probe_timeout);
+            // A dedicated short-timeout connection: pooled relay
+            // connections have no read timeout (sweeps take seconds).
+            let probe = ConnectOptions {
+                read_timeout: Some(self.config.probe_timeout),
+                ..ConnectOptions::default()
+            };
+            let outcome = Conn::connect_with(backend.addr, probe)
+                .and_then(|mut conn| conn.roundtrip(&Request::Health.encode()));
             self.spans.record(SpanRecord {
                 trace_id: "probe".to_string(),
                 span_id: format!("r:probe.{seq}"),
@@ -915,7 +850,7 @@ impl Shared {
                 duration_micros: self.spans.now_micros().saturating_sub(start_micros),
             });
             match outcome {
-                Ok(()) => backend.record_success(),
+                Ok(_) => backend.record_success(),
                 Err(_) => {
                     self.metrics.probe_failures.inc();
                     let was_up = backend.is_up();
@@ -934,16 +869,6 @@ impl Shared {
                     }
                 }
             }
-        }
-    }
-
-    /// Idempotently stops the router: flags, wakes the prober, pokes the
-    /// acceptor awake with a throwaway connection.
-    fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            self.events.log(LogLevel::Info, "router.lifecycle", "stopping", None, &[]);
-            self.probe_wake.1.notify_all();
-            let _ = TcpStream::connect(self.addr);
         }
     }
 }
@@ -979,54 +904,6 @@ fn is_lifecycle_refusal(reply: &str) -> bool {
         && (reply.contains("server is shutting down") || reply.contains("worker dropped the job"))
 }
 
-/// One health probe on a dedicated short-timeout connection (pooled
-/// relay connections deliberately have no read timeout — sweeps take
-/// seconds).
-fn probe_once(addr: SocketAddr, timeout: Duration) -> std::io::Result<()> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    writeln!(writer, "{}", Request::Health.encode())?;
-    writer.flush()?;
-    let mut line = String::new();
-    if BufReader::new(stream).read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "no health answer"));
-    }
-    Ok(())
-}
-
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let peer = stream
-        .peer_addr()
-        .map(|addr| addr.ip().to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
-    let Ok(mut writer) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(stream);
-    let mut conn = ConnState { peer, authenticated: false, frame_seq: 0 };
-    loop {
-        let line = match read_frame(&mut reader, shared.config.max_frame_bytes) {
-            Frame::Eof => return,
-            Frame::TooLong(error) | Frame::Fatal(error) => {
-                let frame = Response::Error { op: "invalid".to_string(), error }.encode();
-                let _ = writeln!(writer, "{frame}").and_then(|()| writer.flush());
-                return;
-            }
-            Frame::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (frame, stop) = shared.respond(&line, &mut conn);
-        if writeln!(writer, "{frame}").and_then(|()| writer.flush()).is_err() {
-            return;
-        }
-        if stop {
-            shared.begin_shutdown();
-            return;
-        }
-    }
-}
-
 /// Handle on a running router: address, shutdown, join.
 pub struct RouterHandle {
     shared: Arc<Shared>,
@@ -1042,7 +919,7 @@ impl RouterHandle {
 
     /// Asks the router to stop, without waiting. Backends keep running.
     pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
+        self.shared.stop();
     }
 
     /// Blocks until the router has stopped (acceptor and prober joined).
@@ -1146,10 +1023,15 @@ pub fn serve_router_with_clock<A: ToSocketAddrs>(
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || loop {
             {
+                // The flag is checked under the lock `stop` notifies
+                // under, so a stop that lands before this thread first
+                // waits still ends the wait (a lost wake-up would hold
+                // `wait` for a whole probe interval).
                 let (lock, cvar) = &shared.probe_wake;
                 let guard = lock.lock().expect("probe wake lock");
+                let interval = shared.config.probe_interval;
                 let _unused = cvar
-                    .wait_timeout(guard, shared.config.probe_interval)
+                    .wait_timeout_while(guard, interval, |_| !shared.stopping())
                     .expect("probe wake wait");
             }
             if shared.shutdown.load(Ordering::SeqCst) {
@@ -1159,30 +1041,7 @@ pub fn serve_router_with_clock<A: ToSocketAddrs>(
         })
     };
 
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || loop {
-            // Same discipline as the daemon's acceptor: check the flag on
-            // every iteration so a failed wake-up connection cannot leave
-            // us blocked, and back off on persistent accept errors.
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(10));
-                    continue;
-                }
-            };
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || handle_connection(stream, &shared));
-        })
-    };
-
+    let acceptor = spawn_acceptor(listener, Arc::clone(&shared), shared.config.max_frame_bytes);
     Ok(RouterHandle { shared, acceptor, prober })
 }
 
@@ -1296,6 +1155,34 @@ mod tests {
             bare.chars().take(4).collect::<String>(),
             prefixed.chars().take(4).collect::<String>()
         );
+        stop(daemons, router);
+    }
+
+    #[test]
+    fn a_hundred_sequential_round_trips_take_milliseconds_direct_and_routed() {
+        let (daemons, router) = fleet(2, RouterConfig::default());
+        let request = Request::Analyze { program: "p".to_string() };
+        for addr in [daemons[0].addr(), router.addr()] {
+            let mut client = Client::connect(addr).unwrap();
+            assert!(client.socket().nodelay().unwrap(), "the client sets TCP_NODELAY");
+            let started = Instant::now();
+            for _ in 0..100 {
+                assert!(matches!(client.request(&request).unwrap(), Response::Ok { .. }));
+            }
+            // A frame written as payload-then-newline without nodelay waits
+            // out the peer's delayed ACK on every hop: ~9 s for this loop.
+            let took = started.elapsed();
+            assert!(took < Duration::from_secs(2), "100 round trips to {addr} took {took:?}");
+        }
+        // The router's pooled relay sockets are framed connections too.
+        let mut pooled = 0;
+        for backend in &router.shared.backends {
+            for conn in backend.pool.lock().unwrap().iter() {
+                assert!(conn.socket().nodelay().unwrap(), "a pooled relay socket lacks nodelay");
+                pooled += 1;
+            }
+        }
+        assert!(pooled > 0, "the routed loop left a pooled relay connection");
         stop(daemons, router);
     }
 
@@ -1463,6 +1350,32 @@ mod tests {
             daemon.shutdown();
             daemon.wait();
         }
+    }
+
+    #[test]
+    fn a_stop_before_the_first_probe_wait_still_stops_the_router() {
+        // Stop each router the moment it starts, so its prober may not be
+        // waiting yet: a wake-up sent before that wait must not be lost,
+        // or `wait` blocks for the whole hour-long probe interval.
+        let backend = TcpListener::bind("127.0.0.1:0").unwrap();
+        let config =
+            RouterConfig { probe_interval: Duration::from_secs(3600), ..RouterConfig::default() };
+        let addr = backend.local_addr().unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            for _ in 0..20 {
+                let router = serve_router("127.0.0.1:0", vec![addr], config.clone()).unwrap();
+                router.shutdown();
+                router.wait();
+            }
+            let _ = done.send(());
+        });
+        let stopped = finished.recv_timeout(Duration::from_secs(10));
+        assert!(
+            !matches!(stopped, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "a router ignored a stop sent before its prober waited"
+        );
+        stopper.join().expect("starting and stopping the routers");
     }
 
     #[test]

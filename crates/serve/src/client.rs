@@ -1,104 +1,16 @@
-//! A blocking client for the daemon's NDJSON protocol.
-//!
-//! One [`Client`] wraps one TCP connection; requests are answered in
-//! order, so a client can be reused for any number of frames (`lab
-//! submit` sends one, the load generator thousands).
-//!
-//! [`Client::connect`] keeps the original fire-once semantics; callers
-//! that face daemons which may still be binding (CI scripts, the router's
-//! health prober) use [`Client::connect_with`] — bounded connect retries
-//! with exponential backoff plus an optional read timeout, so a dead
-//! daemon surfaces as a clean error instead of a forever-hanging
-//! `read_line`.
+//! The client side of the NDJSON protocol: [`Client`] is the one framed
+//! [`Conn`], speaking request frames. Requests are answered in order, so
+//! a client can be reused for any number of frames (`lab submit` sends
+//! one, the load generator thousands).
 
+use crate::conn::Conn;
 use crate::protocol::{FrameMeta, Request, Response};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
-/// Connection policy for [`Client::connect_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConnectOptions {
-    /// Total connect attempts (at least 1).
-    pub attempts: u32,
-    /// Sleep before the second attempt; doubles per further attempt.
-    pub initial_backoff: Duration,
-    /// Per-response read timeout once connected (`None` = block forever,
-    /// the v2 behaviour). A timed-out read surfaces as a request error.
-    pub read_timeout: Option<Duration>,
-}
+/// A connection used from the client side (see [`Conn::connect`] and
+/// [`Conn::connect_with`]).
+pub type Client = Conn;
 
-impl Default for ConnectOptions {
-    /// One attempt, no timeout — exactly [`Client::connect`].
-    fn default() -> ConnectOptions {
-        ConnectOptions {
-            attempts: 1,
-            initial_backoff: Duration::from_millis(50),
-            read_timeout: None,
-        }
-    }
-}
-
-/// One connection to a running daemon.
-#[derive(Debug)]
-pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    /// Connects to a daemon at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the connection cannot be established.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Client> {
-        Client::connect_with(addr, ConnectOptions::default())
-    }
-
-    /// Connects to a daemon at `addr` under `opts`: up to `opts.attempts`
-    /// connect attempts with exponential backoff between them, and
-    /// `opts.read_timeout` applied to every response read on the
-    /// resulting connection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error of the *last* attempt if every attempt
-    /// fails.
-    pub fn connect_with<A: ToSocketAddrs>(
-        addr: A,
-        opts: ConnectOptions,
-    ) -> std::io::Result<Client> {
-        let attempts = opts.attempts.max(1);
-        let mut backoff = opts.initial_backoff;
-        let mut last_error = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(backoff);
-                backoff = backoff.saturating_mul(2);
-            }
-            match TcpStream::connect(&addr) {
-                Ok(stream) => {
-                    stream.set_read_timeout(opts.read_timeout)?;
-                    let writer = stream.try_clone()?;
-                    return Ok(Client { reader: BufReader::new(stream), writer });
-                }
-                Err(error) => last_error = Some(error),
-            }
-        }
-        Err(last_error.expect("at least one attempt ran"))
-    }
-
-    /// Changes the per-response read timeout of this connection (`None` =
-    /// block forever).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the socket rejects the option.
-    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
-    }
-
+impl Conn {
     /// Sends one request frame and waits for its response frame.
     ///
     /// # Errors
@@ -123,11 +35,8 @@ impl Client {
         request: &Request,
         trace_id: Option<&str>,
     ) -> Result<(Response, Option<String>), String> {
-        let line = match trace_id {
-            Some(trace_id) => request.encode_with_trace(trace_id),
-            None => request.encode(),
-        };
-        self.raw_request_traced(&line)
+        let meta = FrameMeta { trace_id: trace_id.map(str::to_string), ..FrameMeta::default() };
+        self.request_meta(request, &meta)
     }
 
     /// [`Client::request`] with the full v3 envelope: the frame carries
@@ -157,24 +66,18 @@ impl Client {
 
     /// [`Client::raw_request`], keeping the echoed `trace_id`.
     fn raw_request_traced(&mut self, line: &str) -> Result<(Response, Option<String>), String> {
-        writeln!(self.writer, "{line}")
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("cannot send request: {e}"))?;
-        let mut reply = String::new();
-        let read =
-            self.reader.read_line(&mut reply).map_err(|e| format!("cannot read response: {e}"))?;
-        if read == 0 {
-            return Err("connection closed before a response arrived".to_string());
-        }
-        Response::decode_frame(reply.trim_end_matches('\n'))
+        self.send(line).map_err(|e| format!("cannot send request: {e}"))?;
+        let reply = self.read_line().map_err(|e| format!("cannot read response: {e}"))?;
+        Response::decode_frame(&reply)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::ConnectOptions;
     use std::net::TcpListener;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn connect_retries_until_the_daemon_binds() {

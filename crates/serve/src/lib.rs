@@ -25,11 +25,14 @@
 //!   (implemented by `dbt-lab`'s `LabDaemon`, which owns the process-wide
 //!   `TranslationService` and the content-addressed `RunMemo` — the two
 //!   cache levels a client fleet amortizes);
+//! * [`conn`] — the one framed connection every socket goes through:
+//!   `TCP_NODELAY`, one write per frame, bounded request reads, retries,
+//!   timeouts and byte counters;
 //! * [`client`] — a blocking NDJSON client (`lab submit` is a thin
 //!   wrapper);
 //! * [`loadgen`] — N concurrent clients driving a request mix, with an
-//!   on-the-fly response-consistency check, throughput counters (feeds
-//!   the `BENCH_serve-throughput.json` artifact) and per-op latency
+//!   on-the-fly response-consistency check, outcome counters (feeds the
+//!   `BENCH_serve-throughput.json` artifact) and per-op latency
 //!   percentiles from `dbt-obs` histograms (operator output only).
 //!
 //! The server instruments itself through `dbt-obs`: per-op request
@@ -42,18 +45,20 @@
 //! the `lab` CLI can host both the daemon and the client subcommands.
 
 pub mod client;
+pub mod conn;
 pub mod json;
 pub mod loadgen;
 pub mod protocol;
 pub mod queue;
 pub mod server;
 
-pub use client::{Client, ConnectOptions};
+pub use client::Client;
+pub use conn::{Conn, ConnectOptions};
 pub use json::JsonValue;
 pub use loadgen::{drive, LoadOptions, LoadOutcome, OpLatency};
 pub use protocol::{FrameMeta, ProgramSource, Request, Response, RunKnobs, DEFAULT_RUN_POLICY};
 pub use queue::{BoundedQueue, PushError};
 pub use server::{
-    read_frame, serve, serve_with_clock, Frame, LabBackend, ServerConfig, ServerHandle,
-    DEFAULT_MAX_FRAME_BYTES, TRACE_LOG_CAPACITY,
+    logs_response, serve, serve_with_clock, spawn_acceptor, wake_acceptor, LabBackend, LineService,
+    OpMetrics, ServerConfig, ServerHandle, DEFAULT_MAX_FRAME_BYTES, TRACE_LOG_CAPACITY,
 };

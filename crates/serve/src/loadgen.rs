@@ -1,20 +1,22 @@
 //! The in-repo load generator: N concurrent clients hammering a daemon.
 //!
 //! [`drive`] opens `clients` connections, each of which submits the given
-//! request list `iterations` times, and reports throughput plus outcome
-//! counts. A caller-supplied normalizer lets the driver check *response
+//! request list `iterations` times, and reports outcome counts. A
+//! caller-supplied normalizer lets [`drive`] check *response
 //! consistency* on the fly: every `ok` body is normalized (e.g. the lab
 //! strips the warmth-dependent `stats` block) and compared against the
 //! first body seen for the same request — so a sustained run proves not
 //! just that the daemon keeps up but that every client sees identical
 //! payloads.
 //!
-//! Beyond aggregate throughput, the outcome carries client-observed
-//! latency percentiles and a busy rate *per op* ([`OpLatency`]): each
-//! request round trip is timed into a fixed-bucket histogram, and
-//! p50/p95/p99 are deterministic bucket upper bounds. Timing data stays
+//! The outcome also carries client-observed latency percentiles and a
+//! busy rate *per op* ([`OpLatency`]): each request round trip is timed
+//! into a fixed-bucket histogram, and p50/p95/p99 are deterministic
+//! bucket upper bounds. Timing data stays
 //! out of the `BENCH_*.json` artifacts — it is operator output only, so
-//! byte-stable determinism checks keep passing.
+//! byte-stable determinism checks keep passing. Throughput is not
+//! reported at all: `perfbench` is the repository's one source of speed
+//! numbers.
 //!
 //! Every request is tagged with a deterministic trace id
 //! (`c<client>-<seq>`) and the driver checks the server echoes it back
@@ -28,7 +30,7 @@ use dbt_obs::{Counter, Histogram, MetricsRegistry, Span, DEFAULT_LATENCY_BOUNDS_
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Load shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,23 +100,9 @@ pub struct LoadOutcome {
     /// `ok` bodies whose normalized form differed from the first response
     /// to the same request (must be 0 for a deterministic backend).
     pub mismatches: u64,
-    /// Wall-clock time of the whole run.
-    pub elapsed: Duration,
     /// Client-side latency percentiles and busy rate per distinct op, in
     /// op name order.
     pub per_op: Vec<OpLatency>,
-}
-
-impl LoadOutcome {
-    /// Sustained request throughput (requests per wall-clock second).
-    pub fn requests_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.requests as f64 / secs
-        }
-    }
 }
 
 /// Drives `opts.clients` concurrent clients against the daemon at `addr`,
@@ -176,7 +164,6 @@ pub fn drive(
         clients.push(Client::connect(addr).map_err(|e| format!("client {i} cannot connect: {e}"))?);
     }
 
-    let started = Instant::now();
     {
         let (ok, busy, errors, mismatches, canonical, measures, slowest) =
             (&ok, &busy, &errors, &mismatches, &canonical, &measures, &slowest);
@@ -285,7 +272,6 @@ pub fn drive(
         busy: busy.into_inner(),
         errors: errors.into_inner(),
         mismatches: mismatches.into_inner(),
-        elapsed: started.elapsed(),
         per_op,
     })
 }
@@ -343,7 +329,6 @@ mod tests {
         assert_eq!(outcome.busy, 0);
         assert_eq!(outcome.mismatches, 0, "a deterministic backend never diverges");
         assert_eq!(backend.runs.load(Ordering::SeqCst), 24);
-        assert!(outcome.requests_per_sec() > 0.0);
 
         // Per-op latency: distinct ops in name order, counts per op, and
         // nonzero monotone percentiles for every exercised op.

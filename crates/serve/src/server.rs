@@ -10,7 +10,9 @@
 //! Request flow:
 //!
 //! 1. the acceptor thread hands each connection to a detached handler
-//!    thread that reads newline-delimited request frames;
+//!    thread that reads newline-delimited request frames through a
+//!    [`Conn`] (these two loops are [`spawn_acceptor`]'s, shared with the
+//!    `dbt-router` front door through the [`LineService`] trait);
 //! 2. cheap requests (`stats`, `health`, `shutdown`, the trace-log form
 //!    of `profile`) are answered inline;
 //! 3. heavy requests (`run`, `sweep`, `analyze`, `upload`, the
@@ -44,6 +46,7 @@
 //! the daemon's structured [`EventLog`] (lifecycle events live there).
 //! All three rings are bounded by [`ServerConfig`] knobs.
 
+use crate::conn::{Conn, Frame, FrameCounters};
 use crate::json::escape;
 use crate::protocol::{ProgramSource, Request, Response, RunKnobs};
 use crate::queue::{BoundedQueue, PushError};
@@ -52,7 +55,6 @@ use dbt_obs::{
     TraceClock, TraceHandle, DEFAULT_LATENCY_BOUNDS_MICROS,
 };
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -226,13 +228,74 @@ struct JobTrace {
     enqueued_micros: u64,
 }
 
-/// The request `op` labels the server pre-registers, so every per-op
+/// The request `op` labels [`OpMetrics`] pre-registers, so every per-op
 /// sample renders (at zero) from the very first scrape. `invalid` labels
 /// frames that never decoded to an op.
 const OP_LABELS: [&str; 12] = [
     "analyze", "health", "invalid", "logs", "metrics", "profile", "run", "shutdown", "stats",
     "sweep", "trace", "upload",
 ];
+
+/// Per-op request counters and latency histograms over every request op:
+/// `<prefix>_requests_total{op}` and `<prefix>_request_seconds{op}`. The
+/// daemon and the router each register one, so fleet dashboards join on
+/// identical label values.
+pub struct OpMetrics {
+    requests: Vec<Arc<Counter>>,
+    latency: Vec<Arc<Histogram>>,
+}
+
+impl OpMetrics {
+    /// Registers both families on `registry` with their help texts.
+    pub fn register(registry: &MetricsRegistry, prefix: &str, help: [&str; 2]) -> OpMetrics {
+        let [requests_help, latency_help] = help;
+        let (requests, latency) =
+            (format!("{prefix}_requests_total"), format!("{prefix}_request_seconds"));
+        OpMetrics {
+            requests: OP_LABELS
+                .iter()
+                .map(|op| registry.counter_with(&requests, requests_help, &[("op", op)]))
+                .collect(),
+            latency: OP_LABELS
+                .iter()
+                .map(|op| {
+                    let bounds = DEFAULT_LATENCY_BOUNDS_MICROS;
+                    registry.histogram_with(&latency, latency_help, bounds, &[("op", op)])
+                })
+                .collect(),
+        }
+    }
+
+    /// Counts one frame of `op` (unknown ops count as `invalid`) and times
+    /// it into the op's histogram until the returned span drops.
+    pub fn count(&self, op: &str) -> Span {
+        let index = |op| OP_LABELS.iter().position(|known| *known == op);
+        let index = index(op).or_else(|| index("invalid")).expect("invalid is registered");
+        self.requests[index].inc();
+        Span::on(&self.latency[index])
+    }
+
+    /// Frames seen across every op.
+    pub fn total(&self) -> u64 {
+        self.requests.iter().map(|counter| counter.get()).sum()
+    }
+}
+
+/// The `logs` answer over `events`: records at `level` or above (every
+/// record without one).
+pub fn logs_response(events: &EventLog, level: Option<&str>) -> Response {
+    let op = "logs".to_string();
+    match level.map_or(Some(LogLevel::Debug), LogLevel::parse) {
+        Some(min_level) => Response::Ok { op, body: events.json(min_level) },
+        None => Response::Error {
+            op,
+            error: format!(
+                "unknown log level `{}` (expected debug|info|warn|error)",
+                level.unwrap_or_default()
+            ),
+        },
+    }
+}
 
 /// Default bound of the in-memory request trace log (oldest entries
 /// evicted); override via [`ServerConfig::trace_log_capacity`].
@@ -247,46 +310,25 @@ const ROOT_SPAN: &str = "d:request";
 /// without their counters bleeding into each other).
 struct ServerMetrics {
     registry: Arc<MetricsRegistry>,
-    /// `dbt_serve_requests_total{op=...}`, parallel to [`OP_LABELS`].
-    requests: Vec<Arc<Counter>>,
-    /// `dbt_serve_request_seconds{op=...}`, parallel to [`OP_LABELS`].
-    latency: Vec<Arc<Histogram>>,
+    ops: OpMetrics,
     inflight: Arc<Gauge>,
     queue_depth: Arc<Gauge>,
     completed: Arc<Counter>,
     busy_rejections: Arc<Counter>,
-    frame_cap_errors: Arc<Counter>,
-    bytes_read: Arc<Counter>,
-    bytes_written: Arc<Counter>,
+    /// `dbt_serve_bytes_{read,written}_total` and
+    /// `dbt_serve_frame_cap_errors_total`, counted by every connection.
+    frames: FrameCounters,
 }
 
 impl ServerMetrics {
     fn new() -> ServerMetrics {
         let registry = MetricsRegistry::new();
-        let requests = OP_LABELS
-            .iter()
-            .map(|op| {
-                registry.counter_with(
-                    "dbt_serve_requests_total",
-                    "Request frames seen, by op (`invalid` = never decoded).",
-                    &[("op", op)],
-                )
-            })
-            .collect();
-        let latency = OP_LABELS
-            .iter()
-            .map(|op| {
-                registry.histogram_with(
-                    "dbt_serve_request_seconds",
-                    "Wall-clock request latency as observed by the connection handler, by op.",
-                    DEFAULT_LATENCY_BOUNDS_MICROS,
-                    &[("op", op)],
-                )
-            })
-            .collect();
+        let ops_help = [
+            "Request frames seen, by op (`invalid` = never decoded).",
+            "Wall-clock request latency as observed by the connection handler, by op.",
+        ];
         ServerMetrics {
-            requests,
-            latency,
+            ops: OpMetrics::register(&registry, "dbt_serve", ops_help),
             inflight: registry.gauge("dbt_serve_inflight", "Requests currently being answered."),
             queue_depth: registry
                 .gauge("dbt_serve_queue_depth", "Heavy jobs queued (sampled at scrape time)."),
@@ -296,30 +338,18 @@ impl ServerMetrics {
                 "dbt_serve_busy_rejections_total",
                 "Heavy requests bounced because the job queue was full.",
             ),
-            frame_cap_errors: registry.counter(
-                "dbt_serve_frame_cap_errors_total",
-                "Request frames rejected for exceeding the size cap.",
-            ),
-            bytes_read: registry
-                .counter("dbt_serve_bytes_read_total", "Request frame payload bytes read."),
-            bytes_written: registry
-                .counter("dbt_serve_bytes_written_total", "Response frame bytes written."),
+            frames: FrameCounters {
+                read: registry
+                    .counter("dbt_serve_bytes_read_total", "Request frame payload bytes read."),
+                written: registry
+                    .counter("dbt_serve_bytes_written_total", "Response frame bytes written."),
+                too_long: registry.counter(
+                    "dbt_serve_frame_cap_errors_total",
+                    "Request frames rejected for exceeding the size cap.",
+                ),
+            },
             registry,
         }
-    }
-
-    /// Index of `op` in [`OP_LABELS`]; unknown strings land on `invalid`
-    /// (cannot happen for responses the server itself produced).
-    fn op_index(op: &str) -> usize {
-        OP_LABELS.iter().position(|known| *known == op).unwrap_or_else(|| {
-            OP_LABELS.iter().position(|known| *known == "invalid").expect("invalid is registered")
-        })
-    }
-
-    /// Total request frames seen (the sum of every per-op counter) — what
-    /// the `stats` JSON reports as `server.requests`.
-    fn total_requests(&self) -> u64 {
-        self.requests.iter().map(|counter| counter.get()).sum()
     }
 }
 
@@ -343,13 +373,18 @@ struct Shared {
     events: Arc<EventLog>,
 }
 
-impl Shared {
+impl LineService for Shared {
+    type Session = ();
+
+    fn open(&self, conn: &mut Conn) {
+        conn.count_into(self.metrics.frames.clone());
+    }
+
     /// Parses and answers one request line, timing it into the per-op
-    /// latency histogram and the trace log. `generated` is the
-    /// connection's deterministic fallback trace id, used when the frame
-    /// carries none. Returns the encoded response frame and whether the
-    /// server must begin shutting down after sending it.
-    fn respond(&self, line: &str, generated: String) -> (String, bool) {
+    /// latency histogram and the trace log. The n-th frame of a
+    /// connection gets the fallback trace id `t<n>` unless the client
+    /// chose its own.
+    fn respond(&self, _: &mut (), seq: u64, line: &str) -> (String, bool) {
         self.metrics.inflight.inc();
         let decode_start = self.spans.now_micros();
         let (decoded, meta) = match Request::decode_frame_meta(line) {
@@ -357,14 +392,12 @@ impl Shared {
             Err(error) => (Err(error), Default::default()),
         };
         let decode_end = self.spans.now_micros();
-        let trace_id = meta.trace_id.unwrap_or(generated);
+        let trace_id = meta.trace_id.unwrap_or_else(|| format!("t{seq}"));
         // Count the frame up front (under its op as soon as it is known),
         // so a `stats` or `metrics` answer includes the very request that
         // asked.
         let op = decoded.as_ref().map(Request::op).unwrap_or("invalid");
-        let index = ServerMetrics::op_index(op);
-        self.metrics.requests[index].inc();
-        let span = Span::on(&self.metrics.latency[index]);
+        let span = self.metrics.ops.count(op);
         let started = Instant::now();
         // Heavy requests get a span tree under the request root; cheap
         // ones (including the `trace` fetch itself) stay span-free.
@@ -409,6 +442,22 @@ impl Shared {
         (frame, stop)
     }
 
+    fn stopping(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Idempotently starts the shutdown: closes the queue (workers drain
+    /// admitted jobs and exit) and pokes the acceptor awake.
+    fn stop(&self) {
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            self.events.log(LogLevel::Info, "serve.lifecycle", "stopping", None, &[]);
+            self.queue.close();
+            wake_acceptor(self.addr);
+        }
+    }
+}
+
+impl Shared {
     /// Appends one entry to the bounded trace log.
     fn record_trace(&self, trace_id: &str, op: &str, micros: u64) {
         let capacity = self.config.trace_log_capacity;
@@ -474,7 +523,7 @@ impl Shared {
                 let body = format!(
                     "{{\"server\": {{\"requests\": {}, \"completed\": {}, \
                      \"busy_rejections\": {}}}, \"lab\": {}}}",
-                    self.metrics.total_requests(),
+                    self.metrics.ops.total(),
                     self.metrics.completed.get(),
                     self.metrics.busy_rejections.get(),
                     self.backend.stats_json()
@@ -496,22 +545,7 @@ impl Shared {
             Request::Trace { target } => {
                 (Response::Ok { op, body: self.spans.tree_json(&target) }, false)
             }
-            Request::Logs { level } => match level
-                .as_deref()
-                .map_or(Some(LogLevel::Debug), LogLevel::parse)
-            {
-                Some(min_level) => (Response::Ok { op, body: self.events.json(min_level) }, false),
-                None => (
-                    Response::Error {
-                        op,
-                        error: format!(
-                            "unknown log level `{}` (expected debug|info|warn|error)",
-                            level.unwrap_or_default()
-                        ),
-                    },
-                    false,
-                ),
-            },
+            Request::Logs { level } => (logs_response(&self.events, level.as_deref()), false),
             request => {
                 let trace = trace.map(|handle| JobTrace {
                     handle: handle.clone(),
@@ -542,18 +576,6 @@ impl Shared {
             }
         }
     }
-
-    /// Idempotently starts the shutdown: closes the queue (workers drain
-    /// admitted jobs and exit) and pokes the acceptor awake.
-    fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            self.events.log(LogLevel::Info, "serve.lifecycle", "stopping", None, &[]);
-            self.queue.close();
-            // The acceptor blocks in `accept`; a throwaway connection to
-            // ourselves unblocks it so it can observe the flag and exit.
-            let _ = TcpStream::connect(self.addr);
-        }
-    }
 }
 
 /// Handle on a running daemon: address, counters, shutdown, join.
@@ -578,7 +600,7 @@ impl ServerHandle {
     /// Asks the daemon to stop, without waiting. Equivalent to a client
     /// sending a `shutdown` request.
     pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
+        self.shared.stop();
     }
 
     /// Blocks until the daemon has stopped (acceptor and workers joined).
@@ -613,109 +635,91 @@ fn execute(backend: &dyn LabBackend, request: &Request) -> Result<String, String
     }
 }
 
-/// What one bounded frame read produced. Public so other NDJSON servers
-/// (the `dbt-router` front door) reuse the exact same bounded framing —
-/// one implementation of the drain-before-error dance, not two.
-pub enum Frame {
-    /// A complete line (without the trailing newline).
-    Line(String),
-    /// The peer closed the connection (or the read failed).
-    Eof,
-    /// The line exceeded the frame cap: answer a clean `error` frame,
-    /// count it, and close — mid-line, the framing cannot be trusted any
-    /// further.
-    TooLong(String),
-    /// The line was not UTF-8: answer a clean `error` frame and close.
-    Fatal(String),
+/// An NDJSON endpoint served by [`spawn_acceptor`]'s accept and line
+/// loops. The daemon ([`serve`]) and the `dbt-router` front door both
+/// are, so they frame, cap and close connections identically.
+pub trait LineService: Send + Sync + 'static {
+    /// Per-connection state, made when a connection is accepted.
+    type Session: Send;
+    /// Starts a connection's state (and may attach counters to `conn`).
+    fn open(&self, conn: &mut Conn) -> Self::Session;
+    /// Answers the connection's `seq`-th non-blank request line: the
+    /// response frame, and whether the endpoint must stop once it is sent.
+    fn respond(&self, session: &mut Self::Session, seq: u64, line: &str) -> (String, bool);
+    /// Whether the endpoint is stopping; the acceptor exits once it is.
+    fn stopping(&self) -> bool;
+    /// Starts stopping, idempotently, and wakes the acceptor (blocked in
+    /// `accept`) with [`wake_acceptor`].
+    fn stop(&self);
 }
 
-/// Reads one newline-terminated frame, never buffering more than
-/// `max_bytes` of it.
-pub fn read_frame(reader: &mut BufReader<TcpStream>, max_bytes: usize) -> Frame {
-    let mut buf = Vec::new();
-    let mut limited = (&mut *reader).take(max_bytes as u64 + 1);
-    match limited.read_until(b'\n', &mut buf) {
-        Err(_) | Ok(0) => return Frame::Eof,
-        Ok(_) => {}
-    }
-    // The newline is framing, not payload: drop it before checking the
-    // cap, so a line of exactly `max_bytes` is accepted.
-    if buf.last() == Some(&b'\n') {
-        buf.pop();
-    }
-    if buf.len() > max_bytes {
-        // Discard the rest of the line (bounded, never buffered) before
-        // answering: closing with unread bytes in the socket would RST
-        // the connection and destroy the error frame we promise. A peer
-        // that streams more than the drain cap without a newline gets
-        // cut off regardless.
-        let mut scratch = [0u8; 8192];
-        let mut drained = 0u64;
-        while drained <= 16 * max_bytes as u64 {
-            match reader.read(&mut scratch) {
-                Err(_) | Ok(0) => break,
-                Ok(n) => {
-                    drained += n as u64;
-                    if scratch[..n].contains(&b'\n') {
-                        break;
-                    }
-                }
-            }
+/// Lets an acceptor blocked in `accept` on `addr` observe
+/// [`LineService::stopping`], through a throwaway connection.
+pub fn wake_acceptor(addr: SocketAddr) {
+    let _ = TcpStream::connect(addr);
+}
+
+/// Serves `service` on `listener`: an acceptor thread handing every
+/// accepted connection to a detached line-loop thread that caps request
+/// frames at `max_frame_bytes`. The acceptor exits once the service is
+/// stopping.
+pub fn spawn_acceptor<S: LineService>(
+    listener: TcpListener,
+    service: Arc<S>,
+    max_frame_bytes: usize,
+) -> JoinHandle<()> {
+    std::thread::spawn(move || loop {
+        // Check the flag on *every* iteration — including accept errors —
+        // so a failed or aborted wake-up connection (fd exhaustion,
+        // ECONNABORTED on the immediately-dropped socket) cannot leave the
+        // acceptor blocked forever, and persistent accept errors cannot
+        // busy-spin past a shutdown.
+        if service.stopping() {
+            break;
         }
-        return Frame::TooLong(format!(
-            "request frame exceeds the {max_bytes}-byte limit; closing the connection"
-        ));
-    }
-    match String::from_utf8(buf) {
-        Ok(line) => Frame::Line(line),
-        Err(_) => Frame::Fatal("request frame is not valid UTF-8".to_string()),
-    }
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                // Back off instead of spinning on persistent errors (e.g.
+                // EMFILE while handlers hold every fd).
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                continue;
+            }
+        };
+        if service.stopping() {
+            break;
+        }
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || serve_connection(stream, &*service, max_frame_bytes));
+    })
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    let mut writer = write_half;
-    let mut reader = BufReader::new(stream);
-    // Deterministic per-connection fallback trace ids: the n-th frame of a
-    // connection is `t<n>` unless the client chose its own.
-    let mut frame_seq = 0u64;
-    loop {
-        let line = match read_frame(&mut reader, shared.config.max_frame_bytes) {
-            Frame::Eof => return,
-            Frame::TooLong(error) => {
-                shared.metrics.frame_cap_errors.inc();
-                send_fatal(&mut writer, shared, error);
-                return;
-            }
-            Frame::Fatal(error) => {
-                send_fatal(&mut writer, shared, error);
-                return;
-            }
+/// The line loop of one accepted connection.
+fn serve_connection<S: LineService>(stream: TcpStream, service: &S, max_frame_bytes: usize) {
+    let Ok(mut conn) = Conn::new(stream) else { return };
+    let mut session = service.open(&mut conn);
+    let mut seq = 0;
+    let error = loop {
+        let line = match conn.read_frame(max_frame_bytes) {
             Frame::Line(line) => line,
+            Frame::Eof => return,
+            Frame::Fatal(error) => break error,
         };
-        shared.metrics.bytes_read.add(line.len() as u64 + 1);
         if line.trim().is_empty() {
             continue;
         }
-        let generated = format!("t{frame_seq}");
-        frame_seq += 1;
-        let (frame, stop) = shared.respond(&line, generated);
-        shared.metrics.bytes_written.add(frame.len() as u64 + 1);
-        if writeln!(writer, "{frame}").and_then(|()| writer.flush()).is_err() {
+        let (frame, stop) = service.respond(&mut session, seq, &line);
+        seq += 1;
+        if conn.send(&frame).is_err() {
             return;
         }
         if stop {
-            shared.begin_shutdown();
+            service.stop();
             return;
         }
-    }
-}
-
-/// Writes the one `error` frame a connection gets before a fatal close.
-fn send_fatal(writer: &mut TcpStream, shared: &Shared, error: String) {
-    let frame = Response::Error { op: "invalid".to_string(), error }.encode();
-    shared.metrics.bytes_written.add(frame.len() as u64 + 1);
-    let _ = writeln!(writer, "{frame}").and_then(|()| writer.flush());
+    };
+    // The one `error` frame a connection gets before a fatal close.
+    let _ = conn.send(&Response::Error { op: "invalid".to_string(), error }.encode());
 }
 
 /// Starts the daemon on `addr` (use port `0` for an ephemeral port; the
@@ -832,34 +836,7 @@ pub fn serve_with_clock<A: ToSocketAddrs>(
         })
         .collect();
 
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || loop {
-            // Check the flag on *every* iteration — including accept
-            // errors — so a failed or aborted wake-up connection (fd
-            // exhaustion, ECONNABORTED on the immediately-dropped socket)
-            // cannot leave the acceptor blocked forever, and persistent
-            // accept errors cannot busy-spin past a shutdown.
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(_) => {
-                    // Back off instead of spinning on persistent errors
-                    // (e.g. EMFILE while handlers hold every fd).
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    continue;
-                }
-            };
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || handle_connection(stream, &shared));
-        })
-    };
-
+    let acceptor = spawn_acceptor(listener, Arc::clone(&shared), shared.config.max_frame_bytes);
     Ok(ServerHandle { shared, acceptor, workers })
 }
 
@@ -1093,6 +1070,53 @@ mod tests {
 
         handle.shutdown();
         handle.wait();
+    }
+
+    /// A bare [`LineService`]: echoes every line, stops on `stop`, and
+    /// records whether each accepted socket came with `TCP_NODELAY`.
+    struct Echo {
+        addr: SocketAddr,
+        stopping: AtomicBool,
+        nodelay: Mutex<Vec<bool>>,
+    }
+
+    impl LineService for Echo {
+        type Session = ();
+        fn open(&self, conn: &mut Conn) {
+            self.nodelay.lock().unwrap().push(conn.socket().nodelay().unwrap());
+        }
+        fn respond(&self, _: &mut (), seq: u64, line: &str) -> (String, bool) {
+            (format!("echo {seq} {line}"), line == "stop")
+        }
+        fn stopping(&self) -> bool {
+            self.stopping.load(Ordering::SeqCst)
+        }
+        fn stop(&self) {
+            if !self.stopping.swap(true, Ordering::SeqCst) {
+                wake_acceptor(self.addr);
+            }
+        }
+    }
+
+    #[test]
+    fn the_shared_line_loop_frames_caps_and_stops_any_service() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let echo =
+            Arc::new(Echo { addr, stopping: AtomicBool::new(false), nodelay: Mutex::default() });
+        let acceptor = spawn_acceptor(listener, Arc::clone(&echo), 16);
+        let mut conn = Conn::connect(addr).unwrap();
+        assert_eq!(conn.roundtrip("hello").unwrap(), "echo 0 hello");
+        // Blank lines are skipped, neither answered nor counted.
+        assert_eq!(conn.roundtrip("\nagain").unwrap(), "echo 1 again");
+        // Over the cap: one `error` frame, then the connection closes.
+        let reply = conn.roundtrip(&"x".repeat(17)).unwrap();
+        assert!(reply.contains("16-byte limit"), "{reply}");
+        assert!(conn.read_line().is_err());
+        let mut conn = Conn::connect(addr).unwrap();
+        assert_eq!(conn.roundtrip("stop").unwrap(), "echo 0 stop");
+        acceptor.join().unwrap();
+        assert_eq!(*echo.nodelay.lock().unwrap(), [true, true], "every accepted socket");
     }
 
     fn quiet_backend() -> Arc<BlockingBackend> {

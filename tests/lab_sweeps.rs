@@ -152,3 +152,21 @@ fn attack_sweep_reproduces_the_leak_and_the_mitigation() {
         }
     }
 }
+
+#[test]
+fn the_full_registry_sweep_fits_the_default_translation_budget() {
+    // `lab sweep` runs every registry sweep on one default service. Its
+    // whole working set must stay resident: an eviction would re-compile
+    // what an earlier sweep paid for and shift the artifacts' hit/miss
+    // counters.
+    let registry = Registry::standard(WorkloadSize::Mini);
+    let service = TranslationService::new();
+    let opts = ExecOptions { threads: 2, verbose: false };
+    for sweep in registry.sweeps() {
+        let _ = run_sweep_with(&sweep.name, &sweep.expand(), opts, &service);
+    }
+    let stats = service.stats();
+    assert_eq!(stats.evictions, 0, "{stats:?}");
+    assert_eq!(service.resident_products(), stats.misses, "every compile product is resident");
+    assert!(stats.misses <= dbt_engine::DEFAULT_SERVICE_BUDGET_PRODUCTS, "{stats:?}");
+}

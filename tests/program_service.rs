@@ -200,3 +200,80 @@ fn bad_uploads_and_unknown_refs_answer_error_frames() {
     handle.shutdown();
     handle.wait();
 }
+
+/// A program of 32 short basic blocks carrying `data` bytes of image:
+/// `value` tells the variants apart, the data section makes each one
+/// heavy for the program store and the blocks (two compile products
+/// each) make it heavy for the translation service.
+fn heavy_upload(value: u64, data: u64) -> String {
+    let blocks = "    addi a1, a1, 1\n    beq a1, zero, done\n".repeat(32);
+    format!(".data payload, {data}\n    li a0, {value}\n{blocks}done:\n    ecall\n")
+}
+
+/// The upload answer without its `programs` member, which counts the
+/// answering store's residents and so differs between a flooded daemon
+/// and a fresh one.
+fn upload_identity(body: &str) -> (String, bool) {
+    let value = JsonValue::parse(body).expect("upload answers JSON");
+    let fingerprint = value.get("fingerprint").and_then(JsonValue::as_str).expect("fingerprint");
+    (fingerprint.to_string(), value.get("dedup").and_then(JsonValue::as_bool).expect("dedup"))
+}
+
+#[test]
+fn a_flood_of_uploads_and_runs_stays_within_every_cache_budget() {
+    use dbt_platform::{DEFAULT_MEMO_CAPACITY, DEFAULT_STORE_BUDGET_BYTES};
+    use dbt_serve::LabBackend;
+
+    let daemon = LabDaemon::new(WorkloadSize::Mini);
+    // Four times the store's byte budget in distinct uploads, each run by
+    // fingerprint right after it lands, as the router's replicated uploads
+    // arrive at a backend.
+    let data = 256 << 10;
+    let uploads = 4 * DEFAULT_STORE_BUDGET_BYTES / data;
+    let policies = ["unsafe", "selective", "fence"];
+    for value in 0..uploads {
+        let source = ProgramSource::Asm(heavy_upload(value, data));
+        let policy = policies[value as usize % policies.len()];
+        let body = daemon.upload(&source).expect("upload");
+        let (fp, dedup) = upload_identity(&body);
+        assert!(!dedup, "upload {value} is fresh");
+        let ran = daemon.run_program(&fp, policy, &RunKnobs::default()).expect("run fp:");
+        // Every answer equals what a fresh daemon answers for the same
+        // request.
+        let fresh = LabDaemon::new(WorkloadSize::Mini);
+        assert_eq!(upload_identity(&fresh.upload(&source).expect("upload")), (fp.clone(), false));
+        let reference = fresh.run_program(&fp, policy, &RunKnobs::default()).expect("run fp:");
+        assert_eq!(strip_stats(&ran), strip_stats(&reference), "run {fp} under {policy}");
+    }
+    // Attack runs with distinct secrets: fresh run-memo keys and fresh
+    // programs for the translation service.
+    for (index, secret) in ["FloodSecret1", "floodsecret2"].iter().enumerate() {
+        let program = ["spectre-v1", "spectre-v4"][index];
+        let knobs = RunKnobs { secret: Some(secret.to_string()), ..RunKnobs::default() };
+        let ran = daemon.run_program(program, "unsafe", &knobs).expect("attack run");
+        let fresh = LabDaemon::new(WorkloadSize::Mini);
+        let reference = fresh.run_program(program, "unsafe", &knobs).expect("attack run");
+        assert_eq!(strip_stats(&ran), strip_stats(&reference), "{program} with {secret}");
+    }
+
+    let store = daemon.store();
+    assert!(store.stats().evictions > 0, "the flood overran the store budget");
+    assert!(
+        store.resident_bytes() <= DEFAULT_STORE_BUDGET_BYTES,
+        "{} resident image bytes",
+        store.resident_bytes()
+    );
+    let service = daemon.service();
+    assert!(service.stats().evictions > 0, "the flood overran the product budget");
+    assert!(service.resident_products() <= dbt_engine::DEFAULT_SERVICE_BUDGET_PRODUCTS);
+    assert!(daemon.memo().stats().entries as u64 <= DEFAULT_MEMO_CAPACITY as u64);
+    // An evicted upload is gone, exactly as if it was never uploaded.
+    let first = upload_identity(
+        &LabDaemon::new(WorkloadSize::Mini)
+            .upload(&ProgramSource::Asm(heavy_upload(0, data)))
+            .expect("upload"),
+    )
+    .0;
+    let evicted = daemon.analyze(&first).expect_err("the first upload was evicted");
+    assert!(evicted.contains("upload it first"), "{evicted}");
+}
