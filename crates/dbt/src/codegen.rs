@@ -266,8 +266,7 @@ mod tests {
         assert!(translated.speculative_load_count() >= 1);
         let has_checked_store = translated
             .bundles()
-            .iter()
-            .flat_map(|b| &b.slots)
+            .flat_map(|b| b.iter())
             .any(|op| matches!(op, Op::Store { checks_mcb: true, .. }));
         assert!(has_checked_store);
     }
@@ -279,8 +278,7 @@ mod tests {
         assert_eq!(translated.speculative_load_count(), 0);
         assert!(translated
             .bundles()
-            .iter()
-            .flat_map(|b| &b.slots)
+            .flat_map(|b| b.iter())
             .all(|op| !matches!(op, Op::Store { checks_mcb: true, .. })));
     }
 
@@ -306,9 +304,9 @@ mod tests {
     fn bundles_respect_issue_width_and_terminate() {
         let block = v4_like_block();
         let translated = build(&block, DfgOptions::aggressive());
-        assert!(translated.bundles().iter().all(|b| b.slots.len() <= 4));
+        assert!(translated.bundles().all(|b| b.len() <= 4));
         let last = translated.bundles().last().unwrap();
-        assert!(last.slots.iter().any(|op| op.is_terminator()));
+        assert!(last.iter().any(|op| op.is_terminator()));
         assert!(translated.guest_inst_count >= 4);
         assert!(translated.phys_reg_count >= 3);
     }

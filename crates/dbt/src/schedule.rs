@@ -41,7 +41,7 @@
 
 use dbt_ir::{DepEdge, DepGraph, DepKind, InstId, IrBlock, IrOp};
 // (IrOp is matched on below for side exits, loads and cycle-counter reads.)
-use dbt_riscv::inst::AluOp;
+use dbt_vliw::alu_latency;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -110,11 +110,7 @@ impl Schedule {
 fn latency(op: &IrOp) -> u64 {
     match op {
         IrOp::Load { .. } => 3,
-        IrOp::Alu { op, .. } => match op {
-            AluOp::Mul | AluOp::Mulh | AluOp::Mulw => 3,
-            AluOp::Div | AluOp::Divu | AluOp::Rem | AluOp::Remu => 12,
-            _ => 1,
-        },
+        IrOp::Alu { op, .. } => alu_latency(*op),
         _ => 1,
     }
 }
@@ -514,6 +510,7 @@ mod tests {
     use super::*;
     use crate::testgen;
     use dbt_ir::{BlockKind, DfgOptions, MemWidth, Operand};
+    use dbt_riscv::inst::AluOp;
     use dbt_riscv::{BranchCond, Reg};
     use std::mem::discriminant;
 

@@ -9,7 +9,7 @@
 //! cargo run --release -p dbt-lab -- analyze histogram    # taint verdicts
 //! cargo run --release -p dbt-lab -- analyze spectre-v1 --dot | dot -Tsvg
 //!
-//! # The deterministic hot-path profiler and the throughput microbench:
+//! # The deterministic hot-path profiler and the per-workload cycle counts:
 //! cargo run --release -p dbt-lab -- profile spectre_v1 --policy selective --trace trace.json
 //! cargo run --release -p dbt-lab -- bench --json-dir artifacts
 //!
@@ -114,9 +114,10 @@ fn usage() -> &'static str {
      \x20                          program under --policy: per-phase cycle\n\
      \x20                          attribution, speculation events, and a\n\
      \x20                          Chrome-trace export via --trace\n\
-     \x20 bench                    one cold run per registry workload,\n\
-     \x20                          translation included (writes\n\
-     \x20                          BENCH_sim-throughput.json with --json-dir)\n\
+     \x20 bench                    one cold run per registry workload:\n\
+     \x20                          cycles, guest instructions and blocks\n\
+     \x20                          (writes BENCH_sim-throughput.json with\n\
+     \x20                          --json-dir)\n\
      \x20 analyze <program|path>   per-block speculative-taint verdicts\n\
      \x20                          (a workload name, ptr-matmul, spectre-v1,\n\
      \x20                          spectre-v4, or a .s/.json file path)\n\
@@ -508,10 +509,8 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `lab bench`: one cold run per registry workload, translation
-/// included. The cycle/instruction columns are deterministic; the
-/// wall-clock throughput members live on their own lines so CI can diff
-/// the artifact with those lines excluded.
+/// `lab bench`: one cold run per registry workload. Every member of the
+/// report is deterministic, so CI diffs the artifact whole.
 fn cmd_bench(args: &Args) -> Result<(), String> {
     let report = run_bench(args.size)?;
     let json = report.to_json();

@@ -31,9 +31,8 @@
 //!   one program (per-phase cycle attribution, speculation events,
 //!   Chrome-trace export), byte-stable run to run;
 //! * [`mod@bench`] — `lab bench`: one cold run per registry workload,
-//!   translation included, behind the `BENCH_sim-throughput.json`
-//!   artifact (deterministic cycle data, clearly-separated wall-clock
-//!   lines);
+//!   behind the `BENCH_sim-throughput.json` artifact (cycles, guest
+//!   instructions and blocks, all deterministic);
 //! * [`table`] — the human-readable tables of the paper (Figure 4 layout,
 //!   Section V-A attack table).
 //!

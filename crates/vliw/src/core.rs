@@ -19,38 +19,69 @@
 //! In both cases the data cache keeps whatever lines the misspeculated
 //! accesses fetched — the micro-architectural trace the attacks exploit.
 //!
-//! # The stall computation
+//! # The lowered form
 //!
 //! Which operands a bundle waits on depends only on the code, so
-//! [`TranslatedBlock::new`] lists them once per bundle: the physical
-//! registers its slots read, and whether it holds an `rdcycle`. Per block,
-//! the core keeps two ready-time arrays over the physical registers, one
-//! for values produced by an ALU operation (or a squashed load) and one
-//! for values produced by a load; a register's entry in the array that
-//! does not match its producer is 0. A bundle issues at the latest of the
-//! cycle after its predecessor issued, the ALU deadline (the ALU array
-//! folded over its wait list) and the memory deadline (the memory array
-//! folded over the same list, and the completion of every outstanding
-//! access if it reads the cycle counter).
+//! [`TranslatedBlock::new`] decides once per block where timing work is
+//! needed. It lowers the bundles into one flat list of steps: every slot
+//! becomes an `Exec` step, and a bundle that can issue late gets a `Stall`
+//! step before its slots. That step lists the physical registers whose wait
+//! can bind and says whether the bundle reads the cycle counter.
+//!
+//! The core walks the steps once. Bundle `b` issues at cycle `b + delay`,
+//! where `delay` sums the stall cycles so far, and only a `Stall` step
+//! changes it. Such a step folds two ready-time arrays over its waits: one
+//! for values produced by an ALU operation, an `rdcycle` or a squashed
+//! load, one for values produced by a load. A register's entry in the
+//! array that does not match its producer is 0. An `rdcycle` also waits
+//! for every outstanding memory access. The bundle issues at the latest of
+//! those deadlines and the cycle after its predecessor issued.
+//!
+//! A dropped wait cannot bind:
+//!
+//! * a register with no earlier writer in the block is ready at cycle 0;
+//! * a value whose last earlier writer is an ALU operation or an `rdcycle`
+//!   issued at `t_j` in bundle `j` is ready at `t_j + latency`, and bundle
+//!   `i` issues no earlier than `t_j + (i - j)`, because each bundle issues
+//!   at least a cycle after the one before it. The wait is dropped only
+//!   when `i - j >= latency`.
+//!
+//! Loads keep every wait, because hit or miss is decided at run time. A
+//! write earlier in the same bundle does not count: the bundle's waits are
+//! taken before any of its slots runs. Only slots whose destination some
+//! kept wait names (`awaited`) record ready times. Every write to such a
+//! register records one, so a kept wait reads what its last earlier writer
+//! recorded, and no other register's ready time is ever read. The
+//! scheduler places each consumer of an ALU result at least
+//! [`alu_latency`] bundles after it, so in scheduled code only memory
+//! waits are kept.
 //!
 //! The profiler charges the stall up to the ALU deadline to the issue
 //! phase and the rest to the execute phase. Those two deadlines are the
 //! ones the per-slot scan it replaced computes (kept for tests as
-//! `VliwCore::execute_block_reference`): `max` commutes, a 0 entry never
-//! raises a deadline, and no memory access completes while a bundle's
-//! waits are folded. So every cycle count and every phase attribution is
-//! unchanged.
+//! `VliwCore::execute_block_reference`): `max` commutes, neither a 0 entry
+//! nor a dropped wait raises a deadline, and no memory access completes
+//! while a bundle's waits are folded.
+//!
+//! Bundles issued, fetch cycles, stall cycles and operations executed are
+//! added once, where the block exits, and equal the per-bundle sums the
+//! scan adds. A taken side exit, a terminator, a rollback or a fault in
+//! bundle `b` exits after bundles `0..=b` issued, each after the first one
+//! fetch cycle behind its predecessor. Every step up to the exiting one
+//! that is neither a stall check, a nop nor a fence executed an operation.
+//! A too-wide bundle `b` ends the walk before its first step, after `b`
+//! bundles; a block without a terminator issues all of its bundles. So
+//! every cycle count, statistic and phase attribution is unchanged.
 
-use crate::isa::{AccessWidth, Op, Operand, TranslatedBlock};
+use crate::isa::{alu_latency, AccessWidth, Op, Operand, Step, TranslatedBlock};
 use crate::mcb::MemoryConflictBuffer;
 use crate::regfile::ArchState;
 use crate::stats::CoreStats;
 use dbt_cache::{CacheConfig, DataCache};
 use dbt_obs::{Phase, Profiler};
-use dbt_riscv::inst::AluOp;
 use dbt_riscv::GuestMemory;
 #[cfg(test)]
-use dbt_riscv::Reg;
+use dbt_riscv::{inst::AluOp, Reg};
 use std::fmt;
 
 /// Configuration of the VLIW core.
@@ -175,12 +206,14 @@ impl Scratch {
     }
 }
 
-fn alu_latency(op: AluOp) -> u64 {
-    match op {
-        AluOp::Mul | AluOp::Mulh | AluOp::Mulw => 3,
-        AluOp::Div | AluOp::Divu | AluOp::Rem | AluOp::Remu => 12,
-        _ => 1,
-    }
+/// How a block's execution ends at the operation it reached.
+enum Exit {
+    /// A terminator or a taken side exit (a mispredict).
+    Leave { next_pc: Option<u64>, mispredict: bool },
+    /// A checked store hit the Memory Conflict Buffer.
+    Rollback,
+    /// A non-speculative access faulted.
+    Fault(CoreError),
 }
 
 /// Folds one operand's readiness into the bundle's stall deadlines:
@@ -318,216 +351,214 @@ impl VliwCore {
     ) -> Result<BlockOutcome, CoreError> {
         let Scratch { phys, ready_alu, ready_mem } = scratch;
         let entry_snapshot = self.arch.clone();
-        let mut last_mem_complete = 0u64;
-        let mut issue_time = 0u64;
-        let mut first = true;
         let block_start = self.cycles;
         self.mcb.clear();
         self.stats.blocks_executed += 1;
+        let (steps, too_wide) = block.steps_within(self.config.issue_width);
+        let mut last_mem_complete = 0u64;
+        // Bundle `b` issues at cycle `b + delay`: `delay` sums the stall
+        // cycles so far, `issue_stall` the part of them charged to the
+        // issue phase; the rest goes to the execute phase.
+        let mut delay = 0u64;
+        let mut issue_stall = 0u64;
+        // Steps that execute no operation: stall checks, nops and fences.
+        let mut idle = 0usize;
 
-        for (bundle, waits) in block.bundles.iter().zip(&block.waits) {
-            if bundle.slots.len() > self.config.issue_width {
-                return Err(CoreError::IssueWidthExceeded {
-                    entry_pc: block.entry_pc,
-                    slots: bundle.slots.len(),
-                });
-            }
-            // In-order issue with scoreboard stalls: `t_alu` is the
-            // deadline set by ALU-produced operands (charged to the issue
-            // phase), `t_mem` the one set by memory-produced operands and
-            // `rdcycle` (charged to the execute phase). Each ready-time
-            // array holds 0 where the other applies, so folding both over
-            // every awaited register raises only the producer's deadline.
-            let earliest = if first { 0 } else { issue_time + 1 };
-            if !first {
-                self.profiler.attribute(Phase::Fetch, 1);
-            }
-            first = false;
-            let mut t_alu = earliest;
-            let mut t_mem = earliest;
-            for &reg in &block.wait_regs[waits.start as usize..waits.end as usize] {
-                t_alu = t_alu.max(ready_alu[reg as usize]);
-                t_mem = t_mem.max(ready_mem[reg as usize]);
-            }
-            if waits.rdcycle {
-                t_mem = t_mem.max(last_mem_complete);
-            }
-            let t = t_alu.max(t_mem);
-            self.profiler.attribute(Phase::Issue, t_alu - earliest);
-            self.profiler.attribute(Phase::Execute, t - t_alu.max(earliest));
-            issue_time = t;
-            self.stats.bundles_issued += 1;
-
-            for op in &bundle.slots {
-                match op {
-                    Op::Nop => {}
-                    Op::Fence => {
-                        self.profiler.events.fence_stalls += 1;
+        for (index, step) in steps.iter().enumerate() {
+            let (op, bundle, awaited) = match step {
+                Step::Stall { bundle, waits, rdcycle } => {
+                    // `t_alu` is the deadline set by ALU-produced operands,
+                    // `t_mem` the one set by memory-produced operands and
+                    // `rdcycle`. Each ready-time array holds 0 where the
+                    // other applies, so folding both over every awaited
+                    // register raises only the producer's deadline.
+                    let earliest = u64::from(*bundle) + delay;
+                    let mut t_alu = earliest;
+                    let mut t_mem = earliest;
+                    for &reg in waits.iter() {
+                        t_alu = t_alu.max(ready_alu[reg as usize]);
+                        t_mem = t_mem.max(ready_mem[reg as usize]);
                     }
-                    Op::Alu { op: alu, dst, a, b } => {
-                        let va = self.read_operand(phys, *a);
-                        let vb = self.read_operand(phys, *b);
-                        phys[dst.index()] = alu.apply(va, vb);
+                    if *rdcycle {
+                        t_mem = t_mem.max(last_mem_complete);
+                    }
+                    issue_stall += t_alu - earliest;
+                    delay += t_alu.max(t_mem) - earliest;
+                    idle += 1;
+                    continue;
+                }
+                Step::Exec { op, bundle, awaited } => (op, *bundle, *awaited),
+            };
+            let t = u64::from(bundle) + delay;
+            let exit = match op {
+                Op::Nop => {
+                    idle += 1;
+                    continue;
+                }
+                Op::Fence => {
+                    idle += 1;
+                    self.profiler.events.fence_stalls += 1;
+                    continue;
+                }
+                Op::Alu { op: alu, dst, a, b } => {
+                    let va = self.read_operand(phys, *a);
+                    let vb = self.read_operand(phys, *b);
+                    phys[dst.index()] = alu.apply(va, vb);
+                    if awaited {
                         ready_alu[dst.index()] = t + alu_latency(*alu);
                         ready_mem[dst.index()] = 0;
-                        self.stats.ops_executed += 1;
                     }
-                    Op::RdCycle { dst } => {
-                        phys[dst.index()] = self.cycles + t;
+                    continue;
+                }
+                Op::RdCycle { dst } => {
+                    phys[dst.index()] = self.cycles + t;
+                    if awaited {
                         ready_alu[dst.index()] = t + 1;
                         ready_mem[dst.index()] = 0;
-                        self.stats.ops_executed += 1;
                     }
-                    Op::Load { width, dst, base, offset, speculative, original_seq } => {
-                        self.stats.ops_executed += 1;
-                        let addr = self.read_operand(phys, *base).wrapping_add(*offset as u64);
-                        let in_bounds = addr
-                            .checked_add(width.bytes as u64)
-                            .is_some_and(|end| end <= mem.len() as u64);
-                        if !in_bounds {
-                            if *speculative {
-                                // Faults raised by misspeculated loads are
-                                // squashed; the destination gets a dummy
-                                // value and the cache is untouched.
-                                phys[dst.index()] = 0;
-                                ready_alu[dst.index()] = t + 1;
-                                ready_mem[dst.index()] = 0;
-                                continue;
-                            }
-                            return Err(CoreError::MemFault { addr, bytes: width.bytes });
-                        }
+                    continue;
+                }
+                Op::Load { width, dst, base, offset, speculative, original_seq } => {
+                    let addr = self.read_operand(phys, *base).wrapping_add(*offset as u64);
+                    let in_bounds = addr
+                        .checked_add(width.bytes as u64)
+                        .is_some_and(|end| end <= mem.len() as u64);
+                    if in_bounds {
                         let outcome = self.dcache.access(addr, false);
                         self.profile_access(outcome.hit);
                         let raw = mem.load(addr, width.bytes as u64).expect("bounds checked");
                         phys[dst.index()] = sign_extend_load(raw, *width);
                         let done = t + outcome.latency;
-                        ready_alu[dst.index()] = 0;
-                        ready_mem[dst.index()] = done;
+                        if awaited {
+                            ready_alu[dst.index()] = 0;
+                            ready_mem[dst.index()] = done;
+                        }
                         last_mem_complete = last_mem_complete.max(done);
                         if *speculative {
                             self.stats.speculative_loads += 1;
                             self.profiler.events.speculative_loads += 1;
                             self.mcb.record_load(addr, width.bytes, *original_seq);
                         }
+                        continue;
                     }
-                    Op::Store { width, value, base, offset, checks_mcb, original_seq } => {
-                        self.stats.ops_executed += 1;
-                        let addr = self.read_operand(phys, *base).wrapping_add(*offset as u64);
-                        if *checks_mcb && self.mcb.store_conflicts(addr, width.bytes, *original_seq)
-                        {
-                            // Memory-dependency misspeculation: roll back and
-                            // re-execute sequentially. Cache contents are
-                            // intentionally NOT restored.
-                            self.stats.rollbacks += 1;
-                            self.profiler.events.mcb_hits += 1;
-                            self.arch = entry_snapshot;
-                            self.mcb.clear();
-                            let penalty = t + self.config.rollback_penalty;
-                            let (next_pc, recovery_cycles) = self.execute_recovery(block, mem)?;
-                            let total = penalty + recovery_cycles;
-                            self.profiler.attribute(Phase::Rollback, total - t);
-                            self.profiler.record("block", block.entry_pc, block_start, total);
-                            self.profiler.record(
-                                "rollback",
-                                block.entry_pc,
-                                block_start + t,
-                                total - t,
-                            );
-                            self.cycles += total;
-                            return Ok(BlockOutcome { next_pc, cycles: total, rolled_back: true });
+                    if *speculative {
+                        // Faults raised by misspeculated loads are squashed;
+                        // the destination gets a dummy value and the cache
+                        // is untouched.
+                        phys[dst.index()] = 0;
+                        if awaited {
+                            ready_alu[dst.index()] = t + 1;
+                            ready_mem[dst.index()] = 0;
                         }
-                        let in_bounds = addr
-                            .checked_add(width.bytes as u64)
-                            .is_some_and(|end| end <= mem.len() as u64);
-                        if !in_bounds {
-                            return Err(CoreError::MemFault { addr, bytes: width.bytes });
-                        }
+                        continue;
+                    }
+                    Exit::Fault(CoreError::MemFault { addr, bytes: width.bytes })
+                }
+                Op::Store { width, value, base, offset, checks_mcb, original_seq } => {
+                    let addr = self.read_operand(phys, *base).wrapping_add(*offset as u64);
+                    if *checks_mcb && self.mcb.store_conflicts(addr, width.bytes, *original_seq) {
+                        Exit::Rollback
+                    } else if addr
+                        .checked_add(width.bytes as u64)
+                        .is_some_and(|end| end <= mem.len() as u64)
+                    {
                         let value = self.read_operand(phys, *value);
                         mem.store(addr, width.bytes as u64, value).expect("bounds checked");
                         let outcome = self.dcache.access(addr, true);
                         self.profile_access(outcome.hit);
-                    }
-                    Op::CacheFlush { base, offset } => {
-                        self.stats.ops_executed += 1;
-                        let addr = self.read_operand(phys, *base).wrapping_add(*offset as u64);
-                        self.dcache.flush_line(addr);
-                    }
-                    Op::CommitReg { reg, src } => {
-                        self.stats.ops_executed += 1;
-                        let value = self.read_operand(phys, *src);
-                        self.arch.set_reg(*reg, value);
-                    }
-                    Op::SideExit { cond, a, b, target } => {
-                        self.stats.ops_executed += 1;
-                        let va = self.read_operand(phys, *a);
-                        let vb = self.read_operand(phys, *b);
-                        if cond.eval(va, vb) {
-                            self.stats.side_exits_taken += 1;
-                            self.profiler.events.mispredicts += 1;
-                            let total = t + 1;
-                            self.profiler.attribute(Phase::Commit, 1);
-                            self.profiler.record("block", block.entry_pc, block_start, total);
-                            self.profiler.record("mispredict", block.entry_pc, block_start + t, 1);
-                            self.cycles += total;
-                            self.mcb.clear();
-                            return Ok(BlockOutcome {
-                                next_pc: Some(*target),
-                                cycles: total,
-                                rolled_back: false,
-                            });
-                        }
-                    }
-                    Op::Jump { target } => {
-                        self.stats.ops_executed += 1;
-                        let total = t + 1;
-                        self.profiler.attribute(Phase::Commit, 1);
-                        self.profiler.record("block", block.entry_pc, block_start, total);
-                        self.cycles += total;
-                        self.mcb.clear();
-                        return Ok(BlockOutcome {
-                            next_pc: Some(*target),
-                            cycles: total,
-                            rolled_back: false,
-                        });
-                    }
-                    Op::JumpIndirect { target } => {
-                        self.stats.ops_executed += 1;
-                        let target = self.read_operand(phys, *target);
-                        let total = t + 1;
-                        self.profiler.attribute(Phase::Commit, 1);
-                        self.profiler.record("block", block.entry_pc, block_start, total);
-                        self.cycles += total;
-                        self.mcb.clear();
-                        return Ok(BlockOutcome {
-                            next_pc: Some(target),
-                            cycles: total,
-                            rolled_back: false,
-                        });
-                    }
-                    Op::Halt => {
-                        self.stats.ops_executed += 1;
-                        let total = t + 1;
-                        self.profiler.attribute(Phase::Commit, 1);
-                        self.profiler.record("block", block.entry_pc, block_start, total);
-                        self.cycles += total;
-                        self.mcb.clear();
-                        return Ok(BlockOutcome {
-                            next_pc: None,
-                            cycles: total,
-                            rolled_back: false,
-                        });
+                        continue;
+                    } else {
+                        Exit::Fault(CoreError::MemFault { addr, bytes: width.bytes })
                     }
                 }
-            }
+                Op::CacheFlush { base, offset } => {
+                    let addr = self.read_operand(phys, *base).wrapping_add(*offset as u64);
+                    self.dcache.flush_line(addr);
+                    continue;
+                }
+                Op::CommitReg { reg, src } => {
+                    let value = self.read_operand(phys, *src);
+                    self.arch.set_reg(*reg, value);
+                    continue;
+                }
+                Op::SideExit { cond, a, b, target } => {
+                    let va = self.read_operand(phys, *a);
+                    let vb = self.read_operand(phys, *b);
+                    if !cond.eval(va, vb) {
+                        continue;
+                    }
+                    self.stats.side_exits_taken += 1;
+                    self.profiler.events.mispredicts += 1;
+                    Exit::Leave { next_pc: Some(*target), mispredict: true }
+                }
+                Op::Jump { target } => Exit::Leave { next_pc: Some(*target), mispredict: false },
+                Op::JumpIndirect { target } => {
+                    let target = self.read_operand(phys, *target);
+                    Exit::Leave { next_pc: Some(target), mispredict: false }
+                }
+                Op::Halt => Exit::Leave { next_pc: None, mispredict: false },
+            };
+            self.retire(u64::from(bundle) + 1, index + 1 - idle, issue_stall, delay - issue_stall);
+            return match exit {
+                Exit::Leave { next_pc, mispredict } => {
+                    let total = t + 1;
+                    self.profiler.attribute(Phase::Commit, 1);
+                    self.profiler.record("block", block.entry_pc, block_start, total);
+                    if mispredict {
+                        self.profiler.record("mispredict", block.entry_pc, block_start + t, 1);
+                    }
+                    self.cycles += total;
+                    self.mcb.clear();
+                    Ok(BlockOutcome { next_pc, cycles: total, rolled_back: false })
+                }
+                Exit::Rollback => {
+                    // Memory-dependency misspeculation: roll back and
+                    // re-execute sequentially. Cache contents are
+                    // intentionally NOT restored.
+                    self.stats.rollbacks += 1;
+                    self.profiler.events.mcb_hits += 1;
+                    self.arch = entry_snapshot;
+                    self.mcb.clear();
+                    let penalty = t + self.config.rollback_penalty;
+                    let (next_pc, recovery_cycles) = self.execute_recovery(block, mem)?;
+                    let total = penalty + recovery_cycles;
+                    self.profiler.attribute(Phase::Rollback, total - t);
+                    self.profiler.record("block", block.entry_pc, block_start, total);
+                    self.profiler.record("rollback", block.entry_pc, block_start + t, total - t);
+                    self.cycles += total;
+                    Ok(BlockOutcome { next_pc, cycles: total, rolled_back: true })
+                }
+                Exit::Fault(error) => Err(error),
+            };
         }
-        Err(CoreError::MissingTerminator { entry_pc: block.entry_pc })
+        let (bundles, error) = match too_wide {
+            Some((bundle, slots)) => {
+                (bundle, CoreError::IssueWidthExceeded { entry_pc: block.entry_pc, slots })
+            }
+            None => (block.bundle_count, CoreError::MissingTerminator { entry_pc: block.entry_pc }),
+        };
+        self.retire(u64::from(bundles), steps.len() - idle, issue_stall, delay - issue_stall);
+        Err(error)
     }
 
-    /// [`VliwCore::execute_block`] as it was before the per-bundle wait
-    /// lists and the scratch buffers: it matches every slot to find the
-    /// operands a bundle waits on and allocates its register file per
-    /// block. Tests run both in lockstep and require identical outcomes,
-    /// state, statistics and profiles; release builds leave it out.
+    /// Adds what a block's bundles did, counted once where the block
+    /// exits: `bundles` issued (each after the first one fetch cycle
+    /// behind its predecessor), `ops` executed and the stall cycles
+    /// charged to the issue and execute phases.
+    fn retire(&mut self, bundles: u64, ops: usize, issue: u64, execute: u64) {
+        self.stats.bundles_issued += bundles;
+        self.stats.ops_executed += ops as u64;
+        self.profiler.attribute(Phase::Fetch, bundles.saturating_sub(1));
+        self.profiler.attribute(Phase::Issue, issue);
+        self.profiler.attribute(Phase::Execute, execute);
+    }
+
+    /// [`VliwCore::execute_block`] as it was before the lowered form and
+    /// the scratch buffers: it walks the bundles, matches every slot to
+    /// find the operands a bundle waits on, updates every counter per
+    /// bundle and allocates its register file per block. Tests run both in
+    /// lockstep and require identical outcomes, state, statistics and
+    /// profiles; release builds leave it out.
     ///
     /// # Errors
     ///
@@ -553,11 +584,11 @@ impl VliwCore {
         self.mcb.clear();
         self.stats.blocks_executed += 1;
 
-        for bundle in &block.bundles {
-            if bundle.slots.len() > self.config.issue_width {
+        for bundle in block.bundles() {
+            if bundle.len() > self.config.issue_width {
                 return Err(CoreError::IssueWidthExceeded {
                     entry_pc: block.entry_pc,
-                    slots: bundle.slots.len(),
+                    slots: bundle.len(),
                 });
             }
             // In-order issue with scoreboard stalls. `t_alu` and `t_mem`
@@ -571,7 +602,7 @@ impl VliwCore {
             first = false;
             let mut t_alu = earliest;
             let mut t_mem = earliest;
-            for op in &bundle.slots {
+            for op in bundle.iter() {
                 match op {
                     Op::Alu { a, b, .. } => {
                         wait_operand(&ready, &from_mem, *a, &mut t_alu, &mut t_mem);
@@ -604,7 +635,7 @@ impl VliwCore {
             issue_time = t;
             self.stats.bundles_issued += 1;
 
-            for op in &bundle.slots {
+            for op in bundle.iter() {
                 match op {
                     Op::Nop => {}
                     Op::Fence => {
@@ -1229,6 +1260,68 @@ mod tests {
             core.execute_block(&block, &mut mem),
             Err(CoreError::MissingTerminator { entry_pc: 0x42 })
         ));
+    }
+
+    /// Random blocks that ignore latencies (see [`crate::testgen`]), each
+    /// run twice (cold, then warm cache) by the core and by its
+    /// reference: equal results, errors included, and equal state,
+    /// statistics, profiles, flight recorders and guest memory.
+    #[test]
+    fn packed_random_blocks_execute_like_the_reference_core() {
+        use crate::testgen::{self, MEMORY_BYTES, SIDE_EXIT_TARGET};
+        use spectaint::XorShift64;
+
+        const EXITS: [&str; 6] =
+            ["side exits", "terminators", "rollbacks", "faults", "too wide", "unterminated"];
+        let mut exits = [0; EXITS.len()];
+        let mut issue_stalls = 0;
+        for index in 0..2_000 {
+            let case = testgen::case(index);
+            let mut rng = XorShift64::new(0xc0de ^ index);
+            let mut mem = GuestMemory::new(MEMORY_BYTES);
+            for addr in (0..MEMORY_BYTES as u64).step_by(8) {
+                mem.store_u64(addr, rng.next_below(0x2200)).unwrap();
+            }
+            let config = CoreConfig { issue_width: case.issue_width, ..CoreConfig::default() };
+            let mut core = VliwCore::new(config, 0x1000);
+            for reg in [Reg::A0, Reg::A1, Reg::A2, Reg::A3] {
+                core.arch_mut().set_reg(reg, 8 * rng.next_below(0x440));
+            }
+            let (mut oracle, mut oracle_mem) = (core.clone(), mem.clone());
+            for run in 0..2 {
+                let got = core.execute_block(&case.block, &mut mem);
+                let want = oracle.execute_block_reference(&case.block, &mut oracle_mem);
+                let at = format!(
+                    "case {index}, run {run}, width {}:\n{}",
+                    config.issue_width, case.block
+                );
+                assert_eq!(got, want, "{at}");
+                assert_eq!(core.arch(), oracle.arch(), "{at}");
+                assert_eq!(core.stats(), oracle.stats(), "{at}");
+                assert_eq!(core.dcache().stats(), oracle.dcache().stats(), "{at}");
+                assert_eq!(core.profiler().phases, oracle.profiler().phases, "{at}");
+                assert_eq!(core.profiler().events, oracle.profiler().events, "{at}");
+                let exit = match got {
+                    Ok(outcome) if outcome.rolled_back => 2,
+                    Ok(outcome) if outcome.next_pc == Some(SIDE_EXIT_TARGET) => 0,
+                    Ok(_) => 1,
+                    Err(CoreError::MemFault { .. }) => 3,
+                    Err(CoreError::IssueWidthExceeded { .. }) => 4,
+                    Err(CoreError::MissingTerminator { .. }) => 5,
+                };
+                exits[exit] += 1;
+            }
+            assert!(mem == oracle_mem, "case {index}: guest memory differs");
+            assert!(
+                core.profiler().trace_events().eq(oracle.profiler().trace_events()),
+                "case {index}: flight recorders differ"
+            );
+            if core.profiler().phases.issue > 0 {
+                issue_stalls += 1;
+            }
+        }
+        assert!(exits.iter().all(|&n| n >= 20), "{EXITS:?}: {exits:?}");
+        assert!(issue_stalls >= 20, "only {issue_stalls} cases wait on an ALU result");
     }
 
     /// A block that stalls on both a load (execute phase) and a slow ALU

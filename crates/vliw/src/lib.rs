@@ -26,9 +26,13 @@ pub mod isa;
 pub mod mcb;
 pub mod regfile;
 pub mod stats;
+#[cfg(test)]
+mod testgen;
 
 pub use crate::core::{BlockOutcome, CoreConfig, CoreError, VliwCore};
-pub use isa::{AccessWidth, Bundle, Op, Operand, PhysReg, TranslatedBlock};
+pub use isa::{
+    alu_latency, AccessWidth, Bundle, BundleSlots, Op, Operand, PhysReg, TranslatedBlock,
+};
 pub use mcb::MemoryConflictBuffer;
 pub use regfile::ArchState;
 pub use stats::CoreStats;

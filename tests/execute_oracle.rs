@@ -1,13 +1,15 @@
-//! The execute oracle: `VliwCore::execute_block` (per-bundle wait lists,
-//! reused scratch buffers) must behave exactly like
+//! The execute oracle: `VliwCore::execute_block` (one walk over each
+//! block's lowered steps, reused scratch buffers) must behave exactly like
 //! `VliwCore::execute_block_reference`, the per-slot scan it replaced.
 //!
 //! One engine drives two cores, each with its own guest memory, through
 //! every registry kernel and both Spectre proofs of concept. After every
 //! block the outcome, the architectural state, the core and cache
 //! statistics and the profiler's phases and events must be equal; at the
-//! end of each run, guest memory and the flight recorder must be too. The
-//! reference exists only in debug builds.
+//! end of each run, guest memory and the flight recorder must be too, and
+//! no cycle may be charged to the issue phase: the scheduler places every
+//! ALU result's consumers at least its latency later, so only memory
+//! stalls. The reference exists only in debug builds.
 #![cfg(debug_assertions)]
 
 use dbt_engine::DbtEngine;
@@ -75,6 +77,7 @@ fn lockstep(name: &str, program: &Program, config: PlatformConfig) {
         core.profiler().trace_events().eq(oracle.profiler().trace_events()),
         "{label}: flight recorders differ"
     );
+    assert_eq!(core.profiler().phases.issue, 0, "{label}: an ALU result was read too soon");
 }
 
 #[test]
