@@ -24,9 +24,11 @@
 //! Which operands a bundle waits on depends only on the code, so
 //! [`TranslatedBlock::new`] decides once per block where timing work is
 //! needed. It lowers the bundles into one flat list of steps: every slot
-//! becomes an `Exec` step, and a bundle that can issue late gets a `Stall`
-//! step before its slots. That step lists the physical registers whose wait
-//! can bind and says whether the bundle reads the cycle counter.
+//! becomes an `Exec` step, except the register commits it lifts out (see
+//! below), and a bundle that can issue late gets a `Stall` step before its
+//! slots. That step lists the physical registers whose wait can bind,
+//! lifted commits' reads included, and says whether the bundle reads the
+//! cycle counter.
 //!
 //! The core walks the steps once. Bundle `b` issues at cycle `b + delay`,
 //! where `delay` sums the stall cycles so far, and only a `Stall` step
@@ -68,12 +70,44 @@
 //! scan adds. A taken side exit, a terminator, a rollback or a fault in
 //! bundle `b` exits after bundles `0..=b` issued, each after the first one
 //! fetch cycle behind its predecessor. Every step up to the exiting one
-//! that is neither a stall check, a nop nor a fence executed an operation.
-//! A too-wide bundle `b` ends the walk before its first step, after `b`
-//! bundles; a block without a terminator issues all of its bundles. So
-//! every cycle count, statistic and phase attribution is unchanged.
+//! that is neither a stall check, a nop nor a fence executed an operation,
+//! and so did every lifted commit before it (each slot step records how
+//! many come before it). A too-wide bundle `b` ends the walk where it
+//! begins, after `b` bundles and the lifted commits in them, even when it
+//! holds nothing but lifted commits; a block without a terminator issues
+//! all of its bundles and all of its commits. So every cycle count,
+//! statistic and phase attribution is unchanged.
+//!
+//! # Lifted commits
+//!
+//! A commit only writes a guest register, and until the block leaves,
+//! only the block's own operands can read one. So [`TranslatedBlock::new`]
+//! moves the commits out of the steps into a list in slot order when two
+//! conditions hold: no operand reads a guest register after a commit to it
+//! (in slot order), and no commit's physical source is written after the
+//! commit. Then every operand reads the entry value of every guest
+//! register, as it would in its slot, and every commit's source holds at
+//! any later point the value it held in the commit's slot. Applying the
+//! commits that precede an exit, in slot order, therefore leaves the state
+//! the per-slot scan leaves there; a commit to a register that a later one
+//! before the same exit overwrites changes nothing, so each side exit and
+//! terminator applies only its live list, the last commit to each
+//! register. A fault applies every lifted commit before it, in order, and
+//! so does a too-wide bundle or a missing terminator. A rollback applies
+//! none: the architectural state is still the entry state, so a block
+//! with lifted commits needs no copy of it.
+//!
+//! Code generation gives each IR value its own physical register, and a
+//! guest instruction that writes a register commits it before any later
+//! commit, so every block it emits for the registry programs qualifies.
+//! An instruction into `x0` commits nothing, and nothing orders its reads
+//! before later commits: guest code such as `div t0, t1, t2;
+//! add x0, a0, t0; addi a0, a0, 8` yields a block that reads `$a0` after
+//! `commit $a0`. Such a block keeps its commits as steps that run in their
+//! slots, and a copy of the entry state for rollbacks. The code decides
+//! the form; no option selects it.
 
-use crate::isa::{alu_latency, AccessWidth, Op, Operand, Step, TranslatedBlock};
+use crate::isa::{alu_latency, AccessWidth, Commit, Op, Operand, Step, TooWide, TranslatedBlock};
 use crate::mcb::MemoryConflictBuffer;
 use crate::regfile::ArchState;
 use crate::stats::CoreStats;
@@ -350,7 +384,9 @@ impl VliwCore {
         scratch: &mut Scratch,
     ) -> Result<BlockOutcome, CoreError> {
         let Scratch { phys, ready_alu, ready_mem } = scratch;
-        let entry_snapshot = self.arch.clone();
+        // Only commits left in the steps change the architectural state
+        // before the block exits, so only they need a copy to roll back to.
+        let entry_snapshot = (!block.lifts_commits()).then(|| self.arch.clone());
         let block_start = self.cycles;
         self.mcb.clear();
         self.stats.blocks_executed += 1;
@@ -365,7 +401,7 @@ impl VliwCore {
         let mut idle = 0usize;
 
         for (index, step) in steps.iter().enumerate() {
-            let (op, bundle, awaited) = match step {
+            let (op, bundle, lifted, awaited) = match step {
                 Step::Stall { bundle, waits, rdcycle } => {
                     // `t_alu` is the deadline set by ALU-produced operands,
                     // `t_mem` the one set by memory-produced operands and
@@ -387,7 +423,7 @@ impl VliwCore {
                     idle += 1;
                     continue;
                 }
-                Step::Exec { op, bundle, awaited } => (op, *bundle, *awaited),
+                Step::Exec { op, bundle, lifted, awaited } => (op, *bundle, *lifted, *awaited),
             };
             let t = u64::from(bundle) + delay;
             let exit = match op {
@@ -498,9 +534,11 @@ impl VliwCore {
                 }
                 Op::Halt => Exit::Leave { next_pc: None, mispredict: false },
             };
-            self.retire(u64::from(bundle) + 1, index + 1 - idle, issue_stall, delay - issue_stall);
+            let ops = index + 1 - idle + usize::from(lifted);
+            self.retire(u64::from(bundle) + 1, ops, issue_stall, delay - issue_stall);
             return match exit {
                 Exit::Leave { next_pc, mispredict } => {
+                    self.apply(phys, block.live_commits(lifted));
                     let total = t + 1;
                     self.profiler.attribute(Phase::Commit, 1);
                     self.profiler.record("block", block.entry_pc, block_start, total);
@@ -517,7 +555,9 @@ impl VliwCore {
                     // intentionally NOT restored.
                     self.stats.rollbacks += 1;
                     self.profiler.events.mcb_hits += 1;
-                    self.arch = entry_snapshot;
+                    if let Some(entry) = entry_snapshot {
+                        self.arch = entry;
+                    }
                     self.mcb.clear();
                     let penalty = t + self.config.rollback_penalty;
                     let (next_pc, recovery_cycles) = self.execute_recovery(block, mem)?;
@@ -528,17 +568,35 @@ impl VliwCore {
                     self.cycles += total;
                     Ok(BlockOutcome { next_pc, cycles: total, rolled_back: true })
                 }
-                Exit::Fault(error) => Err(error),
+                Exit::Fault(error) => {
+                    self.apply(phys, &block.commits[..usize::from(lifted)]);
+                    Err(error)
+                }
             };
         }
-        let (bundles, error) = match too_wide {
-            Some((bundle, slots)) => {
-                (bundle, CoreError::IssueWidthExceeded { entry_pc: block.entry_pc, slots })
+        let (bundles, lifted, error) = match too_wide {
+            Some(TooWide { bundle, slots, lifted }) => {
+                (bundle, lifted, CoreError::IssueWidthExceeded { entry_pc: block.entry_pc, slots })
             }
-            None => (block.bundle_count, CoreError::MissingTerminator { entry_pc: block.entry_pc }),
+            None => (
+                block.bundle_count,
+                block.commits.len(),
+                CoreError::MissingTerminator { entry_pc: block.entry_pc },
+            ),
         };
-        self.retire(u64::from(bundles), steps.len() - idle, issue_stall, delay - issue_stall);
+        self.apply(phys, &block.commits[..lifted]);
+        let ops = steps.len() - idle + lifted;
+        self.retire(u64::from(bundles), ops, issue_stall, delay - issue_stall);
         Err(error)
+    }
+
+    /// Applies lifted commits in order, each reading its source as it
+    /// stands.
+    fn apply<'a>(&mut self, phys: &[u64], commits: impl IntoIterator<Item = &'a Commit>) {
+        for commit in commits {
+            let value = self.read_operand(phys, commit.src);
+            self.arch.set_reg(commit.reg, value);
+        }
     }
 
     /// Adds what a block's bundles did, counted once where the block
@@ -554,11 +612,13 @@ impl VliwCore {
     }
 
     /// [`VliwCore::execute_block`] as it was before the lowered form and
-    /// the scratch buffers: it walks the bundles, matches every slot to
-    /// find the operands a bundle waits on, updates every counter per
-    /// bundle and allocates its register file per block. Tests run both in
-    /// lockstep and require identical outcomes, state, statistics and
-    /// profiles; release builds leave it out.
+    /// the scratch buffers: it walks the bundles, lifted commits back in
+    /// their slots, matches every slot to find the operands a bundle waits
+    /// on, runs every commit where it stands, copies the entry state for
+    /// rollbacks, updates every counter per bundle and allocates its
+    /// register file per block. Tests run both in lockstep and require
+    /// identical outcomes, state, statistics and profiles; release builds
+    /// leave it out.
     ///
     /// # Errors
     ///
@@ -585,10 +645,11 @@ impl VliwCore {
         self.stats.blocks_executed += 1;
 
         for bundle in block.bundles() {
-            if bundle.len() > self.config.issue_width {
+            let slots: Vec<Op> = bundle.iter().collect();
+            if slots.len() > self.config.issue_width {
                 return Err(CoreError::IssueWidthExceeded {
                     entry_pc: block.entry_pc,
-                    slots: bundle.len(),
+                    slots: slots.len(),
                 });
             }
             // In-order issue with scoreboard stalls. `t_alu` and `t_mem`
@@ -602,7 +663,7 @@ impl VliwCore {
             first = false;
             let mut t_alu = earliest;
             let mut t_mem = earliest;
-            for op in bundle.iter() {
+            for op in &slots {
                 match op {
                     Op::Alu { a, b, .. } => {
                         wait_operand(&ready, &from_mem, *a, &mut t_alu, &mut t_mem);
@@ -635,7 +696,7 @@ impl VliwCore {
             issue_time = t;
             self.stats.bundles_issued += 1;
 
-            for op in bundle.iter() {
+            for op in &slots {
                 match op {
                     Op::Nop => {}
                     Op::Fence => {
@@ -1265,7 +1326,9 @@ mod tests {
     /// Random blocks that ignore latencies (see [`crate::testgen`]), each
     /// run twice (cold, then warm cache) by the core and by its
     /// reference: equal results, errors included, and equal state,
-    /// statistics, profiles, flight recorders and guest memory.
+    /// statistics, profiles, flight recorders and guest memory. Blocks
+    /// with lifted commits and blocks that keep them as steps each end in
+    /// every way a block can.
     #[test]
     fn packed_random_blocks_execute_like_the_reference_core() {
         use crate::testgen::{self, MEMORY_BYTES, SIDE_EXIT_TARGET};
@@ -1273,10 +1336,18 @@ mod tests {
 
         const EXITS: [&str; 6] =
             ["side exits", "terminators", "rollbacks", "faults", "too wide", "unterminated"];
-        let mut exits = [0; EXITS.len()];
+        // Runs by exit, of blocks with lifted commits and of blocks that
+        // keep commits as steps.
+        let mut exits = [[0; EXITS.len()]; 2];
         let mut issue_stalls = 0;
         for index in 0..2_000 {
             let case = testgen::case(index);
+            assert!(!case.liftable || case.block.lifts_commits(), "case {index}");
+            // A block without commits lifts none and counts as neither.
+            let form = match (case.block.lifts_commits(), case.block.commits.is_empty()) {
+                (true, true) => None,
+                (lifts, _) => Some(usize::from(!lifts)),
+            };
             let mut rng = XorShift64::new(0xc0de ^ index);
             let mut mem = GuestMemory::new(MEMORY_BYTES);
             for addr in (0..MEMORY_BYTES as u64).step_by(8) {
@@ -1309,7 +1380,9 @@ mod tests {
                     Err(CoreError::IssueWidthExceeded { .. }) => 4,
                     Err(CoreError::MissingTerminator { .. }) => 5,
                 };
-                exits[exit] += 1;
+                if let Some(form) = form {
+                    exits[form][exit] += 1;
+                }
             }
             assert!(mem == oracle_mem, "case {index}: guest memory differs");
             assert!(
@@ -1320,7 +1393,7 @@ mod tests {
                 issue_stalls += 1;
             }
         }
-        assert!(exits.iter().all(|&n| n >= 20), "{EXITS:?}: {exits:?}");
+        assert!(exits.iter().flatten().all(|&n| n >= 20), "{EXITS:?}, lifted then not: {exits:?}");
         assert!(issue_stalls >= 20, "only {issue_stalls} cases wait on an ALU result");
     }
 

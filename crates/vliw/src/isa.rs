@@ -263,12 +263,15 @@ pub(crate) enum Step {
         /// outstanding memory access.
         rdcycle: bool,
     },
-    /// One slot of bundle `bundle`, in slot order.
+    /// One slot of bundle `bundle`, in slot order, unless it is a lifted
+    /// commit.
     Exec {
         /// The operation.
         op: Op,
         /// The bundle.
         bundle: u32,
+        /// How many lifted commits come before the slot.
+        lifted: u16,
         /// Whether a kept wait names `op`'s destination, so the core must
         /// record when its result is ready.
         awaited: bool,
@@ -289,6 +292,24 @@ impl Step {
             Step::Exec { op, .. } => Some(op),
             Step::Stall { .. } => None,
         }
+    }
+}
+
+/// A register commit lifted out of a block's steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Commit {
+    /// The source operand.
+    pub(crate) src: Operand,
+    /// The architectural register written.
+    pub(crate) reg: Reg,
+    /// The bundle it was scheduled in.
+    pub(crate) bundle: u32,
+}
+
+impl Commit {
+    /// The commit as the operation it was lifted from.
+    fn op(&self) -> Op {
+        Op::CommitReg { reg: self.reg, src: self.src }
     }
 }
 
@@ -322,17 +343,38 @@ impl Write {
 /// has no earlier writer in the block, or when its last earlier writer is an
 /// ALU operation or `rdcycle` at least its latency bundles back: that value
 /// is ready by construction. Loads keep their waits. Slots whose destination
-/// a kept wait names are marked, and only they record ready times. The
-/// [`core`](crate::core) module docs explain why cycle counts and phase
-/// attribution stay what a per-slot scan gives. The steps are read-only
-/// once built, so the lowering cannot go stale; [`TranslatedBlock::bundles`]
-/// views them as the bundles they came from.
+/// a kept wait names are marked, and only they record ready times.
+///
+/// Register commits are lifted out of the steps into a list of their own,
+/// in slot order, when no operand reads an architectural register after a
+/// commit to it and no commit's physical source is written after the
+/// commit. Every commit then reads what it would have read in its slot, so
+/// the core applies them only where the block leaves: at a taken side exit
+/// or a terminator, the last lifted commit to each register before it; on a
+/// fault, every lifted commit before it; on a rollback, none. Code
+/// generation meets both conditions on every registry program (each IR
+/// value gets a physical register of its own), but not on all guest code;
+/// [`TranslatedBlock::lifts_commits`] says whether a block did. The [`core`](crate::core) module docs explain why
+/// cycle counts, statistics, phase attribution and the architectural state
+/// at every exit stay what a per-slot scan gives. The lowered form is
+/// read-only once built, so it cannot go stale; [`TranslatedBlock::bundles`]
+/// views it as the bundles it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TranslatedBlock {
     /// Guest address this block translates.
     pub entry_pc: u64,
     /// The scheduled bundles, lowered.
     pub(crate) steps: Vec<Step>,
+    /// The lifted commits, in slot order; empty when the commits are steps.
+    pub(crate) commits: Vec<Commit>,
+    /// Whether the block's commits are lifted out of its steps.
+    lifts_commits: bool,
+    /// The live commits at each exit, as indices into `commits`: the last
+    /// lifted commit to each register before the exit, in slot order.
+    live: Vec<u16>,
+    /// Where in `live` the list of an exit after `k` lifted commits starts
+    /// (entry `k`) and ends (entry `k + 1`). The list depends only on `k`.
+    live_start: Vec<u32>,
     /// Number of bundles, empty ones included.
     pub(crate) bundle_count: u32,
     /// Slots in the widest bundle.
@@ -346,8 +388,8 @@ pub struct TranslatedBlock {
     pub guest_inst_count: usize,
 }
 
-/// The physical registers `op` reads.
-fn phys_reads(op: &Op) -> impl Iterator<Item = PhysReg> {
+/// The operands `op` reads.
+fn operands(op: &Op) -> impl Iterator<Item = Operand> {
     let (a, b) = match op {
         Op::Alu { a, b, .. } | Op::SideExit { a, b, .. } => (Some(*a), Some(*b)),
         Op::Store { value, base, .. } => (Some(*value), Some(*base)),
@@ -356,14 +398,93 @@ fn phys_reads(op: &Op) -> impl Iterator<Item = PhysReg> {
         Op::JumpIndirect { target } => (Some(*target), None),
         Op::Nop | Op::Jump { .. } | Op::Halt | Op::Fence | Op::RdCycle { .. } => (None, None),
     };
-    a.into_iter().chain(b).filter_map(|operand| match operand {
+    a.into_iter().chain(b)
+}
+
+/// The physical registers `op` reads.
+fn phys_reads(op: &Op) -> impl Iterator<Item = PhysReg> {
+    operands(op).filter_map(|operand| match operand {
         Operand::Phys(p) => Some(p),
         Operand::Arch(_) | Operand::Imm(_) => None,
     })
 }
 
+/// How many commits `ops` (a block's slots, in order) hold, if they can be
+/// lifted: no operand reads an architectural register after a commit to
+/// it, no commit's physical source is written after the commit, and each
+/// step's count of earlier commits fits its `u16`. `regs` bounds the
+/// physical registers written.
+fn liftable_commits<'a>(ops: impl Iterator<Item = &'a Op>, regs: usize) -> Option<usize> {
+    // Architectural registers committed so far, one bit each.
+    let mut committed = 0u32;
+    // Physical registers some commit so far reads.
+    let mut sources = vec![false; regs];
+    let mut commits = 0;
+    for op in ops {
+        let stale =
+            |operand| matches!(operand, Operand::Arch(r) if committed >> r.index() & 1 == 1);
+        if operands(op).any(stale) || op.dst().is_some_and(|dst| sources[dst.index()]) {
+            return None;
+        }
+        if let Op::CommitReg { reg, src } = op {
+            committed |= 1 << reg.index();
+            // A register nothing writes cannot be written after the commit.
+            if let Operand::Phys(p) = src {
+                if let Some(source) = sources.get_mut(p.index()) {
+                    *source = true;
+                }
+            }
+            commits += 1;
+        }
+    }
+    (commits <= usize::from(u16::MAX)).then_some(commits)
+}
+
+/// Whether `op` can end a block's execution where it stands: a side exit
+/// or a terminator.
+fn is_exit(op: &Op) -> bool {
+    matches!(op, Op::SideExit { .. }) || op.is_terminator()
+}
+
+/// The live lists of a block's exits, flat, and where each starts. For
+/// each `k` with `exits_after[k]`, the list holds the index of the last of
+/// `commits[..k]` to each register, ascending; entry `k` of the starts is
+/// where that list begins, entry `k + 1` where it ends.
+fn live_lists(commits: &[Commit], exits_after: &[bool]) -> (Vec<u16>, Vec<u32>) {
+    let mut last = [None; Reg::COUNT];
+    let mut live = Vec::new();
+    let mut live_start = Vec::with_capacity(exits_after.len() + 1);
+    let end = |live: &Vec<u16>| u32::try_from(live.len()).expect("2^16 lists of 32 at most");
+    for (k, &exit) in exits_after.iter().enumerate() {
+        live_start.push(end(&live));
+        if exit {
+            let start = live.len();
+            live.extend(last.iter().flatten());
+            live[start..].sort_unstable();
+        }
+        if let Some(commit) = commits.get(k) {
+            let k = u16::try_from(k).expect("at most `u16::MAX` commits are lifted");
+            last[usize::from(commit.reg.index())] = Some(k);
+        }
+    }
+    live_start.push(end(&live));
+    (live, live_start)
+}
+
+/// Where a core stops walking a block with a bundle wider than it issues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TooWide {
+    /// The first bundle too wide.
+    pub(crate) bundle: u32,
+    /// Its slots.
+    pub(crate) slots: usize,
+    /// The lifted commits in the bundles before it.
+    pub(crate) lifted: usize,
+}
+
 impl TranslatedBlock {
-    /// Builds a block, lowering `bundles` into its steps.
+    /// Builds a block, lowering `bundles` into its steps and lifting its
+    /// commits out of them where it can.
     pub fn new(
         entry_pc: u64,
         bundles: Vec<Bundle>,
@@ -408,18 +529,38 @@ impl TranslatedBlock {
             }
         }
         let widest = bundles.iter().map(|bundle| bundle.slots.len()).max().unwrap_or(0);
-        let mut steps = Vec::with_capacity(ops().count() + stalls.len());
+        let lifted = liftable_commits(ops(), regs);
+        let lifted_count = lifted.unwrap_or(0);
+        let mut steps = Vec::with_capacity(ops().count() - lifted_count + stalls.len());
+        let mut commits = Vec::with_capacity(lifted_count);
+        // Whether some exit comes after exactly `k` lifted commits, by `k`.
+        let mut exits_after = vec![false; lifted_count + 1];
         let mut stalls = stalls.into_iter().peekable();
         for (index, bundle) in (0..).zip(bundles) {
             steps.extend(stalls.next_if(|stall| stall.bundle() == index));
-            steps.extend(bundle.slots.into_iter().map(|op| {
-                let awaited = op.dst().is_some_and(|dst| awaited[dst.index()]);
-                Step::Exec { op, bundle: index, awaited }
-            }));
+            for op in bundle.slots {
+                match op {
+                    Op::CommitReg { reg, src } if lifted.is_some() => {
+                        commits.push(Commit { src, reg, bundle: index });
+                    }
+                    op => {
+                        exits_after[commits.len()] |= is_exit(&op);
+                        let awaited = op.dst().is_some_and(|dst| awaited[dst.index()]);
+                        let lifted = u16::try_from(commits.len())
+                            .expect("`liftable_commits` lifts at most `u16::MAX` commits");
+                        steps.push(Step::Exec { op, bundle: index, lifted, awaited });
+                    }
+                }
+            }
         }
+        let (live, live_start) = live_lists(&commits, &exits_after);
         TranslatedBlock {
             entry_pc,
             steps,
+            commits,
+            lifts_commits: lifted.is_some(),
+            live,
+            live_start,
             bundle_count,
             widest,
             phys_reg_count,
@@ -428,41 +569,64 @@ impl TranslatedBlock {
         }
     }
 
-    /// The scheduled bundles, in order, each as a view of its slots.
+    /// Whether the block's register commits are lifted out of its steps, so
+    /// that the core applies them only where the block leaves and a
+    /// rollback needs no copy of the entry state.
+    pub fn lifts_commits(&self) -> bool {
+        self.lifts_commits
+    }
+
+    /// The commits live at an exit after `lifted` lifted commits: the last
+    /// of them to each register, in slot order.
+    pub(crate) fn live_commits(&self, lifted: u16) -> impl Iterator<Item = &Commit> {
+        let k = usize::from(lifted);
+        let list = &self.live[self.live_start[k] as usize..self.live_start[k + 1] as usize];
+        list.iter().map(|&index| &self.commits[usize::from(index)])
+    }
+
+    /// The scheduled bundles, in order, each as a view of its slots, lifted
+    /// commits included.
     pub fn bundles(&self) -> impl ExactSizeIterator<Item = BundleSlots<'_>> {
-        let mut rest = self.steps.as_slice();
+        let (mut steps, mut commits) = (self.steps.as_slice(), self.commits.as_slice());
+        let mut first_commit = 0;
         (0..self.bundle_count).map(move |bundle| {
-            let len = rest.iter().take_while(|step| step.bundle() == bundle).count();
-            let (steps, tail) = rest.split_at(len);
-            rest = tail;
-            BundleSlots { steps }
+            let len = steps.iter().take_while(|step| step.bundle() == bundle).count();
+            let (own_steps, rest) = steps.split_at(len);
+            steps = rest;
+            let len = commits.iter().take_while(|commit| commit.bundle == bundle).count();
+            let (own_commits, rest) = commits.split_at(len);
+            commits = rest;
+            let view = BundleSlots { steps: own_steps, commits: own_commits, first_commit };
+            first_commit += len;
+            view
         })
     }
 
-    /// The steps a core of `issue_width` runs, and the first bundle too
-    /// wide for it, if any, with its slot count: the steps then end where
-    /// that bundle begins.
-    pub(crate) fn steps_within(&self, issue_width: usize) -> (&[Step], Option<(u32, usize)>) {
+    /// The steps a core of `issue_width` runs, and where it stops short if
+    /// a bundle is too wide for it: the steps then end where that bundle
+    /// begins.
+    pub(crate) fn steps_within(&self, issue_width: usize) -> (&[Step], Option<TooWide>) {
         if self.widest <= issue_width {
             return (&self.steps, None);
         }
         let (bundle, slots) = (0..)
             .zip(self.bundles())
-            .find(|(_, slots)| slots.len() > issue_width)
             .map(|(bundle, slots)| (bundle, slots.len()))
+            .find(|&(_, slots)| slots > issue_width)
             .expect("the widest bundle is too wide");
-        let end = self.steps.iter().position(|step| step.bundle() == bundle).expect("it has slots");
-        (&self.steps[..end], Some((bundle, slots)))
+        let end = self.steps.partition_point(|step| step.bundle() < bundle);
+        let lifted = self.commits.partition_point(|commit| commit.bundle < bundle);
+        (&self.steps[..end], Some(TooWide { bundle, slots, lifted }))
     }
 
-    /// Every operation, bundle after bundle, in slot order.
+    /// Every operation the steps hold, bundle after bundle, in slot order.
     fn ops(&self) -> impl Iterator<Item = &Op> {
         self.steps.iter().filter_map(Step::op)
     }
 
     /// Total number of operations across all bundles (excluding nops).
     pub fn op_count(&self) -> usize {
-        self.ops().filter(|op| !matches!(op, Op::Nop)).count()
+        self.ops().filter(|op| !matches!(op, Op::Nop)).count() + self.commits.len()
     }
 
     /// Number of speculative loads in the scheduled code.
@@ -475,24 +639,41 @@ impl TranslatedBlock {
 /// [`TranslatedBlock::bundles`] yields them.
 #[derive(Debug, Clone, Copy)]
 pub struct BundleSlots<'a> {
-    /// The bundle's steps: its stall check, if any, then its slots.
+    /// The bundle's steps: its stall check, if any, then its other slots.
     steps: &'a [Step],
+    /// The bundle's lifted commits.
+    commits: &'a [Commit],
+    /// The index of the first of them among the block's lifted commits.
+    first_commit: usize,
 }
 
 impl<'a> BundleSlots<'a> {
     /// The operations, in slot order, nops included.
-    pub fn iter(&self) -> impl Iterator<Item = &'a Op> {
-        self.steps.iter().filter_map(Step::op)
+    pub fn iter(&self) -> impl Iterator<Item = Op> + 'a {
+        let BundleSlots { steps, commits, first_commit } = *self;
+        // A slot step comes after `lifted` commits, so the bundle's commits
+        // up to that count go before it and the rest after its last step.
+        let slots = steps.iter().filter_map(move |step| match step {
+            Step::Exec { op, lifted, .. } => Some((op, usize::from(*lifted) - first_commit)),
+            Step::Stall { .. } => None,
+        });
+        let mut next = 0;
+        slots.map(Some).chain([None]).flat_map(move |slot| {
+            let before = slot.map_or(commits.len(), |(_, lifted)| lifted);
+            let lifted = commits[next..before].iter().map(Commit::op);
+            next = before;
+            lifted.chain(slot.map(|(op, _)| op.clone()))
+        })
     }
 
     /// Number of slots, nops included.
     pub fn len(&self) -> usize {
-        self.iter().count()
+        self.steps.iter().filter_map(Step::op).count() + self.commits.len()
     }
 
     /// Whether the bundle has no slots.
     pub fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
+        self.len() == 0
     }
 }
 
@@ -522,6 +703,8 @@ impl fmt::Display for TranslatedBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::{BlockOutcome, CoreConfig, CoreError, VliwCore};
+    use dbt_riscv::GuestMemory;
 
     #[test]
     fn op_dst_and_classification() {
@@ -663,7 +846,7 @@ mod tests {
             .steps
             .iter()
             .filter_map(|step| match step {
-                Step::Exec { op, bundle, awaited: true } => Some((*bundle, op.dst()?.0)),
+                Step::Exec { op, bundle, awaited: true, .. } => Some((*bundle, op.dst()?.0)),
                 _ => None,
             })
             .collect()
@@ -789,7 +972,7 @@ mod tests {
             vec![],
         ];
         let block = block(input.clone());
-        let views: Vec<Vec<Op>> = block.bundles().map(|b| b.iter().cloned().collect()).collect();
+        let views: Vec<Vec<Op>> = block.bundles().map(|b| b.iter().collect()).collect();
         assert_eq!(views, input);
         assert_eq!(block.bundles().len(), 6);
         assert_eq!(block.bundles().map(|b| b.len()).collect::<Vec<_>>(), [2, 0, 3, 1, 1, 0]);
@@ -799,5 +982,282 @@ mod tests {
         assert!(text.starts_with("translated block @0x0 (6 bundles):\n"), "{text}");
         assert!(text.contains("  c  1: {  }\n"), "{text}");
         assert!(text.contains("  c  2: { commit $a0 <- p0 ; fence ; nop }\n"), "{text}");
+    }
+
+    fn commit_to(reg: Reg, src: Operand) -> Op {
+        Op::CommitReg { reg, src }
+    }
+
+    fn side_exit() -> Op {
+        let (a, b) = (Operand::Imm(0), Operand::Imm(1));
+        Op::SideExit { cond: BranchCond::Eq, a, b, target: 0x40 }
+    }
+
+    /// The commits live at each side exit or terminator, in step order.
+    fn live_at_exits(block: &TranslatedBlock) -> Vec<Vec<Op>> {
+        let exits = block.steps.iter().filter_map(|step| match step {
+            Step::Exec { op, lifted, .. } if is_exit(op) => Some(*lifted),
+            _ => None,
+        });
+        exits.map(|lifted| block.live_commits(lifted).map(Commit::op).collect()).collect()
+    }
+
+    /// Whether any step is a commit.
+    fn commit_steps(block: &TranslatedBlock) -> bool {
+        block.ops().any(|op| matches!(op, Op::CommitReg { .. }))
+    }
+
+    /// Runs `block` once on a core of `issue_width` whose `a1` holds 77
+    /// and once on its reference, requires equal results, state and
+    /// counters, and returns the core.
+    fn run(
+        block: &TranslatedBlock,
+        issue_width: usize,
+    ) -> (Result<BlockOutcome, CoreError>, VliwCore) {
+        let config = CoreConfig { issue_width, ..CoreConfig::default() };
+        let mut core = VliwCore::new(config, 0);
+        core.arch_mut().set_reg(Reg::A1, 77);
+        let (mut oracle, mut mem) = (core.clone(), GuestMemory::new(0x1000));
+        let mut oracle_mem = mem.clone();
+        let got = core.execute_block(block, &mut mem);
+        assert_eq!(got, oracle.execute_block_reference(block, &mut oracle_mem));
+        assert_eq!(core.arch(), oracle.arch());
+        assert_eq!(core.stats(), oracle.stats());
+        assert_eq!(core.profiler().phases, oracle.profiler().phases);
+        assert!(mem == oracle_mem);
+        (got, core)
+    }
+
+    #[test]
+    fn an_exits_live_list_holds_the_last_commit_to_each_register_in_slot_order() {
+        let a1 = Operand::Arch(Reg::A1);
+        let block = block(vec![
+            vec![alu(AluOp::Add, 0, Operand::Imm(1)), alu(AluOp::Add, 1, Operand::Imm(2))],
+            vec![commit(p(0)), commit_to(Reg::A3, a1), commit_to(Reg::A1, Operand::Imm(5))],
+            vec![commit(p(1)), side_exit(), commit_to(Reg::A2, p(0))],
+            vec![side_exit(), commit_to(Reg::A1, Operand::Imm(7))],
+            vec![commit(Operand::Imm(9)), Op::Halt],
+        ]);
+        assert!(block.lifts_commits());
+        assert!(!commit_steps(&block));
+        assert_eq!(block.commits.len(), 7);
+        let first = vec![commit_to(Reg::A3, a1), commit_to(Reg::A1, Operand::Imm(5)), commit(p(1))];
+        let second = [first.clone(), vec![commit_to(Reg::A2, p(0))]].concat();
+        let last = vec![
+            commit_to(Reg::A3, a1),
+            commit_to(Reg::A2, p(0)),
+            commit_to(Reg::A1, Operand::Imm(7)),
+            commit(Operand::Imm(9)),
+        ];
+        assert_eq!(live_at_exits(&block), [first, second, last]);
+        // a3 reads a1 before either commit to a1 reaches the state.
+        let (_, core) = run(&block, 4);
+        let arch = core.arch();
+        let regs = [Reg::A0, Reg::A1, Reg::A2, Reg::A3].map(|reg| arch.reg(reg));
+        assert_eq!(regs, [9, 7, 2, 77]);
+    }
+
+    #[test]
+    fn an_architectural_read_after_a_commit_leaves_the_block_unlifted() {
+        let read_a0 = |at: usize| {
+            let mut slots = vec![vec![commit_to(Reg::A0, Operand::Imm(1))], vec![Op::Halt]];
+            slots[at].insert(0, load(0));
+            if let Op::Load { base, .. } = &mut slots[at][0] {
+                *base = Operand::Arch(Reg::A0);
+            }
+            block(slots)
+        };
+        // A load (into a register no commit reads, like a load into `x0`)
+        // reads a0 before its commit, then after it.
+        assert!(read_a0(0).lifts_commits());
+        let late = read_a0(1);
+        assert!(!late.lifts_commits());
+        assert!(commit_steps(&late));
+        assert!(late.commits.is_empty());
+        // A commit reading a register committed before it counts too.
+        let chained = block(vec![
+            vec![commit_to(Reg::A0, Operand::Imm(1))],
+            vec![commit_to(Reg::A1, Operand::Arch(Reg::A0)), Op::Halt],
+        ]);
+        assert!(!chained.lifts_commits());
+        // Reading a register no commit writes keeps the block lifted.
+        let other = block(vec![
+            vec![commit_to(Reg::A0, Operand::Imm(1))],
+            vec![alu(AluOp::Add, 0, Operand::Arch(Reg::A1)), Op::Halt],
+        ]);
+        assert!(other.lifts_commits());
+    }
+
+    #[test]
+    fn a_physical_source_written_after_its_commit_leaves_the_block_unlifted() {
+        let rewritten = block(vec![
+            vec![alu(AluOp::Add, 0, Operand::Imm(1))],
+            vec![commit(p(0))],
+            vec![alu(AluOp::Add, 0, Operand::Imm(2)), Op::Halt],
+        ]);
+        assert!(!rewritten.lifts_commits());
+        assert!(commit_steps(&rewritten));
+        // Written twice before the commit reads it, and never after.
+        let before = block(vec![
+            vec![alu(AluOp::Add, 0, Operand::Imm(1))],
+            vec![alu(AluOp::Add, 0, Operand::Imm(2))],
+            vec![commit(p(0)), Op::Halt],
+        ]);
+        assert!(before.lifts_commits());
+        let (_, core) = run(&before, 4);
+        assert_eq!(core.arch().reg(Reg::A0), 3);
+        // Later in the same bundle counts as after.
+        let same_bundle = block(vec![vec![commit(p(0)), load(0)], vec![Op::Halt]]);
+        assert!(!same_bundle.lifts_commits());
+    }
+
+    #[test]
+    fn lifted_commits_count_into_ops_executed() {
+        let slots = |exit: i64| {
+            vec![
+                vec![alu(AluOp::Add, 0, Operand::Imm(1)), commit(p(0)), Op::Nop, Op::Fence],
+                vec![commit_to(Reg::A1, Operand::Imm(3)), commit(Operand::Imm(4))],
+                vec![Op::SideExit {
+                    cond: BranchCond::Eq,
+                    a: Operand::Imm(0),
+                    b: Operand::Imm(exit),
+                    target: 0x40,
+                }],
+                vec![commit_to(Reg::A2, p(0)), Op::Jump { target: 0x80 }],
+            ]
+        };
+        // Taken: the add, three commits and the exit.
+        let (outcome, core) = run(&block(slots(0)), 4);
+        assert_eq!(outcome.unwrap().next_pc, Some(0x40));
+        assert_eq!(core.stats().ops_executed, 5);
+        assert_eq!((core.arch().reg(Reg::A0), core.arch().reg(Reg::A1)), (4, 3));
+        assert_eq!(core.arch().reg(Reg::A2), 0);
+        // Not taken: two more.
+        let (outcome, core) = run(&block(slots(1)), 4);
+        assert_eq!(outcome.unwrap().next_pc, Some(0x80));
+        assert_eq!(core.stats().ops_executed, 7);
+        assert_eq!(core.arch().reg(Reg::A2), 2);
+    }
+
+    #[test]
+    fn a_fault_applies_every_earlier_lifted_commit() {
+        let mut faulting = load(1);
+        if let Op::Load { base, .. } = &mut faulting {
+            *base = Operand::Imm(0x2000);
+        }
+        let block = block(vec![
+            vec![alu(AluOp::Add, 0, Operand::Imm(5)), commit(Operand::Imm(1))],
+            vec![commit(p(0)), commit_to(Reg::A1, Operand::Imm(2))],
+            vec![commit_to(Reg::A1, Operand::Imm(3)), faulting, commit_to(Reg::A2, p(0))],
+            vec![Op::Halt],
+        ]);
+        assert!(block.lifts_commits());
+        let (outcome, core) = run(&block, 4);
+        assert_eq!(outcome, Err(CoreError::MemFault { addr: 0x2000, bytes: 8 }));
+        let arch = core.arch();
+        assert_eq!((arch.reg(Reg::A0), arch.reg(Reg::A1), arch.reg(Reg::A2)), (6, 3, 0));
+        assert_eq!(core.stats().ops_executed, 6);
+    }
+
+    #[test]
+    fn a_rollback_restores_the_entry_state_without_a_snapshot() {
+        let width = AccessWidth::DOUBLE;
+        let (base, value) = (Operand::Imm(0x800), Operand::Imm(222));
+        let spec = Op::Load {
+            width,
+            dst: PhysReg(0),
+            base,
+            offset: 0,
+            speculative: true,
+            original_seq: 2,
+        };
+        let store =
+            |checks_mcb| Op::Store { width, value, base, offset: 0, checks_mcb, original_seq: 1 };
+        let block = TranslatedBlock::new(
+            0,
+            vec![
+                Bundle { slots: vec![spec.clone(), commit_to(Reg::A1, Operand::Imm(5))] },
+                Bundle { slots: vec![commit(Operand::Imm(6)), store(true)] },
+                Bundle { slots: vec![commit(p(0)), Op::Halt] },
+            ],
+            1,
+            vec![store(false), commit(Operand::Imm(9)), Op::Halt],
+            2,
+        );
+        assert!(block.lifts_commits());
+        let (outcome, core) = run(&block, 4);
+        assert!(outcome.unwrap().rolled_back);
+        // The two commits before the store never reached the state; the
+        // recovery code's commit did.
+        assert_eq!((core.arch().reg(Reg::A0), core.arch().reg(Reg::A1)), (9, 77));
+        assert_eq!(core.stats().ops_executed, 4);
+    }
+
+    #[test]
+    fn a_too_wide_bundle_of_lifted_commits_ends_the_walk_where_it_begins() {
+        let block = block(vec![
+            vec![alu(AluOp::Add, 0, Operand::Imm(1)), commit(p(0))],
+            vec![
+                commit_to(Reg::A1, Operand::Imm(1)),
+                commit_to(Reg::A2, Operand::Imm(2)),
+                commit_to(Reg::A3, Operand::Imm(3)),
+            ],
+            vec![Op::Halt],
+        ]);
+        assert!(block.lifts_commits());
+        let (steps, too_wide) = block.steps_within(2);
+        assert_eq!(steps.len(), 1, "only the add runs");
+        assert_eq!(too_wide, Some(TooWide { bundle: 1, slots: 3, lifted: 1 }));
+        let (outcome, core) = run(&block, 2);
+        assert_eq!(outcome, Err(CoreError::IssueWidthExceeded { entry_pc: 0, slots: 3 }));
+        assert_eq!((core.arch().reg(Reg::A0), core.arch().reg(Reg::A2)), (2, 0));
+        assert_eq!((core.stats().ops_executed, core.stats().bundles_issued), (2, 1));
+    }
+
+    #[test]
+    fn bundles_view_lifted_commits_in_their_slots() {
+        let input = vec![
+            vec![commit(Operand::Imm(1)), load(0), commit_to(Reg::A1, p(0))],
+            vec![commit_to(Reg::A2, Operand::Imm(2)), commit_to(Reg::A3, Operand::Imm(3))],
+            vec![],
+            vec![Op::Nop, commit(p(0)), side_exit(), Op::Fence, commit(Operand::Imm(4))],
+            vec![Op::Halt, commit_to(Reg::A2, Operand::Imm(5))],
+        ];
+        let lifted = block(input.clone());
+        assert!(lifted.lifts_commits());
+        assert_eq!(lifted.commits.len(), 7);
+        // Reading a3 after its commit keeps the commits in the steps.
+        let mut kept_input = input.clone();
+        kept_input[4].insert(0, alu(AluOp::Add, 1, Operand::Arch(Reg::A3)));
+        let kept = block(kept_input.clone());
+        assert!(!kept.lifts_commits());
+        for (block, input) in [(lifted, input), (kept, kept_input)] {
+            let views: Vec<Vec<Op>> = block.bundles().map(|b| b.iter().collect()).collect();
+            assert_eq!(views, input);
+            let lens: Vec<usize> = block.bundles().map(|b| b.len()).collect();
+            assert_eq!(lens, input.iter().map(Vec::len).collect::<Vec<_>>());
+            assert_eq!(
+                block.op_count(),
+                input.iter().flatten().filter(|op| **op != Op::Nop).count()
+            );
+        }
+    }
+
+    #[test]
+    fn more_commits_than_a_step_can_count_stay_in_the_steps() {
+        let commits = |n: usize| {
+            let mut slots = vec![commit(Operand::Imm(1)); n];
+            slots.push(Op::Halt);
+            block(vec![slots])
+        };
+        assert!(commits(usize::from(u16::MAX)).lifts_commits());
+        assert!(!commits(usize::from(u16::MAX) + 1).lifts_commits());
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_step_takes_56_bytes() {
+        assert_eq!(std::mem::size_of::<Step>(), 56);
+        assert_eq!(std::mem::size_of::<Commit>(), 24);
     }
 }

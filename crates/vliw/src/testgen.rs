@@ -8,7 +8,12 @@
 //! fences take up slots. Accesses share a few addresses, so speculative
 //! loads conflict with checked stores, and some fall outside guest memory.
 //! Some blocks hold a bundle wider than the core in mid-block, and some end
-//! without a terminator.
+//! without a terminator. Some bundles hold only commits.
+//!
+//! A third of the cases keep to the conditions for lifting commits out of
+//! the steps: no operand reads a guest register after a commit to it, and
+//! no commit's physical source is written after it. The rest read and
+//! write freely, so most of those that commit keep their commits as steps.
 
 use crate::isa::{AccessWidth, Bundle, Op, Operand, PhysReg, TranslatedBlock};
 use dbt_riscv::inst::AluOp;
@@ -45,12 +50,16 @@ fn pick<T: Copy>(rng: &mut XorShift64, items: &[T]) -> T {
 pub(crate) struct Case {
     pub(crate) block: TranslatedBlock,
     pub(crate) issue_width: usize,
+    /// Whether the block keeps to the conditions for lifting its commits.
+    pub(crate) liftable: bool,
 }
 
 /// The `index`-th case.
 pub(crate) fn case(index: u64) -> Case {
-    let rng = XorShift64::new(0x5eed_b10c ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let mut gen = Generator { rng, latest: Vec::new(), earlier: Vec::new() };
+    let mut rng = XorShift64::new(0x5eed_b10c ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let liftable = rng.next_below(3) == 0;
+    let mut gen =
+        Generator { rng, latest: Vec::new(), earlier: Vec::new(), liftable, committed: 0, read: 0 };
     let issue_width = pick(&mut gen.rng, &WIDTHS);
     let bundle_count = 1 + gen.rng.next_below(10) as usize;
     let too_wide =
@@ -63,7 +72,9 @@ pub(crate) fn case(index: u64) -> Case {
         } else {
             gen.rng.next_below(issue_width as u64 + 1) as usize
         };
-        let mut slots: Vec<Op> = (0..width).map(|_| gen.op()).collect();
+        let commits_only = gen.rng.next_below(8) == 0;
+        let mut slots: Vec<Op> =
+            (0..width).map(|_| if commits_only { gen.commit() } else { gen.op() }).collect();
         if terminated && index + 1 == bundle_count {
             let terminator = match gen.rng.next_below(3) {
                 0 => Op::Halt,
@@ -89,7 +100,7 @@ pub(crate) fn case(index: u64) -> Case {
     }
     recovery.push(Op::Halt);
     let block = TranslatedBlock::new(0x1000, bundles, PHYS_REGS, recovery, bundle_count);
-    Case { block, issue_width }
+    Case { block, issue_width, liftable }
 }
 
 struct Generator {
@@ -98,6 +109,12 @@ struct Generator {
     latest: Vec<u16>,
     /// Registers written in earlier bundles, the previous bundle's last.
     earlier: Vec<u16>,
+    /// Whether the case keeps to the lift conditions.
+    liftable: bool,
+    /// Guest registers committed so far, one bit each.
+    committed: u32,
+    /// Physical registers a commit has read so far, one bit each.
+    read: u32,
 }
 
 impl Generator {
@@ -105,10 +122,43 @@ impl Generator {
         self.earlier.append(&mut self.latest);
     }
 
+    /// Any register, or in a liftable case one no commit has read.
     fn dst(&mut self) -> PhysReg {
-        let reg = self.rng.next_below(u64::from(PHYS_REGS)) as u16;
+        let free: Vec<u16> =
+            (0..PHYS_REGS).filter(|&reg| !self.liftable || self.read >> reg & 1 == 0).collect();
+        let reg = pick(&mut self.rng, &free);
         self.latest.push(reg);
         PhysReg(reg)
+    }
+
+    /// A guest register, or in a liftable case one not committed yet (an
+    /// immediate once all are).
+    fn arch(&mut self) -> Operand {
+        let free: Vec<Reg> = REGS
+            .into_iter()
+            .filter(|reg| !self.liftable || self.committed >> reg.index() & 1 == 0)
+            .collect();
+        if free.is_empty() {
+            Operand::Imm(0x40)
+        } else {
+            Operand::Arch(pick(&mut self.rng, &free))
+        }
+    }
+
+    /// A commit of some operand. A liftable case reads at most 8 physical
+    /// registers through commits, so `dst` always has 4 left.
+    fn commit(&mut self) -> Op {
+        let reg = pick(&mut self.rng, &REGS);
+        let mut src = self.operand();
+        if let Operand::Phys(p) = src {
+            if self.liftable && (self.read | 1 << p.0).count_ones() > 8 {
+                src = Operand::Imm(i64::from(p.0));
+            } else {
+                self.read |= 1 << p.0;
+            }
+        }
+        self.committed |= 1 << reg.index();
+        Op::CommitReg { reg, src }
     }
 
     /// Mostly recent results, sometimes any register at all.
@@ -123,7 +173,7 @@ impl Generator {
                 Operand::Phys(PhysReg(pick(&mut self.rng, &self.latest)))
             }
             4 => Operand::Phys(PhysReg(self.rng.next_below(u64::from(PHYS_REGS)) as u16)),
-            5..=7 => Operand::Arch(pick(&mut self.rng, &REGS)),
+            5..=7 => self.arch(),
             _ => Operand::Imm(self.rng.next_below(0x100) as i64),
         }
     }
@@ -132,7 +182,7 @@ impl Generator {
     fn address(&mut self) -> (Operand, i64) {
         match self.rng.next_below(16) {
             0 => (self.operand(), 0),
-            1..=2 => (Operand::Arch(pick(&mut self.rng, &REGS)), 8 * self.rng.next_below(2) as i64),
+            1..=2 => (self.arch(), 8 * self.rng.next_below(2) as i64),
             3 => (Operand::Imm(pick(&mut self.rng, &ADDRESSES[3..])), 0),
             _ => (Operand::Imm(pick(&mut self.rng, &ADDRESSES[..3])), 0),
         }
@@ -165,7 +215,7 @@ impl Generator {
                     original_seq: self.rng.next_below(8) as u32,
                 }
             }
-            24..=27 => Op::CommitReg { reg: pick(&mut self.rng, &REGS), src: self.operand() },
+            24..=27 => self.commit(),
             28..=29 => Op::SideExit {
                 cond: BranchCond::Eq,
                 a: Operand::Imm(0),

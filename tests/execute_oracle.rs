@@ -1,5 +1,6 @@
 //! The execute oracle: `VliwCore::execute_block` (one walk over each
-//! block's lowered steps, reused scratch buffers) must behave exactly like
+//! block's lowered steps, reused scratch buffers, register commits applied
+//! where the block exits) must behave exactly like
 //! `VliwCore::execute_block_reference`, the per-slot scan it replaced.
 //!
 //! One engine drives two cores, each with its own guest memory, through
@@ -10,14 +11,18 @@
 //! no cycle may be charged to the issue phase: the scheduler places every
 //! ALU result's consumers at least its latency later, so only memory
 //! stalls. The reference exists only in debug builds.
-#![cfg(debug_assertions)]
+//!
+//! In every build, every block code generation emits for the same programs
+//! must lift its register commits out of its steps.
 
 use dbt_engine::DbtEngine;
 use dbt_platform::PlatformConfig;
 use dbt_riscv::{Program, Reg};
-use dbt_vliw::VliwCore;
+use dbt_vliw::{Op, VliwCore};
 use dbt_workloads::{pointer_matmul, suite, WorkloadSize};
 use ghostbusters::MitigationPolicy;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 const SECRET: &[u8] = b"GhostBusters";
 
@@ -41,6 +46,7 @@ fn config(policy: MitigationPolicy, issue_width: usize) -> PlatformConfig {
 }
 
 /// Runs `program` to its halt on both cores in lockstep.
+#[cfg(debug_assertions)]
 fn lockstep(name: &str, program: &Program, config: PlatformConfig) {
     let label = format!("{name} under {} at width {}", config.dbt.policy, config.core.issue_width);
     let mut memory = program.build_memory().unwrap();
@@ -80,6 +86,7 @@ fn lockstep(name: &str, program: &Program, config: PlatformConfig) {
     assert_eq!(core.profiler().phases.issue, 0, "{label}: an ALU result was read too soon");
 }
 
+#[cfg(debug_assertions)]
 #[test]
 fn every_policy_at_issue_width_4_matches_the_reference() {
     for (name, program) in programs() {
@@ -89,6 +96,7 @@ fn every_policy_at_issue_width_4_matches_the_reference() {
     }
 }
 
+#[cfg(debug_assertions)]
 #[test]
 fn issue_widths_2_and_8_match_the_reference() {
     for (name, program) in programs() {
@@ -97,5 +105,81 @@ fn issue_widths_2_and_8_match_the_reference() {
                 lockstep(&name, &program, config(policy, width));
             }
         }
+    }
+}
+
+/// Code generation gives every IR value a physical register of its own,
+/// and a guest instruction that writes a register commits it before any
+/// later commit, so every block it emits for these programs lifts its
+/// commits. A register allocation or scheduling change that breaks a lift
+/// condition fails here, instead of quietly bringing back a commit step
+/// per commit and an entry-state copy per block.
+#[test]
+fn every_generated_block_lifts_its_commits() {
+    // Distinct blocks checked, and those of them with a commit.
+    let (mut blocks, mut committing) = (0, 0);
+    for (name, program) in programs() {
+        for policy in MitigationPolicy::ALL {
+            for width in [1, 2, 4, 8] {
+                let config = config(policy, width);
+                let mut memory = program.build_memory().unwrap();
+                let mut core = VliwCore::new(config.core, program.entry());
+                core.arch_mut().set_reg(Reg::SP, (memory.len() as u64) & !0xf);
+                let mut engine = DbtEngine::new(config.dbt);
+                let mut seen = HashSet::new();
+                let mut pc = Some(core.arch().pc());
+                while let Some(at) = pc {
+                    let block = engine.block_for(at, &memory).unwrap();
+                    if seen.insert(Arc::as_ptr(&block)) {
+                        assert!(
+                            block.lifts_commits(),
+                            "{name} under {policy} at width {width}, block at {at:#x}:\n{block}"
+                        );
+                        let mut ops = block.bundles().flat_map(|bundle| bundle.iter());
+                        blocks += 1;
+                        committing += usize::from(ops.any(|op| matches!(op, Op::CommitReg { .. })));
+                    }
+                    pc = core.execute_block(&block, &mut memory).unwrap().next_pc;
+                    engine.note_block_exit(at, pc);
+                    if let Some(next) = pc {
+                        core.arch_mut().set_pc(next);
+                    }
+                }
+            }
+        }
+    }
+    assert!(committing * 10 > blocks * 9, "{committing} of {blocks} blocks commit a register");
+}
+
+/// Guest code can still yield a block that keeps its commits as steps: an
+/// instruction into `x0` commits nothing, so nothing orders its read of
+/// `a0` before the commit of `a0`, and the scheduler places it after. Such
+/// a block must run like the reference.
+#[cfg(debug_assertions)]
+#[test]
+fn a_block_reading_a_register_after_its_commit_runs_like_the_reference() {
+    let program = dbt_riscv::parse_asm(
+        "
+.data buf, 64
+    la a0, buf
+    li t1, 100
+    li t2, 7
+    j next
+next:
+    div t0, t1, t2
+    add x0, a0, t0
+    addi a0, a0, 8
+    ecall
+",
+    )
+    .unwrap();
+    for policy in MitigationPolicy::ALL {
+        let config = config(policy, 4);
+        let mut engine = DbtEngine::new(config.dbt);
+        let memory = program.build_memory().unwrap();
+        let next = program.entry() + 16;
+        let block = engine.block_for(next, &memory).unwrap();
+        assert!(!block.lifts_commits(), "{policy}:\n{block}");
+        lockstep("x0 reader", &program, config);
     }
 }
