@@ -19,7 +19,9 @@ pub struct DbtConfig {
     /// Minimum bias (taken-or-not ratio, in `0.5..=1.0`) a conditional
     /// branch needs before the trace builder follows it.
     pub branch_bias_threshold: f64,
-    /// Maximum number of guest instructions merged into one superblock.
+    /// Maximum number of guest instructions in one block or superblock, at
+    /// most `u16::MAX`: each commits at most one register, and a translated
+    /// block holds at most that many commits.
     pub max_trace_guest_insts: usize,
     /// Which speculation mechanisms the optimiser may use.
     pub speculation: DfgOptions,
@@ -82,7 +84,7 @@ impl DbtConfig {
         self.issue_width >= 1
             && self.hot_threshold >= 1
             && (0.5..=1.0).contains(&self.branch_bias_threshold)
-            && self.max_trace_guest_insts >= 1
+            && (1..=usize::from(u16::MAX)).contains(&self.max_trace_guest_insts)
     }
 }
 
@@ -127,5 +129,14 @@ mod tests {
         assert!(!c.is_valid());
         let c = DbtConfig { issue_width: 0, ..DbtConfig::default() };
         assert!(!c.is_valid());
+    }
+
+    #[test]
+    fn traces_stay_within_the_commits_a_translated_block_holds() {
+        let trace =
+            |max_trace_guest_insts| DbtConfig { max_trace_guest_insts, ..DbtConfig::default() };
+        assert!(trace(usize::from(u16::MAX)).is_valid());
+        assert!(!trace(usize::from(u16::MAX) + 1).is_valid());
+        assert!(!trace(0).is_valid());
     }
 }

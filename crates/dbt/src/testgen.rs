@@ -4,6 +4,8 @@
 //! Unlike `spectaint::corpus::random_block`, the generator emits every IR
 //! operation: multiplies and divides, register commits, cycle-counter
 //! reads, cache flushes and fences as well as loads, stores and side exits.
+//! Like a translated block, a block never reads a register's entry value
+//! after committing that register.
 
 use dbt_ir::{BlockKind, DepGraph, DepKind, DfgOptions, InstId, IrBlock, IrOp, MemWidth, Operand};
 use dbt_riscv::inst::AluOp;
@@ -49,10 +51,22 @@ fn pick<T: Copy>(rng: &mut XorShift64, items: &[T]) -> T {
     items[rng.next_below(items.len() as u64) as usize]
 }
 
-fn operand(rng: &mut XorShift64, values: &[InstId]) -> Operand {
+/// The entry value of one of `regs` that `committed` (one bit per
+/// register) does not hold, or an immediate once it holds them all.
+fn live_in(rng: &mut XorShift64, regs: &[Reg], committed: u32) -> Operand {
+    let free: Vec<Reg> =
+        regs.iter().copied().filter(|reg| committed >> reg.index() & 1 == 0).collect();
+    if free.is_empty() {
+        Operand::Imm(0x2000)
+    } else {
+        Operand::LiveIn(pick(rng, &free))
+    }
+}
+
+fn operand(rng: &mut XorShift64, values: &[InstId], committed: u32) -> Operand {
     match rng.next_below(4) {
-        _ if values.is_empty() => Operand::LiveIn(pick(rng, &REGS)),
-        0 => Operand::LiveIn(pick(rng, &REGS)),
+        _ if values.is_empty() => live_in(rng, &REGS, committed),
+        0 => live_in(rng, &REGS, committed),
         1 => Operand::Imm(rng.next_below(0x100) as i64),
         _ => Operand::Value(pick(rng, values)),
     }
@@ -60,11 +74,11 @@ fn operand(rng: &mut XorShift64, values: &[InstId]) -> Operand {
 
 /// Address bases from a small pool, so that accesses alias provably,
 /// provably not, or unknowably.
-fn address(rng: &mut XorShift64, values: &[InstId]) -> (Operand, i64) {
+fn address(rng: &mut XorShift64, values: &[InstId], committed: u32) -> (Operand, i64) {
     let base = match rng.next_below(4) {
         0 => Operand::Imm(0x2000),
-        1 | 2 => Operand::LiveIn(pick(rng, &REGS[..2])),
-        _ => operand(rng, values),
+        1 | 2 => live_in(rng, &REGS[..2], committed),
+        _ => operand(rng, values, committed),
     };
     (base, 8 * rng.next_below(3) as i64)
 }
@@ -77,40 +91,50 @@ fn random_block(rng: &mut XorShift64) -> IrBlock {
     };
     let mut block = IrBlock::new(0x1000, kind);
     let mut values = Vec::new();
+    // Registers committed so far, one bit each.
+    let mut committed = 0u32;
     let mut seq = 0usize;
     for _ in 0..rng.next_range(1, 40) {
         let op = match rng.next_below(13) {
             0 => IrOp::Const(rng.next_below(0x4000) as i64),
             1 | 2 => IrOp::Alu {
                 op: pick(rng, &ALU_OPS),
-                a: operand(rng, &values),
-                b: operand(rng, &values),
+                a: operand(rng, &values, committed),
+                b: operand(rng, &values, committed),
             },
             3 | 4 => {
-                let (base, offset) = address(rng, &values);
+                let (base, offset) = address(rng, &values, committed);
                 let width =
                     pick(rng, &[MemWidth::BYTE_U, MemWidth::new(4, true), MemWidth::DOUBLE]);
                 IrOp::Load { width, base, offset }
             }
             5 | 6 => {
-                let (base, offset) = address(rng, &values);
-                IrOp::Store { width: MemWidth::DOUBLE, value: operand(rng, &values), base, offset }
+                let (base, offset) = address(rng, &values, committed);
+                IrOp::Store {
+                    width: MemWidth::DOUBLE,
+                    value: operand(rng, &values, committed),
+                    base,
+                    offset,
+                }
             }
-            7 => IrOp::WriteReg { reg: pick(rng, &REGS), value: operand(rng, &values) },
+            7 => IrOp::WriteReg { reg: pick(rng, &REGS), value: operand(rng, &values, committed) },
             8 | 9 => IrOp::SideExit {
                 cond: BranchCond::Ne,
-                a: operand(rng, &values),
-                b: operand(rng, &values),
+                a: operand(rng, &values, committed),
+                b: operand(rng, &values, committed),
                 target: 0x2000,
             },
             10 => IrOp::RdCycle,
             11 => {
-                let (base, offset) = address(rng, &values);
+                let (base, offset) = address(rng, &values, committed);
                 IrOp::CacheFlush { base, offset }
             }
             _ => IrOp::Fence,
         };
         let produces_value = op.produces_value();
+        if let IrOp::WriteReg { reg, .. } = op {
+            committed |= 1 << reg.index();
+        }
         let id = block.push(op, 0x1000 + 4 * seq as u64, seq);
         if produces_value {
             values.push(id);
@@ -124,7 +148,7 @@ fn random_block(rng: &mut XorShift64) -> IrBlock {
     // some blocks end without a terminator.
     let terminator = match rng.next_below(8) {
         0 => None,
-        1 => Some(IrOp::JumpIndirect { target: operand(rng, &values) }),
+        1 => Some(IrOp::JumpIndirect { target: operand(rng, &values, committed) }),
         2 => Some(IrOp::Halt),
         _ => Some(IrOp::Jump { target: 0x3000 }),
     };

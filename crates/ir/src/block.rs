@@ -120,6 +120,8 @@ impl IrBlock {
     ///
     /// * every [`Operand::Value`] refers to an earlier, value-producing
     ///   instruction;
+    /// * no [`Operand::LiveIn`] reads a guest register after an
+    ///   [`IrOp::WriteReg`] of it: later reads use the committed value;
     /// * only the last instruction is a terminator, and the block ends with
     ///   one;
     /// * `original_seq` is non-decreasing.
@@ -130,6 +132,8 @@ impl IrBlock {
             return Err("block is empty".to_string());
         }
         let mut prev_seq = 0usize;
+        // Guest registers committed so far, one bit each.
+        let mut committed = 0u32;
         for (index, inst) in self.insts.iter().enumerate() {
             if inst.id.0 != index {
                 return Err(format!("instruction at index {index} has id {}", inst.id));
@@ -139,14 +143,21 @@ impl IrBlock {
             }
             prev_seq = inst.original_seq;
             for operand in inst.op.operands() {
-                if let Operand::Value(def) = operand {
-                    if def.0 >= index {
+                match operand {
+                    Operand::Value(def) if def.0 >= index => {
                         return Err(format!("{} uses {} before it is defined", inst.id, def));
                     }
-                    if !self.insts[def.0].op.produces_value() {
+                    Operand::Value(def) if !self.insts[def.0].op.produces_value() => {
                         return Err(format!("{} uses non-value {}", inst.id, def));
                     }
+                    Operand::LiveIn(reg) if committed >> reg.index() & 1 == 1 => {
+                        return Err(format!("{} reads {operand} after its commit", inst.id));
+                    }
+                    _ => {}
                 }
+            }
+            if let IrOp::WriteReg { reg, .. } = inst.op {
+                committed |= 1 << reg.index();
             }
             let is_last = index + 1 == self.insts.len();
             if inst.op.is_terminator() && !is_last {
@@ -252,6 +263,22 @@ mod tests {
         b.push(IrOp::WriteReg { reg: Reg::A0, value: Operand::Value(s) }, 0, 1);
         b.push(IrOp::Halt, 0, 2);
         assert!(b.validate().is_err());
+    }
+
+    #[test]
+    fn an_entry_value_read_after_its_commit_is_rejected() {
+        let read_a0 = Operand::LiveIn(Reg::A0);
+        let mut b = IrBlock::new(0, BlockKind::Basic);
+        // A commit may read the register it writes, and a register may be
+        // read after another one's commit.
+        b.push(IrOp::WriteReg { reg: Reg::A0, value: read_a0 }, 0, 0);
+        b.push(IrOp::WriteReg { reg: Reg::A1, value: Operand::LiveIn(Reg::A2) }, 4, 1);
+        let mut late = b.clone();
+        b.push(IrOp::Halt, 8, 2);
+        assert_eq!(b.validate(), Ok(()));
+        late.push(IrOp::Alu { op: AluOp::Add, a: Operand::Imm(1), b: read_a0 }, 8, 2);
+        late.push(IrOp::Halt, 8, 2);
+        assert_eq!(late.validate(), Err("v2 reads in:a0 after its commit".to_string()));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::block::IrBlock;
 use crate::inst::IrOp;
 use crate::value::{InstId, Operand};
+use dbt_riscv::Reg;
 
 /// The kind of a dependency edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,7 +154,16 @@ impl DepGraph {
     ///   enabled;
     /// * **Order** edges chaining committing instructions (stores, register
     ///   commits, exits, flushes, fences, halts) and cycle-counter reads in
-    ///   program order (never relaxable).
+    ///   program order (never relaxable);
+    /// * **Order** edges from every instruction that reads a guest
+    ///   register's entry value ([`Operand::LiveIn`]) and commits nothing
+    ///   to the next commit of that register after it (never relaxable),
+    ///   so the read comes first wherever the scheduler places it. Without
+    ///   them, a reader whose result flows into no later commit of the
+    ///   register (a load into `x0`, the target of a `jalr` that links to
+    ///   its own base register) could be placed after that commit and read
+    ///   the new value. The order chain already puts a committing reader
+    ///   first.
     pub fn build(block: &IrBlock, options: DfgOptions) -> DepGraph {
         let insts = block.insts();
         let mut edges = Vec::new();
@@ -284,6 +294,39 @@ impl DepGraph {
                 previous = Some(inst.id);
             }
         }
+
+        // Entry-value reads before each register's next commit. A reader
+        // that commits is already ordered before every later commit by the
+        // chain above, so only the others get an edge. Walking backwards,
+        // `next_commit` holds each register's next commit; the edges are
+        // then put back in the order of their readers.
+        let mut next_commit = [None; Reg::COUNT];
+        let anti_start = edges.len();
+        for inst in insts.iter().rev() {
+            if let IrOp::WriteReg { reg, .. } = inst.op {
+                next_commit[usize::from(reg.index())] = Some(inst.id);
+            }
+            if inst.op.is_committing() {
+                continue;
+            }
+            let reads = inst.op.operands();
+            for (index, operand) in reads.iter().enumerate() {
+                let Operand::LiveIn(reg) = *operand else { continue };
+                // Both operands may read one register.
+                if reads[..index].contains(operand) {
+                    continue;
+                }
+                if let Some(commit) = next_commit[usize::from(reg.index())] {
+                    edges.push(DepEdge {
+                        from: inst.id,
+                        to: commit,
+                        kind: DepKind::Order,
+                        relaxable: false,
+                    });
+                }
+            }
+        }
+        edges[anti_start..].reverse();
 
         DepGraph { node_count: insts.len(), edges }
     }
@@ -580,6 +623,76 @@ mod tests {
         let store = block.stores()[0];
         let halt = InstId(block.len() - 1);
         assert!(graph.preds(halt).any(|e| e.from == store && e.kind == DepKind::Order));
+    }
+
+    /// The `Order` edges out of instructions that commit nothing and read
+    /// no cycle counter: in blocks without `rdcycle`, the edges from entry
+    /// value reads to commits.
+    fn read_before_commit_edges(block: &IrBlock, graph: &DepGraph) -> Vec<(usize, usize)> {
+        let reader = |id: InstId| {
+            let op = &block.inst(id).op;
+            !op.is_committing() && !matches!(op, IrOp::RdCycle)
+        };
+        let edges = graph.edges().iter().filter(|e| e.kind == DepKind::Order && reader(e.from));
+        edges.map(|e| (e.from.index(), e.to.index())).collect()
+    }
+
+    #[test]
+    fn an_entry_value_read_comes_before_that_registers_next_commit_only() {
+        let mut b = IrBlock::new(0, BlockKind::Basic);
+        let a1 = b.push(
+            IrOp::Load { width: MemWidth::DOUBLE, base: Operand::LiveIn(Reg::A1), offset: 0 },
+            0,
+            0,
+        );
+        b.push(IrOp::WriteReg { reg: Reg::A2, value: Operand::Value(a1) }, 0, 0);
+        let bumped = b.push(
+            IrOp::Alu { op: AluOp::Add, a: Operand::LiveIn(Reg::A0), b: Operand::LiveIn(Reg::A0) },
+            4,
+            1,
+        );
+        // A load into `x0`: it reads a0 and commits nothing.
+        b.push(
+            IrOp::Load { width: MemWidth::DOUBLE, base: Operand::LiveIn(Reg::A0), offset: 0 },
+            8,
+            2,
+        );
+        b.push(IrOp::WriteReg { reg: Reg::A0, value: Operand::Value(bumped) }, 12, 3);
+        b.push(IrOp::WriteReg { reg: Reg::A0, value: Operand::Imm(1) }, 16, 4);
+        b.push(
+            IrOp::Alu { op: AluOp::Add, a: Operand::LiveIn(Reg::A1), b: Operand::Imm(1) },
+            20,
+            5,
+        );
+        b.push(IrOp::Halt, 24, 6);
+        assert_eq!(b.validate(), Ok(()));
+        // Each reader of a0 gets one edge, to the first commit of a0 after
+        // it; nothing goes to the second commit of a0, to the commit of a2,
+        // or from the reads of a1, which nothing commits.
+        for options in [DfgOptions::aggressive(), DfgOptions::no_speculation()] {
+            let graph = DepGraph::build(&b, options);
+            assert_eq!(read_before_commit_edges(&b, &graph), [(2, 4), (3, 4)]);
+        }
+    }
+
+    #[test]
+    fn a_jalr_target_reads_its_base_before_the_link_commit() {
+        // `jalr ra, 0(ra)`: the target and the link both name ra.
+        let mut b = IrBlock::new(0, BlockKind::Basic);
+        let target = b.push(
+            IrOp::Alu { op: AluOp::Add, a: Operand::LiveIn(Reg::RA), b: Operand::Imm(0) },
+            0,
+            0,
+        );
+        let link = b.push(IrOp::Const(4), 0, 0);
+        let commit = b.push(IrOp::WriteReg { reg: Reg::RA, value: Operand::Value(link) }, 0, 0);
+        b.push(IrOp::JumpIndirect { target: Operand::Value(target) }, 0, 0);
+        assert_eq!(b.validate(), Ok(()));
+        let graph = DepGraph::build(&b, DfgOptions::aggressive());
+        assert!(graph
+            .preds(commit)
+            .any(|e| e.from == target && e.kind == DepKind::Order && !e.relaxable));
+        assert_eq!(read_before_commit_edges(&b, &graph), [(0, 2)]);
     }
 
     #[test]

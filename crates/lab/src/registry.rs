@@ -3,7 +3,7 @@
 //! A [`Sweep`] is a cartesian product — programs × policies × platform
 //! variants — that [`Sweep::expand`] turns into concrete [`Scenario`] jobs.
 //! [`Registry::standard`] declares every experiment of the paper's
-//! evaluation; the legacy `dbt-bench` binaries are thin views over it.
+//! evaluation; `lab sweep <name>` runs one.
 
 use crate::scenario::{
     AttackVariant, PlatformOverrides, PlatformVariant, ProgramSpec, Scenario, ScenarioKind,

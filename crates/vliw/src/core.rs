@@ -24,10 +24,10 @@
 //! Which operands a bundle waits on depends only on the code, so
 //! [`TranslatedBlock::new`] decides once per block where timing work is
 //! needed. It lowers the bundles into one flat list of steps: every slot
-//! becomes an `Exec` step, except the register commits it lifts out (see
-//! below), and a bundle that can issue late gets a `Stall` step before its
-//! slots. That step lists the physical registers whose wait can bind,
-//! lifted commits' reads included, and says whether the bundle reads the
+//! but a register commit, which it lifts out (see below), becomes an
+//! `Exec` step, and a bundle that can issue late gets a `Stall` step
+//! before its slots. That step lists the physical registers whose wait can
+//! bind, commits' reads included, and says whether the bundle reads the
 //! cycle counter.
 //!
 //! The core walks the steps once. Bundle `b` issues at cycle `b + delay`,
@@ -71,10 +71,10 @@
 //! bundle `b` exits after bundles `0..=b` issued, each after the first one
 //! fetch cycle behind its predecessor. Every step up to the exiting one
 //! that is neither a stall check, a nop nor a fence executed an operation,
-//! and so did every lifted commit before it (each slot step records how
-//! many come before it). A too-wide bundle `b` ends the walk where it
-//! begins, after `b` bundles and the lifted commits in them, even when it
-//! holds nothing but lifted commits; a block without a terminator issues
+//! and so did every commit before it (each slot step records how many come
+//! before it). A too-wide bundle `b` ends the walk where it begins, after
+//! `b` bundles and the commits in them, even when it holds nothing but
+//! commits; a block without a terminator issues
 //! all of its bundles and all of its commits. So every cycle count,
 //! statistic and phase attribution is unchanged.
 //!
@@ -82,30 +82,31 @@
 //!
 //! A commit only writes a guest register, and until the block leaves,
 //! only the block's own operands can read one. So [`TranslatedBlock::new`]
-//! moves the commits out of the steps into a list in slot order when two
-//! conditions hold: no operand reads a guest register after a commit to it
-//! (in slot order), and no commit's physical source is written after the
-//! commit. Then every operand reads the entry value of every guest
+//! moves the commits out of the steps into a list in slot order. It
+//! requires two conditions, and panics if either fails: no operand reads a
+//! guest register after a commit to it (in slot order), and no commit's
+//! physical source is written after the commit. Then every operand reads
+//! the entry value of every guest
 //! register, as it would in its slot, and every commit's source holds at
 //! any later point the value it held in the commit's slot. Applying the
 //! commits that precede an exit, in slot order, therefore leaves the state
 //! the per-slot scan leaves there; a commit to a register that a later one
 //! before the same exit overwrites changes nothing, so each side exit and
 //! terminator applies only its live list, the last commit to each
-//! register. A fault applies every lifted commit before it, in order, and
-//! so does a too-wide bundle or a missing terminator. A rollback applies
-//! none: the architectural state is still the entry state, so a block
-//! with lifted commits needs no copy of it.
+//! register. A fault applies every commit before it, in order, and so does
+//! a too-wide bundle or a missing terminator. A rollback applies none: the
+//! architectural state is still the entry state, so no block needs a copy
+//! of it.
 //!
-//! Code generation gives each IR value its own physical register, and a
-//! guest instruction that writes a register commits it before any later
-//! commit, so every block it emits for the registry programs qualifies.
-//! An instruction into `x0` commits nothing, and nothing orders its reads
-//! before later commits: guest code such as `div t0, t1, t2;
-//! add x0, a0, t0; addi a0, a0, 8` yields a block that reads `$a0` after
-//! `commit $a0`. Such a block keeps its commits as steps that run in their
-//! slots, and a copy of the entry state for rollbacks. The code decides
-//! the form; no option selects it.
+//! Code generation meets both conditions by construction. Each IR value
+//! gets its own physical register, so nothing rewrites a commit's source.
+//! An IR block never reads a guest register's entry value after
+//! committing that register (`IrBlock::validate` rejects it), and the
+//! dependency graph orders every such read before the register's next
+//! commit. That edge matters for an instruction that commits nothing,
+//! such as the cache-touching load `ld x0, 0(a1)`: nothing else orders
+//! its read of `$a1` before a later `commit $a1`, and placed after the
+//! commit, it would access the new address.
 
 use crate::isa::{alu_latency, AccessWidth, Commit, Op, Operand, Step, TooWide, TranslatedBlock};
 use crate::mcb::MemoryConflictBuffer;
@@ -384,9 +385,6 @@ impl VliwCore {
         scratch: &mut Scratch,
     ) -> Result<BlockOutcome, CoreError> {
         let Scratch { phys, ready_alu, ready_mem } = scratch;
-        // Only commits left in the steps change the architectural state
-        // before the block exits, so only they need a copy to roll back to.
-        let entry_snapshot = (!block.lifts_commits()).then(|| self.arch.clone());
         let block_start = self.cycles;
         self.mcb.clear();
         self.stats.blocks_executed += 1;
@@ -512,11 +510,7 @@ impl VliwCore {
                     self.dcache.flush_line(addr);
                     continue;
                 }
-                Op::CommitReg { reg, src } => {
-                    let value = self.read_operand(phys, *src);
-                    self.arch.set_reg(*reg, value);
-                    continue;
-                }
+                Op::CommitReg { .. } => unreachable!("`TranslatedBlock::new` lifts every commit"),
                 Op::SideExit { cond, a, b, target } => {
                     let va = self.read_operand(phys, *a);
                     let vb = self.read_operand(phys, *b);
@@ -551,13 +545,11 @@ impl VliwCore {
                 }
                 Exit::Rollback => {
                     // Memory-dependency misspeculation: roll back and
-                    // re-execute sequentially. Cache contents are
+                    // re-execute sequentially. No commit has reached the
+                    // architectural state yet; cache contents are
                     // intentionally NOT restored.
                     self.stats.rollbacks += 1;
                     self.profiler.events.mcb_hits += 1;
-                    if let Some(entry) = entry_snapshot {
-                        self.arch = entry;
-                    }
                     self.mcb.clear();
                     let penalty = t + self.config.rollback_penalty;
                     let (next_pc, recovery_cycles) = self.execute_recovery(block, mem)?;
@@ -590,8 +582,7 @@ impl VliwCore {
         Err(error)
     }
 
-    /// Applies lifted commits in order, each reading its source as it
-    /// stands.
+    /// Applies commits in order, each reading its source as it stands.
     fn apply<'a>(&mut self, phys: &[u64], commits: impl IntoIterator<Item = &'a Commit>) {
         for commit in commits {
             let value = self.read_operand(phys, commit.src);
@@ -1326,9 +1317,8 @@ mod tests {
     /// Random blocks that ignore latencies (see [`crate::testgen`]), each
     /// run twice (cold, then warm cache) by the core and by its
     /// reference: equal results, errors included, and equal state,
-    /// statistics, profiles, flight recorders and guest memory. Blocks
-    /// with lifted commits and blocks that keep them as steps each end in
-    /// every way a block can.
+    /// statistics, profiles, flight recorders and guest memory. The blocks
+    /// end in every way a block can.
     #[test]
     fn packed_random_blocks_execute_like_the_reference_core() {
         use crate::testgen::{self, MEMORY_BYTES, SIDE_EXIT_TARGET};
@@ -1336,18 +1326,10 @@ mod tests {
 
         const EXITS: [&str; 6] =
             ["side exits", "terminators", "rollbacks", "faults", "too wide", "unterminated"];
-        // Runs by exit, of blocks with lifted commits and of blocks that
-        // keep commits as steps.
-        let mut exits = [[0; EXITS.len()]; 2];
+        let mut exits = [0; EXITS.len()];
         let mut issue_stalls = 0;
         for index in 0..2_000 {
             let case = testgen::case(index);
-            assert!(!case.liftable || case.block.lifts_commits(), "case {index}");
-            // A block without commits lifts none and counts as neither.
-            let form = match (case.block.lifts_commits(), case.block.commits.is_empty()) {
-                (true, true) => None,
-                (lifts, _) => Some(usize::from(!lifts)),
-            };
             let mut rng = XorShift64::new(0xc0de ^ index);
             let mut mem = GuestMemory::new(MEMORY_BYTES);
             for addr in (0..MEMORY_BYTES as u64).step_by(8) {
@@ -1380,9 +1362,7 @@ mod tests {
                     Err(CoreError::IssueWidthExceeded { .. }) => 4,
                     Err(CoreError::MissingTerminator { .. }) => 5,
                 };
-                if let Some(form) = form {
-                    exits[form][exit] += 1;
-                }
+                exits[exit] += 1;
             }
             assert!(mem == oracle_mem, "case {index}: guest memory differs");
             assert!(
@@ -1393,7 +1373,7 @@ mod tests {
                 issue_stalls += 1;
             }
         }
-        assert!(exits.iter().flatten().all(|&n| n >= 20), "{EXITS:?}, lifted then not: {exits:?}");
+        assert!(exits.iter().all(|&n| n >= 20), "{EXITS:?}: {exits:?}");
         assert!(issue_stalls >= 20, "only {issue_stalls} cases wait on an ALU result");
     }
 

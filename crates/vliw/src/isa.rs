@@ -263,14 +263,13 @@ pub(crate) enum Step {
         /// outstanding memory access.
         rdcycle: bool,
     },
-    /// One slot of bundle `bundle`, in slot order, unless it is a lifted
-    /// commit.
+    /// One slot of bundle `bundle` other than a commit, in slot order.
     Exec {
         /// The operation.
         op: Op,
         /// The bundle.
         bundle: u32,
-        /// How many lifted commits come before the slot.
+        /// How many commits come before the slot.
         lifted: u16,
         /// Whether a kept wait names `op`'s destination, so the core must
         /// record when its result is ready.
@@ -346,17 +345,18 @@ impl Write {
 /// a kept wait names are marked, and only they record ready times.
 ///
 /// Register commits are lifted out of the steps into a list of their own,
-/// in slot order, when no operand reads an architectural register after a
-/// commit to it and no commit's physical source is written after the
-/// commit. Every commit then reads what it would have read in its slot, so
-/// the core applies them only where the block leaves: at a taken side exit
-/// or a terminator, the last lifted commit to each register before it; on a
-/// fault, every lifted commit before it; on a rollback, none. Code
-/// generation meets both conditions on every registry program (each IR
-/// value gets a physical register of its own), but not on all guest code;
-/// [`TranslatedBlock::lifts_commits`] says whether a block did. The [`core`](crate::core) module docs explain why
-/// cycle counts, statistics, phase attribution and the architectural state
-/// at every exit stay what a per-slot scan gives. The lowered form is
+/// in slot order. [`TranslatedBlock::new`] requires that no operand reads
+/// an architectural register after a commit to it and that no commit's
+/// physical source is written after the commit, so every commit reads what
+/// it would have read in its slot, and the core applies them only where
+/// the block leaves: at a taken side exit or a terminator, the last commit
+/// to each register before it; on a fault, every commit before it; on a
+/// rollback, none. Code generation meets both conditions by construction:
+/// each IR value gets a physical register of its own, and the dependency
+/// graph orders every read of a guest register's entry value before that
+/// register's next commit. The [`core`](crate::core) module docs explain
+/// why cycle counts, statistics, phase attribution and the architectural
+/// state at every exit stay what a per-slot scan gives. The lowered form is
 /// read-only once built, so it cannot go stale; [`TranslatedBlock::bundles`]
 /// views it as the bundles it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -365,15 +365,13 @@ pub struct TranslatedBlock {
     pub entry_pc: u64,
     /// The scheduled bundles, lowered.
     pub(crate) steps: Vec<Step>,
-    /// The lifted commits, in slot order; empty when the commits are steps.
+    /// The commits, in slot order.
     pub(crate) commits: Vec<Commit>,
-    /// Whether the block's commits are lifted out of its steps.
-    lifts_commits: bool,
     /// The live commits at each exit, as indices into `commits`: the last
-    /// lifted commit to each register before the exit, in slot order.
+    /// commit to each register before the exit, in slot order.
     live: Vec<u16>,
-    /// Where in `live` the list of an exit after `k` lifted commits starts
-    /// (entry `k`) and ends (entry `k + 1`). The list depends only on `k`.
+    /// Where in `live` the list of an exit after `k` commits starts (entry
+    /// `k`) and ends (entry `k + 1`). The list depends only on `k`.
     live_start: Vec<u32>,
     /// Number of bundles, empty ones included.
     pub(crate) bundle_count: u32,
@@ -409,22 +407,23 @@ fn phys_reads(op: &Op) -> impl Iterator<Item = PhysReg> {
     })
 }
 
-/// How many commits `ops` (a block's slots, in order) hold, if they can be
-/// lifted: no operand reads an architectural register after a commit to
-/// it, no commit's physical source is written after the commit, and each
-/// step's count of earlier commits fits its `u16`. `regs` bounds the
+/// Counts the commits `ops` (a block's slots, in order) hold, checking the
+/// preconditions of [`TranslatedBlock::new`] on the way. `regs` bounds the
 /// physical registers written.
-fn liftable_commits<'a>(ops: impl Iterator<Item = &'a Op>, regs: usize) -> Option<usize> {
+fn count_commits<'a>(ops: impl Iterator<Item = &'a Op>, regs: usize) -> usize {
     // Architectural registers committed so far, one bit each.
     let mut committed = 0u32;
     // Physical registers some commit so far reads.
     let mut sources = vec![false; regs];
     let mut commits = 0;
     for op in ops {
-        let stale =
-            |operand| matches!(operand, Operand::Arch(r) if committed >> r.index() & 1 == 1);
-        if operands(op).any(stale) || op.dst().is_some_and(|dst| sources[dst.index()]) {
-            return None;
+        for operand in operands(op) {
+            if let Operand::Arch(reg) = operand {
+                assert!(committed >> reg.index() & 1 == 0, "`{op}` reads ${reg} after its commit");
+            }
+        }
+        if let Some(dst) = op.dst() {
+            assert!(!sources[dst.index()], "`{op}` writes {dst} after a commit reads it");
         }
         if let Op::CommitReg { reg, src } = op {
             committed |= 1 << reg.index();
@@ -437,7 +436,8 @@ fn liftable_commits<'a>(ops: impl Iterator<Item = &'a Op>, regs: usize) -> Optio
             commits += 1;
         }
     }
-    (commits <= usize::from(u16::MAX)).then_some(commits)
+    assert!(commits <= usize::from(u16::MAX), "{commits} commits, more than a step can count");
+    commits
 }
 
 /// Whether `op` can end a block's execution where it stands: a side exit
@@ -463,7 +463,7 @@ fn live_lists(commits: &[Commit], exits_after: &[bool]) -> (Vec<u16>, Vec<u32>) 
             live[start..].sort_unstable();
         }
         if let Some(commit) = commits.get(k) {
-            let k = u16::try_from(k).expect("at most `u16::MAX` commits are lifted");
+            let k = u16::try_from(k).expect("at most `u16::MAX` commits");
             last[usize::from(commit.reg.index())] = Some(k);
         }
     }
@@ -478,13 +478,22 @@ pub(crate) struct TooWide {
     pub(crate) bundle: u32,
     /// Its slots.
     pub(crate) slots: usize,
-    /// The lifted commits in the bundles before it.
+    /// The commits in the bundles before it.
     pub(crate) lifted: usize,
 }
 
 impl TranslatedBlock {
     /// Builds a block, lowering `bundles` into its steps and lifting its
-    /// commits out of them where it can.
+    /// commits out of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the bundles' slots, in order, meet the conditions for
+    /// lifting their commits:
+    ///
+    /// * no operand reads an architectural register after a commit to it;
+    /// * no commit's physical source is written after the commit;
+    /// * they hold at most `u16::MAX` commits.
     pub fn new(
         entry_pc: u64,
         bundles: Vec<Bundle>,
@@ -529,25 +538,22 @@ impl TranslatedBlock {
             }
         }
         let widest = bundles.iter().map(|bundle| bundle.slots.len()).max().unwrap_or(0);
-        let lifted = liftable_commits(ops(), regs);
-        let lifted_count = lifted.unwrap_or(0);
-        let mut steps = Vec::with_capacity(ops().count() - lifted_count + stalls.len());
-        let mut commits = Vec::with_capacity(lifted_count);
-        // Whether some exit comes after exactly `k` lifted commits, by `k`.
-        let mut exits_after = vec![false; lifted_count + 1];
+        let commit_count = count_commits(ops(), regs);
+        let mut steps = Vec::with_capacity(ops().count() - commit_count + stalls.len());
+        let mut commits = Vec::with_capacity(commit_count);
+        // Whether some exit comes after exactly `k` commits, by `k`.
+        let mut exits_after = vec![false; commit_count + 1];
         let mut stalls = stalls.into_iter().peekable();
         for (index, bundle) in (0..).zip(bundles) {
             steps.extend(stalls.next_if(|stall| stall.bundle() == index));
             for op in bundle.slots {
                 match op {
-                    Op::CommitReg { reg, src } if lifted.is_some() => {
-                        commits.push(Commit { src, reg, bundle: index });
-                    }
+                    Op::CommitReg { reg, src } => commits.push(Commit { src, reg, bundle: index }),
                     op => {
                         exits_after[commits.len()] |= is_exit(&op);
                         let awaited = op.dst().is_some_and(|dst| awaited[dst.index()]);
                         let lifted = u16::try_from(commits.len())
-                            .expect("`liftable_commits` lifts at most `u16::MAX` commits");
+                            .expect("`count_commits` allows at most `u16::MAX` commits");
                         steps.push(Step::Exec { op, bundle: index, lifted, awaited });
                     }
                 }
@@ -558,7 +564,6 @@ impl TranslatedBlock {
             entry_pc,
             steps,
             commits,
-            lifts_commits: lifted.is_some(),
             live,
             live_start,
             bundle_count,
@@ -569,23 +574,16 @@ impl TranslatedBlock {
         }
     }
 
-    /// Whether the block's register commits are lifted out of its steps, so
-    /// that the core applies them only where the block leaves and a
-    /// rollback needs no copy of the entry state.
-    pub fn lifts_commits(&self) -> bool {
-        self.lifts_commits
-    }
-
-    /// The commits live at an exit after `lifted` lifted commits: the last
-    /// of them to each register, in slot order.
+    /// The commits live at an exit after `lifted` commits: the last of them
+    /// to each register, in slot order.
     pub(crate) fn live_commits(&self, lifted: u16) -> impl Iterator<Item = &Commit> {
         let k = usize::from(lifted);
         let list = &self.live[self.live_start[k] as usize..self.live_start[k + 1] as usize];
         list.iter().map(|&index| &self.commits[usize::from(index)])
     }
 
-    /// The scheduled bundles, in order, each as a view of its slots, lifted
-    /// commits included.
+    /// The scheduled bundles, in order, each as a view of its slots, commits
+    /// included.
     pub fn bundles(&self) -> impl ExactSizeIterator<Item = BundleSlots<'_>> {
         let (mut steps, mut commits) = (self.steps.as_slice(), self.commits.as_slice());
         let mut first_commit = 0;
@@ -910,7 +908,11 @@ mod tests {
     #[test]
     fn registers_without_an_earlier_writer_are_not_awaited() {
         // p5 is never written; p6 only after its first read.
-        let block = block(vec![vec![commit(p(5)), commit(p(6))], vec![load(6)], vec![Op::Halt]]);
+        let block = block(vec![
+            vec![commit(p(5)), alu(AluOp::Add, 7, p(6))],
+            vec![load(6)],
+            vec![Op::Halt],
+        ]);
         assert_eq!(stalls(&block), []);
         assert_eq!(awaited(&block), []);
     }
@@ -1038,7 +1040,6 @@ mod tests {
             vec![side_exit(), commit_to(Reg::A1, Operand::Imm(7))],
             vec![commit(Operand::Imm(9)), Op::Halt],
         ]);
-        assert!(block.lifts_commits());
         assert!(!commit_steps(&block));
         assert_eq!(block.commits.len(), 7);
         let first = vec![commit_to(Reg::A3, a1), commit_to(Reg::A1, Operand::Imm(5)), commit(p(1))];
@@ -1057,58 +1058,63 @@ mod tests {
         assert_eq!(regs, [9, 7, 2, 77]);
     }
 
+    /// A commit to a0, then a halt, with a load of `[$a0]` into a register
+    /// no commit reads (like a load into `x0`) first in bundle `at`.
+    fn read_a0(at: usize) -> TranslatedBlock {
+        let mut slots = vec![vec![commit_to(Reg::A0, Operand::Imm(1))], vec![Op::Halt]];
+        slots[at].insert(0, load(0));
+        if let Op::Load { base, .. } = &mut slots[at][0] {
+            *base = Operand::Arch(Reg::A0);
+        }
+        block(slots)
+    }
+
+    /// `count` commits to a0, then a halt, in one bundle.
+    fn commits(count: usize) -> TranslatedBlock {
+        let mut slots = vec![commit(Operand::Imm(1)); count];
+        slots.push(Op::Halt);
+        block(vec![slots])
+    }
+
     #[test]
-    fn an_architectural_read_after_a_commit_leaves_the_block_unlifted() {
-        let read_a0 = |at: usize| {
-            let mut slots = vec![vec![commit_to(Reg::A0, Operand::Imm(1))], vec![Op::Halt]];
-            slots[at].insert(0, load(0));
-            if let Op::Load { base, .. } = &mut slots[at][0] {
-                *base = Operand::Arch(Reg::A0);
-            }
-            block(slots)
-        };
-        // A load (into a register no commit reads, like a load into `x0`)
-        // reads a0 before its commit, then after it.
-        assert!(read_a0(0).lifts_commits());
-        let late = read_a0(1);
-        assert!(!late.lifts_commits());
-        assert!(commit_steps(&late));
-        assert!(late.commits.is_empty());
-        // A commit reading a register committed before it counts too.
-        let chained = block(vec![
-            vec![commit_to(Reg::A0, Operand::Imm(1))],
-            vec![commit_to(Reg::A1, Operand::Arch(Reg::A0)), Op::Halt],
-        ]);
-        assert!(!chained.lifts_commits());
-        // Reading a register no commit writes keeps the block lifted.
+    fn blocks_that_meet_the_lift_conditions_run_like_the_reference() {
+        // A load reads a0 before its commit.
+        assert_eq!(run(&read_a0(0), 4).1.arch().reg(Reg::A0), 1);
+        // An operand reads a register no commit writes.
         let other = block(vec![
             vec![commit_to(Reg::A0, Operand::Imm(1))],
             vec![alu(AluOp::Add, 0, Operand::Arch(Reg::A1)), Op::Halt],
         ]);
-        assert!(other.lifts_commits());
-    }
-
-    #[test]
-    fn a_physical_source_written_after_its_commit_leaves_the_block_unlifted() {
-        let rewritten = block(vec![
-            vec![alu(AluOp::Add, 0, Operand::Imm(1))],
-            vec![commit(p(0))],
-            vec![alu(AluOp::Add, 0, Operand::Imm(2)), Op::Halt],
-        ]);
-        assert!(!rewritten.lifts_commits());
-        assert!(commit_steps(&rewritten));
-        // Written twice before the commit reads it, and never after.
+        assert!(run(&other, 4).0.is_ok());
+        // A commit's source is written twice before the commit, never after.
         let before = block(vec![
             vec![alu(AluOp::Add, 0, Operand::Imm(1))],
             vec![alu(AluOp::Add, 0, Operand::Imm(2))],
             vec![commit(p(0)), Op::Halt],
         ]);
-        assert!(before.lifts_commits());
         let (_, core) = run(&before, 4);
         assert_eq!(core.arch().reg(Reg::A0), 3);
+        // As many commits as a step can count.
+        assert_eq!(commits(usize::from(u16::MAX)).commits.len(), usize::from(u16::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "`p0 = load.8 $a0+0` reads $a0 after its commit")]
+    fn a_read_of_a_register_after_its_commit_panics() {
+        read_a0(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "`p0 = load.8 256+0` writes p0 after a commit reads it")]
+    fn a_physical_source_written_after_its_commit_panics() {
         // Later in the same bundle counts as after.
-        let same_bundle = block(vec![vec![commit(p(0)), load(0)], vec![Op::Halt]]);
-        assert!(!same_bundle.lifts_commits());
+        block(vec![vec![commit(p(0)), load(0)], vec![Op::Halt]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "65536 commits, more than a step can count")]
+    fn more_commits_than_a_step_can_count_panic() {
+        commits(usize::from(u16::MAX) + 1);
     }
 
     #[test]
@@ -1151,7 +1157,6 @@ mod tests {
             vec![commit_to(Reg::A1, Operand::Imm(3)), faulting, commit_to(Reg::A2, p(0))],
             vec![Op::Halt],
         ]);
-        assert!(block.lifts_commits());
         let (outcome, core) = run(&block, 4);
         assert_eq!(outcome, Err(CoreError::MemFault { addr: 0x2000, bytes: 8 }));
         let arch = core.arch();
@@ -1184,7 +1189,6 @@ mod tests {
             vec![store(false), commit(Operand::Imm(9)), Op::Halt],
             2,
         );
-        assert!(block.lifts_commits());
         let (outcome, core) = run(&block, 4);
         assert!(outcome.unwrap().rolled_back);
         // The two commits before the store never reached the state; the
@@ -1204,7 +1208,6 @@ mod tests {
             ],
             vec![Op::Halt],
         ]);
-        assert!(block.lifts_commits());
         let (steps, too_wide) = block.steps_within(2);
         assert_eq!(steps.len(), 1, "only the add runs");
         assert_eq!(too_wide, Some(TooWide { bundle: 1, slots: 3, lifted: 1 }));
@@ -1223,35 +1226,13 @@ mod tests {
             vec![Op::Nop, commit(p(0)), side_exit(), Op::Fence, commit(Operand::Imm(4))],
             vec![Op::Halt, commit_to(Reg::A2, Operand::Imm(5))],
         ];
-        let lifted = block(input.clone());
-        assert!(lifted.lifts_commits());
-        assert_eq!(lifted.commits.len(), 7);
-        // Reading a3 after its commit keeps the commits in the steps.
-        let mut kept_input = input.clone();
-        kept_input[4].insert(0, alu(AluOp::Add, 1, Operand::Arch(Reg::A3)));
-        let kept = block(kept_input.clone());
-        assert!(!kept.lifts_commits());
-        for (block, input) in [(lifted, input), (kept, kept_input)] {
-            let views: Vec<Vec<Op>> = block.bundles().map(|b| b.iter().collect()).collect();
-            assert_eq!(views, input);
-            let lens: Vec<usize> = block.bundles().map(|b| b.len()).collect();
-            assert_eq!(lens, input.iter().map(Vec::len).collect::<Vec<_>>());
-            assert_eq!(
-                block.op_count(),
-                input.iter().flatten().filter(|op| **op != Op::Nop).count()
-            );
-        }
-    }
-
-    #[test]
-    fn more_commits_than_a_step_can_count_stay_in_the_steps() {
-        let commits = |n: usize| {
-            let mut slots = vec![commit(Operand::Imm(1)); n];
-            slots.push(Op::Halt);
-            block(vec![slots])
-        };
-        assert!(commits(usize::from(u16::MAX)).lifts_commits());
-        assert!(!commits(usize::from(u16::MAX) + 1).lifts_commits());
+        let block = block(input.clone());
+        assert_eq!(block.commits.len(), 7);
+        let views: Vec<Vec<Op>> = block.bundles().map(|b| b.iter().collect()).collect();
+        assert_eq!(views, input);
+        let lens: Vec<usize> = block.bundles().map(|b| b.len()).collect();
+        assert_eq!(lens, input.iter().map(Vec::len).collect::<Vec<_>>());
+        assert_eq!(block.op_count(), input.iter().flatten().filter(|op| **op != Op::Nop).count());
     }
 
     #[cfg(target_pointer_width = "64")]

@@ -10,10 +10,10 @@
 //! Some blocks hold a bundle wider than the core in mid-block, and some end
 //! without a terminator. Some bundles hold only commits.
 //!
-//! A third of the cases keep to the conditions for lifting commits out of
-//! the steps: no operand reads a guest register after a commit to it, and
-//! no commit's physical source is written after it. The rest read and
-//! write freely, so most of those that commit keep their commits as steps.
+//! Every case keeps to the conditions for lifting commits out of the
+//! steps, which `TranslatedBlock::new` requires: no operand reads a guest
+//! register after a commit to it, and no commit's physical source is
+//! written after it.
 
 use crate::isa::{AccessWidth, Bundle, Op, Operand, PhysReg, TranslatedBlock};
 use dbt_riscv::inst::AluOp;
@@ -50,16 +50,12 @@ fn pick<T: Copy>(rng: &mut XorShift64, items: &[T]) -> T {
 pub(crate) struct Case {
     pub(crate) block: TranslatedBlock,
     pub(crate) issue_width: usize,
-    /// Whether the block keeps to the conditions for lifting its commits.
-    pub(crate) liftable: bool,
 }
 
 /// The `index`-th case.
 pub(crate) fn case(index: u64) -> Case {
-    let mut rng = XorShift64::new(0x5eed_b10c ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let liftable = rng.next_below(3) == 0;
-    let mut gen =
-        Generator { rng, latest: Vec::new(), earlier: Vec::new(), liftable, committed: 0, read: 0 };
+    let rng = XorShift64::new(0x5eed_b10c ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let mut gen = Generator { rng, latest: Vec::new(), earlier: Vec::new(), committed: 0, read: 0 };
     let issue_width = pick(&mut gen.rng, &WIDTHS);
     let bundle_count = 1 + gen.rng.next_below(10) as usize;
     let too_wide =
@@ -100,7 +96,7 @@ pub(crate) fn case(index: u64) -> Case {
     }
     recovery.push(Op::Halt);
     let block = TranslatedBlock::new(0x1000, bundles, PHYS_REGS, recovery, bundle_count);
-    Case { block, issue_width, liftable }
+    Case { block, issue_width }
 }
 
 struct Generator {
@@ -109,8 +105,6 @@ struct Generator {
     latest: Vec<u16>,
     /// Registers written in earlier bundles, the previous bundle's last.
     earlier: Vec<u16>,
-    /// Whether the case keeps to the lift conditions.
-    liftable: bool,
     /// Guest registers committed so far, one bit each.
     committed: u32,
     /// Physical registers a commit has read so far, one bit each.
@@ -122,22 +116,18 @@ impl Generator {
         self.earlier.append(&mut self.latest);
     }
 
-    /// Any register, or in a liftable case one no commit has read.
+    /// A register no commit has read.
     fn dst(&mut self) -> PhysReg {
-        let free: Vec<u16> =
-            (0..PHYS_REGS).filter(|&reg| !self.liftable || self.read >> reg & 1 == 0).collect();
+        let free: Vec<u16> = (0..PHYS_REGS).filter(|&reg| self.read >> reg & 1 == 0).collect();
         let reg = pick(&mut self.rng, &free);
         self.latest.push(reg);
         PhysReg(reg)
     }
 
-    /// A guest register, or in a liftable case one not committed yet (an
-    /// immediate once all are).
+    /// A guest register not committed yet (an immediate once all are).
     fn arch(&mut self) -> Operand {
-        let free: Vec<Reg> = REGS
-            .into_iter()
-            .filter(|reg| !self.liftable || self.committed >> reg.index() & 1 == 0)
-            .collect();
+        let free: Vec<Reg> =
+            REGS.into_iter().filter(|reg| self.committed >> reg.index() & 1 == 0).collect();
         if free.is_empty() {
             Operand::Imm(0x40)
         } else {
@@ -145,13 +135,13 @@ impl Generator {
         }
     }
 
-    /// A commit of some operand. A liftable case reads at most 8 physical
-    /// registers through commits, so `dst` always has 4 left.
+    /// A commit of some operand. Commits read at most 8 physical registers,
+    /// so `dst` always has 4 left.
     fn commit(&mut self) -> Op {
         let reg = pick(&mut self.rng, &REGS);
         let mut src = self.operand();
         if let Operand::Phys(p) = src {
-            if self.liftable && (self.read | 1 << p.0).count_ones() > 8 {
+            if (self.read | 1 << p.0).count_ones() > 8 {
                 src = Operand::Imm(i64::from(p.0));
             } else {
                 self.read |= 1 << p.0;
