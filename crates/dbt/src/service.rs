@@ -38,109 +38,17 @@ use crate::regalloc::RegAlloc;
 use crate::schedule::schedule;
 use crate::trace_builder::GuestPath;
 use crate::translate::translate_path;
-use dbt_ir::{BlockKind, DepGraph, DfgOptions, InstId, IrBlock};
+use dbt_ir::{BlockKind, DepGraph, DfgOptions, IrBlock};
 use dbt_obs::{Histogram, MetricsRegistry, Span, StageSpan, DEFAULT_LATENCY_BOUNDS_MICROS};
-use dbt_persist::codec::{ByteReader, ByteWriter};
-use dbt_persist::{BoundedMap, PersistStore};
+use dbt_persist::BoundedMap;
 use dbt_vliw::TranslatedBlock;
 use ghostbusters::{apply_with_verdict, MitigationPolicy, MitigationReport};
-use spectaint::{Gadget, LeakageVerdict, TaintSource, TaintSourceKind};
+use spectaint::LeakageVerdict;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Entry kind the service uses in the durable store: the `spectaint`
-/// leakage verdict of one analysis product.
-const VERDICT_KIND: &str = "verdict";
-
-/// Payload format version inside a `verdict` entry.
-const VERDICT_PAYLOAD_VERSION: u8 = 1;
-
-/// The durable-store key of a verdict: program fingerprint + analysis
-/// key (the analysis key covers the path content and the speculation
-/// options; the program fingerprint scopes it to its program).
-fn verdict_key_hex(program_fingerprint: u64, analysis_key: u64) -> String {
-    format!("{program_fingerprint:016x}{analysis_key:016x}")
-}
-
-/// Binary payload of one leakage verdict (decoded by
-/// [`decode_verdict`]). All-integer structure: instruction ids, source
-/// kinds and the block coordinates.
-fn encode_verdict(verdict: &LeakageVerdict) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(VERDICT_PAYLOAD_VERSION);
-    w.put_u64(verdict.entry_pc);
-    w.put_usize(verdict.block_len);
-    w.put_usize(verdict.sources.len());
-    for source in &verdict.sources {
-        w.put_usize(source.load.index());
-        w.put_u8(match source.kind {
-            TaintSourceKind::BoundCheckBypass => 0,
-            TaintSourceKind::StoreBypass => 1,
-        });
-        w.put_usize(source.cause.index());
-    }
-    let ids = |w: &mut ByteWriter, ids: &[InstId]| {
-        w.put_usize(ids.len());
-        for id in ids {
-            w.put_usize(id.index());
-        }
-    };
-    ids(&mut w, &verdict.tainted_values);
-    ids(&mut w, &verdict.transmitters);
-    w.put_usize(verdict.gadgets.len());
-    for gadget in &verdict.gadgets {
-        w.put_usize(gadget.transmitter.index());
-        ids(&mut w, &gadget.sources);
-    }
-    w.finish()
-}
-
-/// Total decode of a `verdict` payload; `None` means the entry is torn
-/// or foreign and must be quarantined and recomputed.
-fn decode_verdict(bytes: &[u8]) -> Option<LeakageVerdict> {
-    let mut r = ByteReader::new(bytes);
-    if r.u8()? != VERDICT_PAYLOAD_VERSION {
-        return None;
-    }
-    let entry_pc = r.u64()?;
-    let block_len = r.usize()?;
-    let mut sources = Vec::new();
-    for _ in 0..r.usize()? {
-        let load = InstId(r.usize()?);
-        let kind = match r.u8()? {
-            0 => TaintSourceKind::BoundCheckBypass,
-            1 => TaintSourceKind::StoreBypass,
-            _ => return None,
-        };
-        sources.push(TaintSource { load, kind, cause: InstId(r.usize()?) });
-    }
-    let ids = |r: &mut ByteReader<'_>| -> Option<Vec<InstId>> {
-        let count = r.usize()?;
-        let mut out = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            out.push(InstId(r.usize()?));
-        }
-        Some(out)
-    };
-    let tainted_values = ids(&mut r)?;
-    let transmitters = ids(&mut r)?;
-    let mut gadgets = Vec::new();
-    for _ in 0..r.usize()? {
-        let transmitter = InstId(r.usize()?);
-        gadgets.push(Gadget { transmitter, sources: ids(&mut r)? });
-    }
-    r.done().then_some(LeakageVerdict {
-        entry_pc,
-        block_len,
-        sources,
-        tainted_values,
-        transmitters,
-        gadgets,
-    })
-}
 
 /// Result of the analysis query: the translated IR block, its unhardened
 /// dependency graph and, for optimised superblocks, the leakage verdict.
@@ -283,49 +191,6 @@ fn run_analysis(
     Ok(AnalysisProduct { ir: Arc::new(block), graph: Arc::new(graph), verdict })
 }
 
-/// [`run_analysis`] backed by a durable tier: the taint verdict — the
-/// expensive part of the stage, and a pure function of the (translated,
-/// validated) block and its unhardened graph — is read through from the
-/// store when a previous incarnation published it, and written behind
-/// when computed fresh. Translation, validation and graph building
-/// always run (they are cheap and their product is what the verdict is
-/// checked against): a persisted verdict whose entry pc or block length
-/// contradicts the freshly built block is quarantined and recomputed,
-/// so a wrong entry can never steer mitigation.
-fn run_analysis_persist(
-    tier: &PersistStore,
-    program_fingerprint: u64,
-    analysis_key: u64,
-    path: &GuestPath,
-    kind: BlockKind,
-    options: DfgOptions,
-) -> Result<AnalysisProduct, DbtError> {
-    let block = translate_path(path, kind);
-    block.validate().map_err(|reason| DbtError::InvalidBlock { pc: block.entry_pc(), reason })?;
-    let graph = DepGraph::build(&block, options);
-    let verdict = matches!(kind, BlockKind::Superblock { .. }).then(|| {
-        let key = verdict_key_hex(program_fingerprint, analysis_key);
-        if let Some(bytes) = tier.get(VERDICT_KIND, &key) {
-            match decode_verdict(&bytes) {
-                Some(verdict)
-                    if verdict.entry_pc == block.entry_pc() && verdict.block_len == block.len() =>
-                {
-                    return Arc::new(verdict);
-                }
-                _ => tier.quarantine(
-                    VERDICT_KIND,
-                    &key,
-                    "verdict payload contradicts the translated block",
-                ),
-            }
-        }
-        let verdict = spectaint::analyze(&block, &graph);
-        tier.put(VERDICT_KIND, &key, &encode_verdict(&verdict));
-        Arc::new(verdict)
-    });
-    Ok(AnalysisProduct { ir: Arc::new(block), graph: Arc::new(graph), verdict })
-}
-
 /// Runs the codegen stage: mitigation (optimised blocks only), scheduling,
 /// register allocation and code emission. Pure: depends only on its
 /// arguments.
@@ -421,7 +286,6 @@ pub struct TranslationService {
     hits: AtomicU64,
     misses: AtomicU64,
     metrics: Option<ServiceMetrics>,
-    persist: Option<Arc<PersistStore>>,
 }
 
 /// Default budget of resident compile products (one per analysis or
@@ -445,7 +309,7 @@ impl TranslationService {
     ///
     /// Panics if `products` is zero.
     pub fn with_budget(products: u64) -> Arc<TranslationService> {
-        TranslationService::build(products, None, None)
+        TranslationService::build(products, None)
     }
 
     /// A default-budget service whose compile stages record wall-clock
@@ -454,36 +318,21 @@ impl TranslationService {
     /// families). Only *actual* compiles are timed — memoized answers
     /// never touch the clock — and the timings are pure observability:
     /// deterministic products, counters and cycle outputs are identical
-    /// to an uninstrumented service.
-    ///
-    /// With a durable tier (`persist`), the expensive analysis artifact —
-    /// the `spectaint` leakage verdict of every optimised superblock — is
-    /// read through from (and written behind to) it, keyed by program
-    /// fingerprint + analysis key. The verdict drives selective
-    /// mitigation, so a warm disk tier lets a restarted daemon skip the
-    /// taint analysis while producing byte-identical products; entries
-    /// that fail to decode, or whose block coordinates contradict the
-    /// freshly translated block, are quarantined and recomputed.
-    pub fn with_metrics(
-        registry: &MetricsRegistry,
-        persist: Option<Arc<PersistStore>>,
-    ) -> Arc<TranslationService> {
+    /// to an uninstrumented service. Like every compile product, the
+    /// analysis (`spectaint` verdict included) lives in memory only and is
+    /// recomputed after a restart.
+    pub fn with_metrics(registry: &MetricsRegistry) -> Arc<TranslationService> {
         let metrics = Some(ServiceMetrics::resolve(registry));
-        TranslationService::build(DEFAULT_SERVICE_BUDGET_PRODUCTS, metrics, persist)
+        TranslationService::build(DEFAULT_SERVICE_BUDGET_PRODUCTS, metrics)
     }
 
-    fn build(
-        products: u64,
-        metrics: Option<ServiceMetrics>,
-        persist: Option<Arc<PersistStore>>,
-    ) -> Arc<TranslationService> {
+    fn build(products: u64, metrics: Option<ServiceMetrics>) -> Arc<TranslationService> {
         assert!(products >= 1, "the translation service needs a budget of at least one product");
         Arc::new(TranslationService {
             programs: Mutex::new(BoundedMap::new(products)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             metrics,
-            persist,
         })
     }
 
@@ -571,10 +420,7 @@ impl TranslationService {
         let analyse = || {
             let _span = self.metrics.as_ref().map(|m| Span::on(&m.analysis_seconds));
             let _stage = StageSpan::enter("translate.analysis");
-            match &self.persist {
-                None => run_analysis(path, kind, options),
-                Some(tier) => run_analysis_persist(tier, fp, analysis_key, path, kind, options),
-            }
+            run_analysis(path, kind, options)
         };
         let compile = || {
             let (analysis, _) = self.query(fp, |p| &mut p.analyses, analysis_key, analyse);
@@ -716,7 +562,7 @@ mod tests {
     fn metered_service_times_actual_compiles_only() {
         let (mem, entry) = straightline_memory();
         let registry = MetricsRegistry::new();
-        let service = TranslationService::with_metrics(&registry, None);
+        let service = TranslationService::with_metrics(&registry);
         let path = basic_path(&mem, entry);
         let config = DbtConfig::unprotected();
         let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
@@ -730,125 +576,6 @@ mod tests {
             text.contains("dbt_translate_phase_seconds_count{phase=\"codegen\"} 1"),
             "one actual codegen despite two asks:\n{text}"
         );
-    }
-
-    #[test]
-    fn verdict_payload_round_trips() {
-        let verdict = LeakageVerdict {
-            entry_pc: 0x1000,
-            block_len: 9,
-            sources: vec![
-                TaintSource {
-                    load: InstId(2),
-                    kind: TaintSourceKind::BoundCheckBypass,
-                    cause: InstId(1),
-                },
-                TaintSource {
-                    load: InstId(5),
-                    kind: TaintSourceKind::StoreBypass,
-                    cause: InstId(4),
-                },
-            ],
-            tainted_values: vec![InstId(2), InstId(3), InstId(5)],
-            transmitters: vec![InstId(6)],
-            gadgets: vec![Gadget { transmitter: InstId(6), sources: vec![InstId(2), InstId(5)] }],
-        };
-        let bytes = encode_verdict(&verdict);
-        assert_eq!(decode_verdict(&bytes), Some(verdict.clone()));
-        // The empty (leak-free) verdict round-trips too.
-        let clean = LeakageVerdict {
-            entry_pc: 4,
-            block_len: 1,
-            sources: vec![],
-            tainted_values: vec![],
-            transmitters: vec![],
-            gadgets: vec![],
-        };
-        assert_eq!(decode_verdict(&encode_verdict(&clean)), Some(clean));
-        // Torn or foreign payloads decode to None, never panic.
-        assert_eq!(decode_verdict(&[]), None);
-        assert_eq!(decode_verdict(&bytes[..bytes.len() - 2]), None);
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert_eq!(decode_verdict(&trailing), None);
-        let mut bad_kind = bytes;
-        // The source-kind byte sits after version(1)+pc(8)+len(8)+count(8)+load(8).
-        bad_kind[33] = 7;
-        assert_eq!(decode_verdict(&bad_kind), None);
-    }
-
-    fn fresh_root(tag: &str) -> std::path::PathBuf {
-        let root = std::env::temp_dir().join(format!("dbt-service-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        root
-    }
-
-    #[test]
-    fn persisted_verdicts_survive_a_service_restart() {
-        let (mem, entry) = straightline_memory();
-        let root = fresh_root("verdict");
-        let path = basic_path(&mem, entry);
-        let kind = BlockKind::Superblock { merged_blocks: 1 };
-        let config = DbtConfig::selective();
-        let first = {
-            let tier = dbt_persist::PersistStore::open(&root).unwrap();
-            let registry = MetricsRegistry::new();
-            let service = TranslationService::with_metrics(&registry, Some(tier.clone()));
-            let first = service.translate(1, &config, &path, kind).unwrap();
-            assert_eq!(tier.stats().writes, 1, "the superblock verdict was published");
-            first
-        };
-        // A restarted service over the same root reads the verdict back
-        // and produces an identical product.
-        let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let registry = MetricsRegistry::new();
-        let service = TranslationService::with_metrics(&registry, Some(tier.clone()));
-        let second = service.translate(1, &config, &path, kind).unwrap();
-        assert!(!second.cache_hit, "the in-memory memo is cold after a restart");
-        assert_eq!(tier.stats().hits, 1, "the verdict came from disk");
-        assert_eq!(tier.stats().writes, 0, "a disk hit is not re-published");
-        assert_eq!(*first.product.code, *second.product.code);
-        let (a, b) = (first.product.analysed.unwrap(), second.product.analysed.unwrap());
-        assert_eq!(a.verdict, b.verdict);
-        assert_eq!(a.report, b.report);
-        // Basic-tier blocks carry no verdict and never touch the disk.
-        let writes = tier.stats().writes;
-        let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
-        assert_eq!(tier.stats().writes, writes);
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn contradicting_persisted_verdicts_are_quarantined_and_recomputed() {
-        let (mem, entry) = straightline_memory();
-        let root = fresh_root("contradict");
-        let path = basic_path(&mem, entry);
-        let kind = BlockKind::Superblock { merged_blocks: 1 };
-        let config = DbtConfig::selective();
-        let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        // Plant a well-formed verdict for the wrong block under the key
-        // the translation will ask for.
-        let options = effective_options(&config, kind);
-        let analysis_key = hash64(&(path_fingerprint(&path, kind), options));
-        let key = verdict_key_hex(1, analysis_key);
-        let wrong = LeakageVerdict {
-            entry_pc: 0xbad,
-            block_len: 999,
-            sources: vec![],
-            tainted_values: vec![],
-            transmitters: vec![],
-            gadgets: vec![],
-        };
-        assert!(tier.put(VERDICT_KIND, &key, &encode_verdict(&wrong)));
-        let registry = MetricsRegistry::new();
-        let service = TranslationService::with_metrics(&registry, Some(tier.clone()));
-        let translated = service.translate(1, &config, &path, kind).unwrap();
-        let verdict = translated.product.analysed.unwrap().verdict;
-        assert_ne!(verdict.entry_pc, 0xbad, "the planted verdict was not believed");
-        assert_eq!(tier.stats().corrupt_quarantined, 1);
-        // Two publishes: the planted entry and the recomputed verdict.
-        assert_eq!(tier.stats().writes, 2, "the recomputed verdict was re-published");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! into a [`JsonValue`] tree. Object keys keep their textual order;
 //! duplicate keys resolve to the first occurrence, which is enough for
 //! the formats this repo speaks.
+//!
+//! [`escape`] is the workspace's one JSON string escaper: daemon frames,
+//! lab reports, profile reports and the observability bodies (span trees,
+//! event logs) all escape through it, so one set of rules covers every
+//! byte-stable body.
 
 use std::fmt;
 

@@ -534,7 +534,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let config = ServerConfig {
         workers: args.workers,
         queue_depth: args.queue_depth,
-        cache_dir: args.cache_dir.clone(),
         ..ServerConfig::default()
     };
     let (workers, queue_depth) = (config.workers, config.queue_depth);
@@ -784,7 +783,6 @@ fn start_daemon_with_cache(args: &Args, cache_dir: Option<&str>) -> Result<Serve
     let config = ServerConfig {
         workers: args.workers,
         queue_depth: args.queue_depth,
-        cache_dir: cache_dir.map(str::to_string),
         ..ServerConfig::default()
     };
     dbt_serve::serve("127.0.0.1:0", daemon, config)

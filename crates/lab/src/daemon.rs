@@ -72,10 +72,10 @@ pub struct LabDaemon {
     /// process-global, so concurrent daemons (and tests) never bleed into
     /// each other's expositions.
     obs: Arc<MetricsRegistry>,
-    /// The durable cache tier beneath the three layers above, present only
-    /// when the daemon was built over a cache directory (`--cache-dir`).
-    /// `None` keeps every answer and counter byte-identical to a daemon
-    /// built before the tier existed.
+    /// The durable cache tier beneath the run memo and the program store,
+    /// present only when the daemon was built over a cache directory
+    /// (`--cache-dir`). `None` keeps every answer and counter
+    /// byte-identical to a daemon built before the tier existed.
     persist: Option<Arc<PersistStore>>,
     /// The daemon's own event log, owned only alongside `persist` (cache
     /// lifecycle events land here); the server adopts it through
@@ -100,12 +100,13 @@ impl LabDaemon {
     }
 
     /// [`LabDaemon::with_threads`] plus an optional durable cache tier
-    /// rooted at `cache_dir`. When present, the translation service's
-    /// analysis verdicts, the run memo's summaries and the program
-    /// store's uploaded images all read through to (and write behind
-    /// into) the directory, uploaded programs are re-seeded immediately,
-    /// and cache lifecycle events (incompatible-cache reset, reseeding,
-    /// quarantines, GC) land in the daemon's own event log. `None` is
+    /// rooted at `cache_dir`. When present, the run memo's summaries and
+    /// the program store's uploaded images read through to (and write
+    /// behind into) the directory, uploaded programs are re-seeded
+    /// immediately, and cache lifecycle events (incompatible-cache reset,
+    /// reseeding, quarantines, GC) land in the daemon's own event log.
+    /// Translations stay in memory: a restarted daemon recompiles (and
+    /// re-analyses) only what its run-memo misses simulate. `None` is
     /// exactly [`LabDaemon::with_threads`].
     ///
     /// # Errors
@@ -155,7 +156,7 @@ impl LabDaemon {
                 (Some(tier), Some(events))
             }
         };
-        let service = TranslationService::with_metrics(&obs, persist.clone());
+        let service = TranslationService::with_metrics(&obs);
         let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, persist.clone());
         let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, persist.clone());
         // Every analyzable program label becomes a lazily-seeded registry
@@ -324,9 +325,19 @@ impl LabBackend for LabDaemon {
 
     fn run_program(&self, program: &str, policy: &str, knobs: &RunKnobs) -> Result<String, String> {
         let policy = parse_policy(policy)?;
+        let overrides = knob_overrides(knobs);
+        // `DbtConfig::is_valid` holds the rule, and the engine asserts it:
+        // an unchecked knob would panic the worker running the job.
+        let dbt = overrides.apply(policy).dbt;
+        if !dbt.is_valid() {
+            return Err(format!(
+                "run knobs give an invalid DBT configuration (issue_width {}, hot_threshold {})",
+                dbt.issue_width, dbt.hot_threshold
+            ));
+        }
         let (label, program) = self.resolve_ref(program)?;
         let secret = knobs.secret.as_ref().map(|secret| secret.as_bytes().to_vec());
-        let scenario = adhoc_scenario(&label, program, policy, knob_overrides(knobs), secret);
+        let scenario = adhoc_scenario(&label, program, policy, overrides, secret);
         let name = scenario.name.clone();
         let report = run_sweep_obs(
             &name,
@@ -370,11 +381,7 @@ impl LabBackend for LabDaemon {
     fn metrics_text(&self) -> String {
         // Mirror the same snapshots `stats_json` reads into the registry at
         // scrape time, so the counters in the two views agree exactly for
-        // any daemon state. The global registry rides along for families
-        // that cannot reach a per-daemon registry (free-standing spans and
-        // the feature-gated cache sampling counters); its family names are
-        // disjoint from the daemon's, so the concatenation stays a valid
-        // exposition.
+        // any daemon state.
         self.memo.stats().export(&self.obs);
         self.service.stats().export(&self.obs);
         self.store.stats().export(&self.obs);
@@ -385,7 +392,7 @@ impl LabBackend for LabDaemon {
         if let Some(tier) = &self.persist {
             export_persist(&tier.stats(), &self.obs);
         }
-        format!("{}{}", self.obs.render(), MetricsRegistry::global().render())
+        self.obs.render()
     }
 
     fn event_log(&self) -> Option<Arc<EventLog>> {

@@ -77,6 +77,6 @@ pub use scenario::{
     SourceKind,
 };
 pub use table::{
-    format_attack_table, format_table, format_variant_table, geometric_mean, measure_slowdowns,
-    SlowdownRow, SlowdownTable,
+    format_attack_table, format_table, format_variant_table, geometric_mean, SlowdownRow,
+    SlowdownTable,
 };

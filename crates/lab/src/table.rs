@@ -4,8 +4,6 @@
 
 use crate::exec::{JobOutcome, LabReport};
 use crate::scenario::ScenarioKind;
-use dbt_platform::{PlatformError, PolicyComparison, TranslationService};
-use dbt_riscv::Program;
 use ghostbusters::MitigationPolicy;
 
 /// One row of a slowdown table.
@@ -16,8 +14,7 @@ pub struct SlowdownRow {
     /// Cycles of the unprotected baseline.
     pub baseline_cycles: u64,
     /// Slowdown (relative execution time, 1.0 = baseline) per policy, in
-    /// the column order of the owning [`SlowdownTable`] (for the legacy
-    /// [`measure_slowdowns`] helper: the order of [`MitigationPolicy::ALL`]).
+    /// the column order of the owning [`SlowdownTable`].
     pub slowdown: Vec<f64>,
 }
 
@@ -31,28 +28,6 @@ pub struct SlowdownTable {
     pub policies: Vec<MitigationPolicy>,
     /// One row per `(program, platform)` pair, in first-appearance order.
     pub rows: Vec<SlowdownRow>,
-}
-
-/// Measures one workload under every mitigation policy
-/// ([`MitigationPolicy::ALL`] order), serially.
-///
-/// The sweep executor is the preferred way to produce [`SlowdownRow`]s (it
-/// parallelises and caches baselines); this helper remains for one-off
-/// measurements and backwards compatibility.
-///
-/// # Errors
-///
-/// Propagates platform errors (translation faults, budget exhaustion).
-pub fn measure_slowdowns(name: &str, program: &Program) -> Result<SlowdownRow, PlatformError> {
-    let service = TranslationService::new();
-    let comparison = PolicyComparison::measure_with(name, program, &service)?;
-    let slowdown =
-        MitigationPolicy::ALL.iter().map(|&policy| comparison.slowdown(policy)).collect();
-    Ok(SlowdownRow {
-        name: name.to_string(),
-        baseline_cycles: comparison.unprotected_cycles(),
-        slowdown,
-    })
 }
 
 /// Geometric mean of strictly positive samples (1.0 for an empty slice).
@@ -400,19 +375,5 @@ mod tests {
         let geo = text.lines().find(|l| l.starts_with("geo-mean")).unwrap();
         assert!(geo.trim_end().ends_with("n/a"), "all-failed column mean must be n/a: {geo}");
         assert_eq!(report.failures(), vec![("t/gemm/no-speculation/default", "budget exhausted")]);
-    }
-
-    #[test]
-    fn measure_slowdowns_has_unit_baseline() {
-        let program = crate::scenario::ProgramSpec::Workload {
-            name: "gemm",
-            size: dbt_workloads::WorkloadSize::Mini,
-        }
-        .build()
-        .unwrap();
-        let row = measure_slowdowns("gemm", &program).unwrap();
-        assert_eq!(row.slowdown.len(), MitigationPolicy::ALL.len());
-        assert!((row.slowdown[0] - 1.0).abs() < 1e-12);
-        assert!(row.baseline_cycles > 0);
     }
 }

@@ -12,7 +12,7 @@
 //! comes from `seq`), and nothing here ever reaches a report body or a
 //! `BENCH_*.json` artifact.
 
-use crate::spanrec::json_escape;
+use dbt_json::escape;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -103,7 +103,7 @@ impl EventLog {
     }
 
     /// A log bounded at `capacity` records (0 drops everything).
-    pub fn with_capacity(capacity: usize) -> EventLog {
+    pub(crate) fn with_capacity(capacity: usize) -> EventLog {
         EventLog {
             capacity,
             inner: Mutex::new(LogRing { ring: VecDeque::new(), dropped: 0, next_seq: 0 }),
@@ -178,21 +178,21 @@ impl EventLog {
                 body.push_str(", ");
             }
             let trace = match &record.trace_id {
-                Some(trace) => format!("\"{}\"", json_escape(trace)),
+                Some(trace) => format!("\"{}\"", escape(trace)),
                 None => "null".to_string(),
             };
             let fields: Vec<String> = record
                 .fields
                 .iter()
-                .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
+                .map(|(k, v)| format!("\"{}\": \"{}\"", escape(k), escape(v)))
                 .collect();
             body.push_str(&format!(
                 "{{\"seq\": {}, \"level\": \"{}\", \"target\": \"{}\", \"message\": \"{}\", \
                  \"trace_id\": {trace}, \"fields\": {{{}}}}}",
                 record.seq,
                 record.level.as_str(),
-                json_escape(&record.target),
-                json_escape(&record.message),
+                escape(&record.target),
+                escape(&record.message),
                 fields.join(", "),
             ));
         }

@@ -10,8 +10,7 @@
 //!   **byte-stable Prometheus text-format exposition** — the body of the
 //!   daemon's protocol-v2 `metrics` op (see `docs/PROTOCOL.md`);
 //! * a [`Span`] RAII guard for wall-clock phase timing
-//!   (`Span::enter("translate.codegen")`), recording into a histogram on
-//!   drop;
+//!   (`Span::on(&histogram)`), recording into its histogram on drop;
 //! * fixed workspace-wide latency buckets
 //!   ([`DEFAULT_LATENCY_BOUNDS_MICROS`]) and deterministic bucket-edge
 //!   quantiles ([`Histogram::quantile_micros`]) for the load generator's
@@ -37,8 +36,7 @@
 //!    lands in a `BENCH_*.json` artifact.
 //! 2. **Hot paths stay hot.** Handles are resolved once at registration
 //!    (the only place a lock is taken) and updated with relaxed
-//!    atomics; per-access cache-model counters additionally sit behind a
-//!    cargo feature and a sampling interval in `dbt-cache`.
+//!    atomics.
 //!
 //! Metric families follow the `dbt_<layer>_<name>` naming convention
 //! (`dbt_serve_requests_total`, `dbt_runmemo_hits_total`, …).
@@ -54,7 +52,7 @@ pub use eventlog::{EventLog, LogLevel, LogRecord, DEFAULT_EVENT_CAPACITY, EVENT_
 pub use metric::{micros_as_seconds, Counter, Gauge, Histogram, DEFAULT_LATENCY_BOUNDS_MICROS};
 pub use profiler::{Phase, PhaseCycles, Profiler, SpecEvents, TraceEvent, DEFAULT_TRACE_CAPACITY};
 pub use registry::MetricsRegistry;
-pub use span::{Span, SPAN_FAMILY};
+pub use span::Span;
 pub use spanrec::{
     SpanRecord, SpanRecorder, StageSpan, TraceClock, TraceHandle, TraceScope,
     DEFAULT_SPAN_CAPACITY, TRACE_TREE_SCHEMA,

@@ -22,7 +22,7 @@
 
 use crate::metric::{micros_as_seconds, Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// What kind of samples a family holds; a name registers as exactly one
 /// kind for the life of the registry.
@@ -61,8 +61,8 @@ struct Family {
 }
 
 /// The registry. Construct with [`MetricsRegistry::new`] (an `Arc`, like
-/// every shared service in this workspace) or use the process-wide
-/// [`MetricsRegistry::global`].
+/// every shared service in this workspace); each daemon owns its own, so
+/// concurrent daemons (e.g. tests in one process) never share samples.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     families: Mutex<BTreeMap<String, Family>>,
@@ -72,16 +72,6 @@ impl MetricsRegistry {
     /// A fresh, empty registry.
     pub fn new() -> Arc<MetricsRegistry> {
         Arc::new(MetricsRegistry::default())
-    }
-
-    /// The process-wide registry — the home of [`crate::Span::enter`]
-    /// spans and of sampled flushes from feature-gated hot-path
-    /// instrumentation (the cache model). Daemon-scoped metrics prefer a
-    /// per-instance registry so concurrent daemons (e.g. tests in one
-    /// process) do not pollute each other.
-    pub fn global() -> &'static Arc<MetricsRegistry> {
-        static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
     }
 
     /// Get-or-register the unlabelled counter `name`.
@@ -413,12 +403,5 @@ dbt_test_seconds_count 3
             "{}",
             registry.render()
         );
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        let a = MetricsRegistry::global();
-        let b = MetricsRegistry::global();
-        assert!(Arc::ptr_eq(a, b));
     }
 }

@@ -2,29 +2,27 @@
 //!
 //! A [`Span`] notes [`Instant::now`] when created and records the
 //! elapsed duration into its histogram when dropped — so timing a phase
-//! is one line at the top of the scope:
+//! is one line at the top of the scope, on a histogram resolved once:
 //!
 //! ```
-//! # use dbt_obs::Span;
-//! let _span = Span::enter("translate.codegen");
-//! // ... the phase ...
-//! // drop records the elapsed wall-clock time
+//! # use dbt_obs::{MetricsRegistry, Span, DEFAULT_LATENCY_BOUNDS_MICROS};
+//! let registry = MetricsRegistry::new();
+//! let codegen =
+//!     registry.histogram("dbt_codegen_seconds", "Codegen time.", DEFAULT_LATENCY_BOUNDS_MICROS);
+//! {
+//!     let _span = Span::on(&codegen);
+//!     // ... the phase ...
+//! } // drop records the elapsed wall-clock time
+//! assert_eq!(codegen.count(), 1);
 //! ```
 //!
-//! `Span::enter` records into the process-wide registry's
-//! `dbt_span_seconds{span="..."}` family; [`Span::on`] records into any
-//! explicit histogram (what the daemon's per-op latency tracking uses).
 //! Spans read the clock and touch atomics only — they never feed back
 //! into the simulated platform, so deterministic cycle outputs are
 //! unaffected.
 
 use crate::metric::Histogram;
-use crate::registry::MetricsRegistry;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The family name `Span::enter` records under in the global registry.
-pub const SPAN_FAMILY: &str = "dbt_span_seconds";
 
 /// An in-flight phase timing; records on drop.
 #[derive(Debug)]
@@ -35,12 +33,6 @@ pub struct Span {
 }
 
 impl Span {
-    /// Starts a span on the process-wide registry, labelled
-    /// `span="<name>"` in the [`SPAN_FAMILY`] histogram family.
-    pub fn enter(name: &str) -> Span {
-        MetricsRegistry::global().span(name)
-    }
-
     /// Starts a span that records into the given histogram.
     pub fn on(histogram: &Arc<Histogram>) -> Span {
         Span { histogram: Arc::clone(histogram), started: Instant::now() }
@@ -53,24 +45,10 @@ impl Drop for Span {
     }
 }
 
-impl MetricsRegistry {
-    /// Starts a span on *this* registry's [`SPAN_FAMILY`] family,
-    /// labelled `span="<name>"` — the per-daemon flavour of
-    /// [`Span::enter`].
-    pub fn span(&self, name: &str) -> Span {
-        let histogram = self.histogram_with(
-            SPAN_FAMILY,
-            "Wall-clock phase durations by span name.",
-            crate::metric::DEFAULT_LATENCY_BOUNDS_MICROS,
-            &[("span", name)],
-        );
-        Span::on(&histogram)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MetricsRegistry;
 
     #[test]
     fn span_records_exactly_once_on_drop() {
@@ -85,43 +63,34 @@ mod tests {
     }
 
     #[test]
-    fn registry_span_lands_in_the_span_family() {
-        let registry = MetricsRegistry::new();
-        drop(registry.span("translate.codegen"));
-        drop(registry.span("translate.codegen"));
-        drop(registry.span("simulate"));
-        let text = registry.render();
-        assert!(text.contains("dbt_span_seconds_count{span=\"translate.codegen\"} 2"), "{text}");
-        assert!(text.contains("dbt_span_seconds_count{span=\"simulate\"} 1"), "{text}");
-    }
-
-    #[test]
     fn nested_spans_attribute_to_their_own_phases() {
         // An outer phase span stays open while an inner sub-phase span
         // opens and closes: each must record exactly once, into its own
         // labelled series, and the inner drop must not close the outer.
         let registry = MetricsRegistry::new();
+        let phase = |name| {
+            registry.histogram_with(
+                "dbt_test_seconds",
+                "t",
+                crate::DEFAULT_LATENCY_BOUNDS_MICROS,
+                &[("phase", name)],
+            )
+        };
+        let (outer, inner) = (phase("outer"), phase("inner"));
         {
-            let _outer = registry.span("phase.outer");
+            let _outer = Span::on(&outer);
             {
-                let _inner = registry.span("phase.inner");
+                let _inner = Span::on(&inner);
             }
             let mid = registry.render();
-            assert!(mid.contains("dbt_span_seconds_count{span=\"phase.inner\"} 1"), "{mid}");
+            assert!(mid.contains("dbt_test_seconds_count{phase=\"inner\"} 1"), "{mid}");
             assert!(
-                mid.contains("dbt_span_seconds_count{span=\"phase.outer\"} 0"),
+                mid.contains("dbt_test_seconds_count{phase=\"outer\"} 0"),
                 "outer span must still be in flight: {mid}"
             );
         }
         let text = registry.render();
-        assert!(text.contains("dbt_span_seconds_count{span=\"phase.outer\"} 1"), "{text}");
-        assert!(text.contains("dbt_span_seconds_count{span=\"phase.inner\"} 1"), "{text}");
-    }
-
-    #[test]
-    fn enter_records_into_the_global_registry() {
-        drop(Span::enter("obs.test.enter"));
-        let text = MetricsRegistry::global().render();
-        assert!(text.contains("dbt_span_seconds_count{span=\"obs.test.enter\"} 1"), "{text}");
+        assert!(text.contains("dbt_test_seconds_count{phase=\"outer\"} 1"), "{text}");
+        assert!(text.contains("dbt_test_seconds_count{phase=\"inner\"} 1"), "{text}");
     }
 }

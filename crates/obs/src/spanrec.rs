@@ -27,6 +27,7 @@
 //! appear only in observability output (the `trace` op, Chrome exports),
 //! never in report bodies or `BENCH_*.json` artifacts.
 
+use dbt_json::escape;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,7 +119,7 @@ impl SpanRecorder {
     }
 
     /// A recorder bounded at `capacity` spans (0 drops everything).
-    pub fn with_capacity(capacity: usize, clock: TraceClock) -> SpanRecorder {
+    pub(crate) fn with_capacity(capacity: usize, clock: TraceClock) -> SpanRecorder {
         SpanRecorder {
             capacity,
             clock,
@@ -182,21 +183,21 @@ impl SpanRecorder {
     pub fn render_tree(trace_id: &str, spans: &[SpanRecord], dropped: u64) -> String {
         let mut body = format!(
             "{{\"schema\": \"{TRACE_TREE_SCHEMA}\", \"trace_id\": \"{}\", \"dropped\": {dropped}, \"spans\": [",
-            json_escape(trace_id)
+            escape(trace_id)
         );
         for (index, span) in spans.iter().enumerate() {
             if index > 0 {
                 body.push_str(", ");
             }
             let parent = match &span.parent {
-                Some(parent) => format!("\"{}\"", json_escape(parent)),
+                Some(parent) => format!("\"{}\"", escape(parent)),
                 None => "null".to_string(),
             };
             body.push_str(&format!(
                 "{{\"span_id\": \"{}\", \"parent\": {parent}, \"stage\": \"{}\", \
                  \"start_micros\": {}, \"duration_micros\": {}}}",
-                json_escape(&span.span_id),
-                json_escape(&span.stage),
+                escape(&span.span_id),
+                escape(&span.stage),
                 span.start_micros,
                 span.duration_micros,
             ));
@@ -204,24 +205,6 @@ impl SpanRecorder {
         body.push_str("]}");
         body
     }
-}
-
-/// Minimal JSON string escaping for observability bodies (the crate is
-/// dependency-free by design, so it carries its own).
-pub(crate) fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 struct ActiveScope {

@@ -2,8 +2,8 @@
 //! that persists an artifact.
 //!
 //! The store itself frames entries with this codec (magic, version, kind,
-//! key, checksum, payload), and the layers above reuse it for their
-//! payloads (run summaries, program images, taint verdicts). It is
+//! key, checksum, payload), and the run memo reuses it for its run
+//! summaries. It is
 //! deliberately tiny: fixed-width integers, `u64`-length-prefixed byte
 //! strings, and nothing self-describing — the entry key already names the
 //! payload's type and version, so the bytes can stay minimal.

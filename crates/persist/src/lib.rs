@@ -22,7 +22,7 @@
 //! [`BoundedMap`] is the in-memory LRU the tiers above share.
 //!
 //! The crate is bottom-level and std-only: it knows nothing about
-//! programs, runs or verdicts — callers bring their own binary codecs
+//! programs or runs — callers bring their own binary codecs
 //! (the [`codec`] module has the length-prefixed reader/writer they
 //! share) and their own counters glue.
 //!

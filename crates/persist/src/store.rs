@@ -114,7 +114,7 @@ impl GcOutcome {
 pub enum PersistEvent {
     /// An entry failed validation and was moved to `corrupt/`.
     CorruptQuarantined {
-        /// Entry kind (`run`, `prog`, `verdict`, …).
+        /// Entry kind (`run`, `prog`, …).
         kind: String,
         /// Entry key (lowercase hex).
         key: String,
@@ -607,9 +607,9 @@ mod tests {
         let store = PersistStore::open(&root).unwrap();
         assert!(!store.incompatible_reset());
         assert!(store.put("run", KEY_A, b"alpha"));
-        assert!(store.put("verdict", KEY_A, b"beta"));
+        assert!(store.put("prog", KEY_A, b"beta"));
         assert_eq!(store.get("run", KEY_A).as_deref(), Some(&b"alpha"[..]));
-        assert_eq!(store.get("verdict", KEY_A).as_deref(), Some(&b"beta"[..]));
+        assert_eq!(store.get("prog", KEY_A).as_deref(), Some(&b"beta"[..]));
         assert_eq!(store.get("run", KEY_B), None);
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.writes), (2, 1, 2));

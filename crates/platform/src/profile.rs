@@ -19,6 +19,7 @@
 //! cache's own hit/miss totals).
 
 use crate::processor::RunSummary;
+use dbt_json::escape;
 use dbt_obs::{PhaseCycles, SpecEvents};
 
 /// A deterministic profile of one completed run.
@@ -181,24 +182,6 @@ impl ProfileReport {
         out.push_str("}\n");
         out
     }
-}
-
-/// Minimal JSON string escaping for the two label fields (program names
-/// and policy labels — the rest of the report is numeric).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -44,7 +44,8 @@
 //! the ambient [`dbt_obs::TraceHandle`] the worker enters around
 //! execution. The `trace` op assembles the tree; the `logs` op serves
 //! the daemon's structured [`EventLog`] (lifecycle events live there).
-//! All three rings are bounded by [`ServerConfig`] knobs.
+//! All three rings are bounded by fixed capacities ([`TRACE_LOG_CAPACITY`],
+//! [`dbt_obs::DEFAULT_SPAN_CAPACITY`], [`dbt_obs::DEFAULT_EVENT_CAPACITY`]).
 
 use crate::conn::{Conn, Frame, FrameCounters};
 use crate::json::escape;
@@ -151,7 +152,7 @@ pub trait LabBackend: Send + Sync {
     /// backend events (durable-cache lifecycle, quarantines, GC) and
     /// server lifecycle events interleave in one stream. The default is
     /// `None`: the server creates its own log bounded by
-    /// [`ServerConfig::event_log_capacity`], exactly as before.
+    /// [`dbt_obs::DEFAULT_EVENT_CAPACITY`], exactly as before.
     fn event_log(&self) -> Option<Arc<EventLog>> {
         None
     }
@@ -175,39 +176,15 @@ pub struct ServerConfig {
     /// `error` frame and the connection is closed (the line's framing can
     /// no longer be trusted), instead of buffering without limit.
     pub max_frame_bytes: usize,
-    /// Bound of the request trace log (oldest entries evicted; `0` keeps
-    /// nothing).
-    pub trace_log_capacity: usize,
-    /// Bound of the span ring behind the `trace` op.
-    pub span_log_capacity: usize,
-    /// Bound of the structured event log behind the `logs` op.
-    pub event_log_capacity: usize,
-    /// Root directory of the durable content-addressed cache the backend
-    /// serving this config attaches (`lab serve --cache-dir`). `None` —
-    /// the default — keeps every cache purely in-memory: behavior,
-    /// counters and artifacts are byte-identical to builds without the
-    /// persistence tier.
-    pub cache_dir: Option<String>,
 }
 
 impl Default for ServerConfig {
     /// Two workers over a 16-deep queue: enough concurrency to overlap a
     /// sweep with single-scenario queries without oversubscribing the
     /// sweep executor's own threads. Frames are capped at
-    /// [`DEFAULT_MAX_FRAME_BYTES`]; the observability rings keep their
-    /// historical bounds ([`TRACE_LOG_CAPACITY`],
-    /// [`dbt_obs::DEFAULT_SPAN_CAPACITY`],
-    /// [`dbt_obs::DEFAULT_EVENT_CAPACITY`]).
+    /// [`DEFAULT_MAX_FRAME_BYTES`].
     fn default() -> ServerConfig {
-        ServerConfig {
-            workers: 2,
-            queue_depth: 16,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            trace_log_capacity: TRACE_LOG_CAPACITY,
-            span_log_capacity: dbt_obs::DEFAULT_SPAN_CAPACITY,
-            event_log_capacity: dbt_obs::DEFAULT_EVENT_CAPACITY,
-            cache_dir: None,
-        }
+        ServerConfig { workers: 2, queue_depth: 16, max_frame_bytes: DEFAULT_MAX_FRAME_BYTES }
     }
 }
 
@@ -297,8 +274,7 @@ pub fn logs_response(events: &EventLog, level: Option<&str>) -> Response {
     }
 }
 
-/// Default bound of the in-memory request trace log (oldest entries
-/// evicted); override via [`ServerConfig::trace_log_capacity`].
+/// Bound of the in-memory request trace log (oldest entries evicted).
 pub const TRACE_LOG_CAPACITY: usize = 256;
 
 /// Span-id prefix and root span id of daemon-side spans.
@@ -362,7 +338,7 @@ struct Shared {
     started: Instant,
     metrics: ServerMetrics,
     /// The request trace log: `(trace_id, op, micros)` of the last
-    /// [`ServerConfig::trace_log_capacity`] answered requests, newest
+    /// [`TRACE_LOG_CAPACITY`] answered requests, newest
     /// last. Latencies are wall-clock and operator-facing, like the
     /// metrics exposition.
     traces: Mutex<VecDeque<(String, String, u64)>>,
@@ -460,12 +436,8 @@ impl LineService for Shared {
 impl Shared {
     /// Appends one entry to the bounded trace log.
     fn record_trace(&self, trace_id: &str, op: &str, micros: u64) {
-        let capacity = self.config.trace_log_capacity;
         let mut traces = self.traces.lock().expect("trace log lock");
-        if capacity == 0 {
-            return;
-        }
-        if traces.len() == capacity {
+        if traces.len() == TRACE_LOG_CAPACITY {
             traces.pop_front();
         }
         traces.push_back((trace_id.to_string(), op.to_string(), micros));
@@ -487,9 +459,8 @@ impl Shared {
             .collect::<Vec<_>>()
             .join(", ");
         format!(
-            "{{\"schema\": \"dbt-serve/trace-log/v1\", \"capacity\": {}, \
-             \"entries\": [{entries}]}}",
-            self.config.trace_log_capacity
+            "{{\"schema\": \"dbt-serve/trace-log/v1\", \"capacity\": {TRACE_LOG_CAPACITY}, \
+             \"entries\": [{entries}]}}"
         )
     }
 
@@ -783,9 +754,7 @@ pub fn serve_with_clock<A: ToSocketAddrs>(
     // A backend that keeps its own event log (the durable-cache daemon
     // does, so persistence events and server lifecycle interleave in one
     // `logs` stream) lends it to the server; otherwise the server owns one.
-    let events = backend
-        .event_log()
-        .unwrap_or_else(|| Arc::new(EventLog::with_capacity(config.event_log_capacity)));
+    let events = backend.event_log().unwrap_or_else(|| Arc::new(EventLog::new()));
     let shared = Arc::new(Shared {
         backend,
         queue: BoundedQueue::new(config.queue_depth),
@@ -794,7 +763,7 @@ pub fn serve_with_clock<A: ToSocketAddrs>(
         started: Instant::now(),
         metrics: ServerMetrics::new(),
         traces: Mutex::new(VecDeque::new()),
-        spans: Arc::new(SpanRecorder::with_capacity(config.span_log_capacity, clock)),
+        spans: Arc::new(SpanRecorder::new(clock)),
         events,
         config,
     });
@@ -1127,14 +1096,11 @@ mod tests {
 
     #[test]
     fn trace_log_capacity_knob_evicts_at_the_boundary() {
-        let handle = serve(
-            "127.0.0.1:0",
-            quiet_backend(),
-            ServerConfig { trace_log_capacity: 3, ..ServerConfig::default() },
-        )
-        .unwrap();
+        let handle = serve("127.0.0.1:0", quiet_backend(), ServerConfig::default()).unwrap();
         let mut client = Client::connect(handle.addr()).unwrap();
-        for id in ["q1", "q2", "q3"] {
+        // Ids are quoted in the body, so `"q1"` never matches `"q10"`.
+        let ids: Vec<String> = (1..=TRACE_LOG_CAPACITY).map(|n| format!("q{n}")).collect();
+        for id in &ids {
             client.request_traced(&Request::Health, Some(id)).unwrap();
         }
         // Exactly at capacity: nothing evicted yet.
@@ -1142,17 +1108,17 @@ mod tests {
             Request::Profile { program: None, policy: DEFAULT_RUN_POLICY.to_string() };
         let (reply, _) = client.request_traced(&log_request, Some("scrape-1")).unwrap();
         let Response::Ok { body, .. } = reply else { panic!("profile must answer ok") };
-        assert!(body.contains("\"capacity\": 3"), "{body}");
-        for id in ["q1", "q2", "q3"] {
-            assert!(body.contains(id), "{body}");
+        assert!(body.contains(&format!("\"capacity\": {TRACE_LOG_CAPACITY}")), "{body}");
+        for id in &ids {
+            assert!(body.contains(&format!("\"{id}\"")), "{body}");
         }
         // One over (the scrape itself was recorded after answering): the
         // oldest entry, and only it, is gone.
         let (reply, _) = client.request_traced(&log_request, Some("scrape-2")).unwrap();
         let Response::Ok { body, .. } = reply else { panic!("profile must answer ok") };
-        assert!(!body.contains("q1"), "oldest entry must be evicted: {body}");
-        for id in ["q2", "q3", "scrape-1"] {
-            assert!(body.contains(id), "{body}");
+        assert!(!body.contains("\"q1\""), "oldest entry must be evicted: {body}");
+        for id in ids[1..].iter().map(String::as_str).chain(["scrape-1"]) {
+            assert!(body.contains(&format!("\"{id}\"")), "{body}");
         }
         handle.shutdown();
         handle.wait();

@@ -3,9 +3,10 @@
 //! serial measurement path.
 
 use dbt_lab::{
-    measure_slowdowns, run_sweep, run_sweep_with, AttackVariant, ExecOptions, JobOutcome,
-    ProgramSpec, Registry, ScenarioKind, Sweep, TranslationService,
+    run_sweep, run_sweep_with, AttackVariant, ExecOptions, JobOutcome, ProgramSpec, Registry,
+    ScenarioKind, Sweep, TranslationService,
 };
+use dbt_platform::PolicyComparison;
 use dbt_workloads::WorkloadSize;
 use ghostbusters::MitigationPolicy;
 
@@ -58,15 +59,17 @@ fn sweep_slowdowns_agree_with_the_legacy_serial_path() {
     assert_eq!(table.rows.len(), 1);
     assert_eq!(table.policies, MitigationPolicy::ALL.to_vec());
 
+    // The serial path: every policy on one fresh service, one after another.
     let program = ProgramSpec::Workload { name: "gemm", size: WorkloadSize::Mini }.build().unwrap();
-    let legacy = measure_slowdowns("gemm", &program).unwrap();
-    assert_eq!(table.rows[0].baseline_cycles, legacy.baseline_cycles);
-    for i in 0..MitigationPolicy::ALL.len() {
+    let legacy =
+        PolicyComparison::measure_with("gemm", &program, &TranslationService::new()).unwrap();
+    assert_eq!(table.rows[0].baseline_cycles, legacy.unprotected_cycles());
+    for (i, &policy) in MitigationPolicy::ALL.iter().enumerate() {
         assert!(
-            (table.rows[0].slowdown[i] - legacy.slowdown[i]).abs() < 1e-12,
-            "policy {i}: sweep {} vs legacy {}",
+            (table.rows[0].slowdown[i] - legacy.slowdown(policy)).abs() < 1e-12,
+            "{policy:?}: sweep {} vs legacy {}",
             table.rows[0].slowdown[i],
-            legacy.slowdown[i]
+            legacy.slowdown(policy)
         );
     }
 }

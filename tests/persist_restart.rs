@@ -31,12 +31,7 @@ fn start_cached(dir: &Path) -> ServerHandle {
     let dir = dir.display().to_string();
     let daemon = LabDaemon::with_cache_dir(WorkloadSize::Mini, 1, Some(&dir))
         .expect("a writable cache dir must open");
-    let config = ServerConfig {
-        workers: 2,
-        queue_depth: 16,
-        cache_dir: Some(dir),
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig { workers: 2, queue_depth: 16, ..ServerConfig::default() };
     serve("127.0.0.1:0", Arc::new(daemon), config).expect("ephemeral port must bind")
 }
 
@@ -48,8 +43,8 @@ fn ok_body(response: Response) -> String {
 }
 
 /// The request list every test drives: two distinct runs and a sweep, so
-/// the run memo, the translation service and the analysis verdicts all
-/// exercise the durable tier.
+/// the run memo's summaries exercise the durable tier (translations are
+/// recomputed on every run-memo miss, whatever the tier holds).
 fn mix() -> Vec<Request> {
     vec![
         Request::Run { scenario: "figure4/gemm/our-approach/default".to_string() },

@@ -13,11 +13,13 @@ use dbt_lab::{
 };
 use dbt_riscv::{parse_asm, Program};
 use dbt_serve::{
-    serve, Client, JsonValue, ProgramSource, Request, Response, RunKnobs, ServerConfig,
+    serve, Client, ConnectOptions, JsonValue, ProgramSource, Request, Response, RunKnobs,
+    ServerConfig,
 };
 use dbt_workloads::WorkloadSize;
 use ghostbusters::MitigationPolicy;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The committed `.s` twin of `spectre_v1::build(b"GhostBusters")`.
 const GADGET_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../examples/spectre_v1_gadget.s");
@@ -197,6 +199,30 @@ fn bad_uploads_and_unknown_refs_answer_error_frames() {
         "{bad_policy:?}"
     );
 
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
+fn invalid_run_knobs_answer_error_frames_and_keep_the_worker() {
+    let daemon = LabDaemon::with_threads(WorkloadSize::Mini, 1);
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let handle = serve("127.0.0.1:0", Arc::new(daemon), config).expect("ephemeral port must bind");
+    // A lost worker leaves later jobs queued forever: time out instead.
+    let options =
+        ConnectOptions { read_timeout: Some(Duration::from_secs(30)), ..Default::default() };
+    let mut client = Client::connect_with(handle.addr(), options).expect("connect");
+    let base = r#"{"op": "run", "program": "gemm", "policy": "unsafe""#;
+    for knob in ["issue_width", "hot_threshold"] {
+        let reply = client.raw_request(&format!("{base}, \"{knob}\": 0}}")).expect("answered");
+        assert!(
+            matches!(&reply, Response::Error { error, .. } if error.contains(&format!("{knob} 0"))),
+            "`{knob}: 0` must be refused by name: {reply:?}"
+        );
+    }
+    // The only worker still runs jobs.
+    let body = ok_body(client.raw_request(&format!("{base}}}")).expect("answered"));
+    assert!(body.contains("\"status\": \"ok\""), "{body}");
     handle.shutdown();
     handle.wait();
 }
