@@ -1,8 +1,11 @@
 //! The parallel sweep executor.
 //!
-//! Jobs are pulled from a shared queue by `std::thread::scope` workers;
-//! results land in the slot of their job index, so the report order is the
-//! expansion order regardless of which worker finished first.
+//! Jobs are pulled from a shared queue by the calling thread and, for a
+//! sweep run on `n` threads, `n - 1` `std::thread::scope` workers; results
+//! land in the slot of their job index, so the report order is the
+//! expansion order regardless of which worker finished first. Each
+//! simulation runs on a scoped thread of its own, so a one-job request
+//! answered from the run memo spawns no thread at all.
 //!
 //! Redundant work is deduplicated at two levels through a sweep-wide
 //! shared context:
@@ -281,8 +284,8 @@ impl SweepContext {
             })
         };
         match &self.memo {
-            Some(memo) => memo.get_or_run(RunKey::new(program, &config), run),
-            None => run(),
+            Some(memo) => memo.get_or_run(RunKey::new(program, &config), || on_own_thread(run)),
+            None => on_own_thread(run),
         }
     }
 
@@ -297,6 +300,27 @@ impl SweepContext {
             self.baselines.lock().expect("baseline cache poisoned").entry(key).or_default().clone();
         slot.get_or_init(simulate).clone()
     }
+}
+
+/// Runs `f` on a scoped thread of its own, in the caller's trace context,
+/// and returns its result (re-raising its panic).
+///
+/// [`SweepContext::simulate`] runs every simulation, the executor's only
+/// heavy work, through here; memo hits never reach it. Linux starts a new
+/// thread on the idlest CPU, while a waking thread mostly stays near where
+/// it or its waker last ran. Simulating on the daemon worker that took a
+/// one-job request left a CPU of a 2-core host idle a quarter of the time
+/// under `serve-miss` traffic (an eighth with a thread per simulation)
+/// and cost a tenth of its throughput.
+fn on_own_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    let trace = TraceHandle::current();
+    std::thread::scope(|scope| {
+        let simulation = scope.spawn(|| {
+            let _trace_scope = trace.as_ref().map(TraceHandle::enter);
+            f()
+        });
+        simulation.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
 }
 
 fn run_job(scenario: &Scenario, ctx: &SweepContext) -> JobOutcome {
@@ -431,31 +455,33 @@ pub fn run_sweep_obs(
     let mut slots: Vec<Option<JobResult>> = Vec::new();
     slots.resize_with(jobs, || None);
     let slots = Mutex::new(slots);
-    // Jobs run on scoped worker threads, not the calling thread: capture
-    // the caller's ambient trace context (the daemon worker's, when this
-    // sweep serves a traced request) and re-enter it per worker so the
-    // `simulate`/`translate.*` stage spans keep landing in that trace.
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::SeqCst);
+        if i >= jobs {
+            break;
+        }
+        let scenario = &scenarios[i];
+        let outcome = run_job(scenario, &ctx);
+        if opts.verbose {
+            eprintln!("[lab] {} done", scenario.name);
+        }
+        slots.lock().expect("result slots poisoned")[i] =
+            Some(JobResult { scenario: scenario.clone(), outcome });
+    };
+    // The calling thread is the first worker, so a one-job sweep spawns no
+    // worker. It is already in its ambient trace context (the daemon
+    // worker's, when this sweep serves a traced request); each spawned
+    // worker re-enters that context so the `simulate`/`translate.*` stage
+    // spans keep landing in the same trace.
     let trace = TraceHandle::current();
-
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 1..threads {
             scope.spawn(|| {
                 let _trace_scope = trace.as_ref().map(TraceHandle::enter);
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= jobs {
-                        break;
-                    }
-                    let scenario = &scenarios[i];
-                    let outcome = run_job(scenario, &ctx);
-                    if opts.verbose {
-                        eprintln!("[lab] {} done", scenario.name);
-                    }
-                    slots.lock().expect("result slots poisoned")[i] =
-                        Some(JobResult { scenario: scenario.clone(), outcome });
-                }
+                work();
             });
         }
+        work();
     });
 
     let results: Vec<JobResult> = slots

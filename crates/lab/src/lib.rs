@@ -13,8 +13,10 @@
 //!   (one concrete job);
 //! * [`registry`] — [`Registry::standard`] declares the paper's sweeps;
 //!   new experiments are new declarations, not new binaries;
-//! * [`exec`] — [`run_sweep`] fans jobs out over `std::thread::scope`
-//!   workers with deterministic output ordering; every job runs through a
+//! * [`exec`] — [`run_sweep`] fans jobs out over the calling thread and
+//!   `std::thread::scope` workers with deterministic output ordering (each
+//!   simulation runs on a thread of its own, so a run-memo hit spawns
+//!   none); every job runs through a
 //!   [`dbt_platform::Session`] attached to one shared
 //!   [`TranslationService`], so each workload's unprotected baseline is
 //!   simulated exactly once and each distinct translation is compiled

@@ -8,7 +8,7 @@
 use crate::scenario::{
     AttackVariant, PlatformOverrides, PlatformVariant, ProgramSpec, Scenario, ScenarioKind,
 };
-use dbt_workloads::{suite, WorkloadSize};
+use dbt_workloads::{WorkloadSize, SUITE_NAMES};
 use ghostbusters::MitigationPolicy;
 
 /// The secret planted in the attack proof-of-concepts, as in the paper's
@@ -96,24 +96,54 @@ impl Sweep {
         for program in &self.programs {
             for platform in &self.platforms {
                 for &policy in &self.policies {
-                    jobs.push(Scenario {
-                        name: format!(
-                            "{}/{}/{}/{}",
-                            self.name,
-                            program.label,
-                            policy.label(),
-                            platform.name
-                        ),
-                        program_label: program.label.clone(),
-                        program: program.spec.clone(),
-                        policy,
-                        platform: platform.clone(),
-                        kind: program.kind.unwrap_or(self.kind),
-                    });
+                    jobs.push(self.scenario(program, platform, policy));
                 }
             }
         }
         jobs
+    }
+
+    /// The job at one point of the product. [`Sweep::expand`] and
+    /// [`Registry::find_scenario`] both build jobs here, so the name
+    /// format (`sweep/program/policy/platform`) lives in one place.
+    fn scenario(
+        &self,
+        program: &SweepProgram,
+        platform: &PlatformVariant,
+        policy: MitigationPolicy,
+    ) -> Scenario {
+        Scenario {
+            name: format!("{}/{}/{}/{}", self.name, program.label, policy.label(), platform.name),
+            program_label: program.label.clone(),
+            program: program.spec.clone(),
+            policy,
+            platform: platform.clone(),
+            kind: program.kind.unwrap_or(self.kind),
+        }
+    }
+
+    /// The first job in expansion order named `name`, matched segment by
+    /// segment against the axes' labels without building any other job.
+    fn find_scenario(&self, name: &str) -> Option<Scenario> {
+        let rest = name.strip_prefix(self.name.as_str())?.strip_prefix('/')?;
+        for program in &self.programs {
+            let Some(rest) =
+                rest.strip_prefix(program.label.as_str()).and_then(|rest| rest.strip_prefix('/'))
+            else {
+                continue;
+            };
+            for platform in &self.platforms {
+                let policy_label = rest
+                    .strip_suffix(platform.name.as_str())
+                    .and_then(|rest| rest.strip_suffix('/'));
+                let policy = policy_label
+                    .and_then(|label| self.policies.iter().find(|policy| policy.label() == label));
+                if let Some(&policy) = policy {
+                    return Some(self.scenario(program, platform, policy));
+                }
+            }
+        }
+        None
     }
 }
 
@@ -158,9 +188,8 @@ impl Registry {
             "Figure 4: slowdown vs unsafe execution, per kernel and policy",
             ScenarioKind::Perf,
         );
-        for workload in suite(size) {
-            figure4 =
-                figure4.program(workload.name, ProgramSpec::Workload { name: workload.name, size });
+        for name in SUITE_NAMES {
+            figure4 = figure4.program(name, ProgramSpec::Workload { name, size });
         }
         for variant in [AttackVariant::SpectreV1, AttackVariant::SpectreV4] {
             figure4 = figure4.program(
@@ -218,9 +247,8 @@ impl Registry {
                 },
             ),
         ]);
-        for workload in suite(size) {
-            ablation = ablation
-                .program(workload.name, ProgramSpec::Workload { name: workload.name, size });
+        for name in SUITE_NAMES {
+            ablation = ablation.program(name, ProgramSpec::Workload { name, size });
         }
         registry.push(ablation);
 
@@ -251,9 +279,8 @@ impl Registry {
              slowdowns on leak-free workloads, secret recovery on both attacks",
             ScenarioKind::Perf,
         );
-        for workload in suite(size) {
-            selective = selective
-                .program(workload.name, ProgramSpec::Workload { name: workload.name, size });
+        for name in SUITE_NAMES {
+            selective = selective.program(name, ProgramSpec::Workload { name, size });
         }
         selective = selective.program("ptr-matmul", ProgramSpec::PointerMatmul { size });
         for variant in [AttackVariant::SpectreV1, AttackVariant::SpectreV4] {
@@ -284,9 +311,16 @@ impl Registry {
     }
 
     /// Finds one concrete scenario by its full name
-    /// (`sweep/program/policy/platform`).
+    /// (`sweep/program/policy/platform`): the same scenario
+    /// [`Registry::all_scenarios`] holds under that name, the first one in
+    /// expansion order if labels containing `/` make the name ambiguous.
+    ///
+    /// Only a sweep whose name prefixes `name` is searched. Its program,
+    /// policy and platform labels are compared with the name's segments in
+    /// place, and only the matching scenario is built, so a lookup neither
+    /// expands the registry nor allocates per candidate.
     pub fn find_scenario(&self, name: &str) -> Option<Scenario> {
-        self.all_scenarios().into_iter().find(|s| s.name == name)
+        self.sweeps.iter().find_map(|sweep| sweep.find_scenario(name))
     }
 }
 
@@ -356,5 +390,52 @@ mod tests {
         let scenario = registry.find_scenario("figure4/gemm/our-approach/default").unwrap();
         assert_eq!(scenario.policy, MitigationPolicy::FineGrained);
         assert!(registry.find_scenario("no/such/scenario").is_none());
+        for name in [
+            "figure4/gemm/our-approach",
+            "figure4/gemm/our-approach/default/",
+            "figure4//our-approach/default",
+            "figure4/gemm/our-approach/defaul",
+            "attack-table/gemm/unsafe/default",
+        ] {
+            assert!(registry.find_scenario(name).is_none(), "{name}");
+        }
+
+        for size in [WorkloadSize::Mini, WorkloadSize::Small] {
+            let registry = Registry::standard(size);
+            for scenario in registry.all_scenarios() {
+                assert_eq!(registry.find_scenario(&scenario.name), Some(scenario));
+            }
+        }
+
+        // Labels containing `/` can give several jobs one name: the lookup
+        // returns the first in expansion order, as a scan would.
+        let gemm = ProgramSpec::Workload { name: "gemm", size: WorkloadSize::Mini };
+        let atax = ProgramSpec::Workload { name: "atax", size: WorkloadSize::Mini };
+        let mut registry = Registry::empty();
+        registry.push(
+            Sweep::new("t", "labels with slashes", ScenarioKind::Perf)
+                .program("a/fence/x", gemm.clone())
+                .program("a", atax.clone())
+                .platforms(vec![
+                    PlatformVariant::default_platform(),
+                    PlatformVariant::new("x/fence/default", PlatformOverrides::default()),
+                ]),
+        );
+        registry.push(
+            Sweep::new("t/a", "a sweep named inside another", ScenarioKind::Attack)
+                .program("fence/x", gemm)
+                .program("unsafe/x", atax),
+        );
+        let all = registry.all_scenarios();
+        for (name, alike) in [
+            ("t/a/fence/x/fence/default", 3),
+            ("t/a/unsafe/x/fence/default", 2),
+            ("t/a/fence/x/unsafe/default", 2),
+            ("t/a/unsafe/x/unsafe/default", 1),
+        ] {
+            let matches: Vec<_> = all.iter().filter(|scenario| scenario.name == name).collect();
+            assert_eq!(matches.len(), alike, "{name}");
+            assert_eq!(registry.find_scenario(name).as_ref(), Some(matches[0]), "{name}");
+        }
     }
 }

@@ -4,7 +4,7 @@
 use dbt_cache::CacheConfig;
 use dbt_platform::PlatformConfig;
 use dbt_riscv::Program;
-use dbt_workloads::{pointer_matmul, suite, WorkloadSize};
+use dbt_workloads::{pointer_matmul, workload, WorkloadSize};
 use ghostbusters::MitigationPolicy;
 use std::sync::Arc;
 
@@ -186,9 +186,7 @@ impl ProgramSpec {
     /// assembly fails, or an ad-hoc source does not parse.
     pub fn build(&self) -> Result<Program, String> {
         match self {
-            ProgramSpec::Workload { name, size } => suite(*size)
-                .into_iter()
-                .find(|w| w.name == *name)
+            ProgramSpec::Workload { name, size } => workload(name, *size)
                 .map(|w| w.program)
                 .ok_or_else(|| format!("unknown workload `{name}`")),
             ProgramSpec::PointerMatmul { size } => Ok(pointer_matmul(*size).program),

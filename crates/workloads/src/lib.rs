@@ -64,49 +64,58 @@ impl WorkloadSize {
     }
 }
 
+/// Assembles one kernel at a given size.
+type KernelBuilder = fn(WorkloadSize) -> Program;
+
+/// The suite's kernel table, in suite order: each kernel's name and how to
+/// assemble it at a given size.
+const KERNELS: [(&str, KernelBuilder); 14] = [
+    ("gemm", |size| kernels::gemm(size.n())),
+    ("2mm", |size| kernels::two_mm(size.n())),
+    ("3mm", |size| kernels::three_mm(size.n())),
+    ("atax", |size| kernels::atax(size.n())),
+    ("bicg", |size| kernels::bicg(size.n())),
+    ("mvt", |size| kernels::mvt(size.n())),
+    ("gesummv", |size| kernels::gesummv(size.n())),
+    ("syrk", |size| kernels::syrk(size.n())),
+    ("trisolv", |size| kernels::trisolv(size.n())),
+    ("doitgen", |size| kernels::doitgen(size.n())),
+    ("jacobi-1d", |size| kernels::jacobi_1d(size.steps(), size.stencil_n())),
+    ("jacobi-2d", |size| kernels::jacobi_2d(size.steps(), size.n() + 4)),
+    ("histogram", |size| kernels::histogram(size.steps() + 1, size.stencil_n(), 16)),
+    ("stream-lut", |size| kernels::stream_lut(size.steps() + 1, size.stencil_n())),
+];
+
 /// The kernel names of [`suite`], in suite order — for name validation and
 /// listings without assembling any guest program.
-pub const SUITE_NAMES: [&str; 14] = [
-    "gemm",
-    "2mm",
-    "3mm",
-    "atax",
-    "bicg",
-    "mvt",
-    "gesummv",
-    "syrk",
-    "trisolv",
-    "doitgen",
-    "jacobi-1d",
-    "jacobi-2d",
-    "histogram",
-    "stream-lut",
-];
+pub const SUITE_NAMES: [&str; 14] = {
+    let mut names = [""; 14];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = KERNELS[i].0;
+        i += 1;
+    }
+    names
+};
+
+/// Assembles the suite kernel `name` at the given size, and nothing else;
+/// `None` if `name` is not one of [`SUITE_NAMES`].
+pub fn workload(name: &str, size: WorkloadSize) -> Option<Workload> {
+    KERNELS
+        .iter()
+        .find(|(known, _)| *known == name)
+        .map(|&(name, build)| Workload { name, program: build(size) })
+}
 
 /// Builds the whole Polybench-style suite at the given size.
 ///
 /// The returned list matches the kernels reported in the paper's Figure 4 as
 /// closely as this integer re-implementation allows.
 pub fn suite(size: WorkloadSize) -> Vec<Workload> {
-    let n = size.n();
-    let sn = size.stencil_n();
-    let steps = size.steps();
-    vec![
-        Workload { name: "gemm", program: kernels::gemm(n) },
-        Workload { name: "2mm", program: kernels::two_mm(n) },
-        Workload { name: "3mm", program: kernels::three_mm(n) },
-        Workload { name: "atax", program: kernels::atax(n) },
-        Workload { name: "bicg", program: kernels::bicg(n) },
-        Workload { name: "mvt", program: kernels::mvt(n) },
-        Workload { name: "gesummv", program: kernels::gesummv(n) },
-        Workload { name: "syrk", program: kernels::syrk(n) },
-        Workload { name: "trisolv", program: kernels::trisolv(n) },
-        Workload { name: "doitgen", program: kernels::doitgen(n) },
-        Workload { name: "jacobi-1d", program: kernels::jacobi_1d(steps, sn) },
-        Workload { name: "jacobi-2d", program: kernels::jacobi_2d(steps, n + 4) },
-        Workload { name: "histogram", program: kernels::histogram(steps + 1, sn, 16) },
-        Workload { name: "stream-lut", program: kernels::stream_lut(steps + 1, sn) },
-    ]
+    SUITE_NAMES
+        .iter()
+        .map(|name| workload(name, size).expect("every suite name has a kernel"))
+        .collect()
 }
 
 /// The pointer-array matrix multiplication used in the paper's last
@@ -129,6 +138,19 @@ mod tests {
         assert_eq!(names.len(), 14);
         let listed: Vec<&str> = suite.iter().map(|w| w.name).collect();
         assert_eq!(listed, SUITE_NAMES, "SUITE_NAMES must mirror the built suite");
+    }
+
+    #[test]
+    fn workload_builds_the_suite_entry_of_its_name() {
+        for size in [WorkloadSize::Mini, WorkloadSize::Small] {
+            for entry in suite(size) {
+                let one = workload(entry.name, size).expect("every suite name resolves");
+                assert_eq!(one.name, entry.name);
+                assert_eq!(one.program, entry.program, "{} at {size:?}", entry.name);
+            }
+            assert!(workload("no-such-kernel", size).is_none());
+            assert!(workload("ptr-matmul", size).is_none(), "not a suite kernel");
+        }
     }
 
     #[test]
