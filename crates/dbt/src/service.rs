@@ -318,9 +318,7 @@ impl TranslationService {
     /// families). Only *actual* compiles are timed — memoized answers
     /// never touch the clock — and the timings are pure observability:
     /// deterministic products, counters and cycle outputs are identical
-    /// to an uninstrumented service. Like every compile product, the
-    /// analysis (`spectaint` verdict included) lives in memory only and is
-    /// recomputed after a restart.
+    /// to an uninstrumented service.
     pub fn with_metrics(registry: &MetricsRegistry) -> Arc<TranslationService> {
         let metrics = Some(ServiceMetrics::resolve(registry));
         TranslationService::build(DEFAULT_SERVICE_BUDGET_PRODUCTS, metrics)

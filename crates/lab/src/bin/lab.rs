@@ -9,9 +9,8 @@
 //! cargo run --release -p dbt-lab -- analyze histogram    # taint verdicts
 //! cargo run --release -p dbt-lab -- analyze spectre-v1 --dot | dot -Tsvg
 //!
-//! # The deterministic hot-path profiler and the per-workload cycle counts:
+//! # The deterministic hot-path profiler:
 //! cargo run --release -p dbt-lab -- profile spectre_v1 --policy selective --trace trace.json
-//! cargo run --release -p dbt-lab -- bench --json-dir artifacts
 //!
 //! # Ad-hoc guest programs from files (text assembly or image JSON):
 //! cargo run --release -p dbt-lab -- run-file examples/spectre_v1_gadget.s --policy fence
@@ -49,8 +48,8 @@
 
 use dbt_lab::{
     adhoc_scenario, analyze_built, analyze_program, format_attack_table, format_table,
-    format_variant_table, profile_program, run_bench, run_sweep, run_sweep_with, strip_stats,
-    ExecOptions, LabDaemon, PlatformOverrides, ProgramSpec, Registry, ScenarioKind, SourceKind,
+    format_variant_table, profile_program, run_sweep, run_sweep_with, strip_stats, ExecOptions,
+    LabDaemon, PlatformOverrides, ProgramSpec, Registry, ScenarioKind, SourceKind,
     TranslationService,
 };
 use dbt_router::{serve_router, QuotaConfig, RouterConfig, RouterHandle};
@@ -89,9 +88,6 @@ struct Args {
     level: Option<String>,
     chrome: Option<String>,
     latency_json: Option<String>,
-    cache_dir: Option<String>,
-    restart: bool,
-    budget: Option<u64>,
 }
 
 /// Default daemon address when `--addr` is not given.
@@ -114,16 +110,12 @@ fn usage() -> &'static str {
      \x20                          program under --policy: per-phase cycle\n\
      \x20                          attribution, speculation events, and a\n\
      \x20                          Chrome-trace export via --trace\n\
-     \x20 bench                    one cold run per registry workload:\n\
-     \x20                          cycles, guest instructions and blocks\n\
-     \x20                          (writes BENCH_sim-throughput.json with\n\
-     \x20                          --json-dir)\n\
      \x20 analyze <program|path>   per-block speculative-taint verdicts\n\
      \x20                          (a workload name, ptr-matmul, spectre-v1,\n\
      \x20                          spectre-v4, or a .s/.json file path)\n\
      \x20 serve                    run the lab daemon (NDJSON over TCP)\n\
      \x20 submit <op> [arg]        send one request to a running daemon\n\
-     \x20                          (run <scenario|ref> | profile [ref] |\n\
+     \x20                          (run <scenario|ref> | profile <ref> |\n\
      \x20                           sweep <name> | analyze <program|ref> |\n\
      \x20                           upload <path> |\n\
      \x20                           stats | metrics | health | shutdown) and\n\
@@ -147,9 +139,6 @@ fn usage() -> &'static str {
      \x20 router-bench             loadgen through an in-process router at\n\
      \x20                          1/2/4 in-process backends and emit\n\
      \x20                          BENCH_router-scaling with --json-dir\n\
-     \x20 cache <action>           inspect or maintain a durable cache dir\n\
-     \x20                          without a daemon (stats | gc | clear;\n\
-     \x20                          requires --cache-dir, gc also --budget)\n\
      \n\
      options:\n\
      \x20 --size mini|small        problem-size preset (default: mini)\n\
@@ -189,17 +178,7 @@ fn usage() -> &'static str {
      \x20                          token to present (protocol v3)\n\
      \x20 --rate N                 router: quota refill, tokens/sec per\n\
      \x20                          client (default: quota off)\n\
-     \x20 --burst N                router: quota burst (default: --rate)\n\
-     \x20 --cache-dir DIR          serve/loadgen: durable content-addressed\n\
-     \x20                          cache surviving daemon restarts (default:\n\
-     \x20                          off; answers stay byte-identical either\n\
-     \x20                          way); cache: the directory to operate on\n\
-     \x20 --restart                loadgen: drive a cold daemon, tear it\n\
-     \x20                          down, relaunch on the same cache dir and\n\
-     \x20                          drive again; reports cold-vs-warm hit\n\
-     \x20                          rates on stderr and fails on any response\n\
-     \x20                          divergence (never writes BENCH files)\n\
-     \x20 --budget BYTES           cache gc: the byte budget to evict down to\n"
+     \x20 --burst N                router: quota burst (default: --rate)\n"
 }
 
 fn parse(args: &[String]) -> Result<Args, String> {
@@ -229,9 +208,6 @@ fn parse(args: &[String]) -> Result<Args, String> {
         level: None,
         chrome: None,
         latency_json: None,
-        cache_dir: None,
-        restart: false,
-        budget: None,
     };
     let mut it = args[1..].iter();
     let number = |flag: &str, it: &mut std::slice::Iter<String>| {
@@ -304,13 +280,6 @@ fn parse(args: &[String]) -> Result<Args, String> {
                     it.next().ok_or_else(|| "--latency-json expects a path".to_string())?.clone(),
                 );
             }
-            "--cache-dir" => {
-                parsed.cache_dir = Some(
-                    it.next().ok_or_else(|| "--cache-dir expects a path".to_string())?.clone(),
-                );
-            }
-            "--budget" => parsed.budget = Some(number("--budget", &mut it)? as u64),
-            "--restart" => parsed.restart = true,
             "--quiet" => parsed.quiet = true,
             "--json" => parsed.json = true,
             "--dot" => parsed.dot = true,
@@ -509,28 +478,9 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `lab bench`: one cold run per registry workload. Every member of the
-/// report is deterministic, so CI diffs the artifact whole.
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    let report = run_bench(args.size)?;
-    let json = report.to_json();
-    match &args.json_dir {
-        Some(dir) => {
-            let path = format!("{dir}/BENCH_sim-throughput.json");
-            std::fs::write(&path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            if !args.quiet {
-                eprintln!("[bench] wrote {path}");
-            }
-        }
-        None => print!("{json}"),
-    }
-    Ok(())
-}
-
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let addr = args.addr.as_deref().unwrap_or(DEFAULT_ADDR);
-    let daemon =
-        Arc::new(LabDaemon::with_cache_dir(args.size, args.threads, args.cache_dir.as_deref())?);
+    let daemon = Arc::new(LabDaemon::with_threads(args.size, args.threads));
     let config = ServerConfig {
         workers: args.workers,
         queue_depth: args.queue_depth,
@@ -548,9 +498,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         queue_depth,
         args.size
     );
-    if let (Some(dir), false) = (&args.cache_dir, args.quiet) {
-        eprintln!("[serve] durable cache at {dir}");
-    }
     use std::io::Write;
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     handle.wait();
@@ -596,12 +543,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
             };
             Request::Upload { source }
         }
-        // Without an argument, `profile` fetches the server's trace log;
-        // with one, it profiles the referenced program under --policy.
-        "profile" => Request::Profile {
-            program: args.positional.get(1).cloned(),
-            policy: args.policy.clone(),
-        },
+        "profile" => Request::Profile { program: arg("program ref")?, policy: args.policy.clone() },
         "stats" => Request::Stats,
         "metrics" => Request::Metrics,
         "health" => Request::Health,
@@ -773,13 +715,7 @@ fn resolve_addr(addr: &str) -> Result<std::net::SocketAddr, String> {
 /// Hosts one in-process daemon on an ephemeral port with the CLI's
 /// size/threads/workers/queue knobs.
 fn start_daemon(args: &Args) -> Result<ServerHandle, String> {
-    start_daemon_with_cache(args, args.cache_dir.as_deref())
-}
-
-/// [`start_daemon`] over an explicit cache directory (`loadgen --restart`
-/// relaunches onto a directory that is not necessarily in `Args`).
-fn start_daemon_with_cache(args: &Args, cache_dir: Option<&str>) -> Result<ServerHandle, String> {
-    let daemon = Arc::new(LabDaemon::with_cache_dir(args.size, args.threads, cache_dir)?);
+    let daemon = Arc::new(LabDaemon::with_threads(args.size, args.threads));
     let config = ServerConfig {
         workers: args.workers,
         queue_depth: args.queue_depth,
@@ -872,9 +808,6 @@ fn fleet_cache_sums(stats: &JsonValue) -> Result<(u64, u64, u64, u64), String> {
 }
 
 fn cmd_loadgen(args: &Args) -> Result<(), String> {
-    if args.restart {
-        return cmd_loadgen_restart(args);
-    }
     if args.fleet > 0 && args.addr.is_some() {
         return Err("--fleet hosts its own daemons and router; drop --addr".to_string());
     }
@@ -1025,152 +958,6 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// What one `loadgen --restart` phase measured.
-struct RestartPhase {
-    memo_hits: u64,
-    memo_misses: u64,
-    persist_hits: u64,
-    persist_misses: u64,
-    persist_writes: u64,
-    /// Probe bodies (one per mix request, asked of the *fresh* daemon
-    /// before the load), stripped of their `stats` blocks for cross-phase
-    /// byte comparison.
-    probes: Vec<String>,
-    /// Probe bodies whose `stats` block recorded any simulation — the
-    /// cold daemon simulates its first answers, a warm restart must not.
-    probes_simulated: usize,
-}
-
-impl RestartPhase {
-    fn memo_rate(&self) -> f64 {
-        let total = self.memo_hits + self.memo_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.memo_hits as f64 / total as f64
-        }
-    }
-}
-
-/// One `--restart` phase: launch a fresh daemon on `dir`, probe every mix
-/// request once (capturing the fresh daemon's answers), drive the full
-/// load, snapshot the stats, and tear the daemon down.
-fn restart_phase(args: &Args, dir: &str) -> Result<RestartPhase, String> {
-    let handle = start_daemon_with_cache(args, Some(dir))?;
-    let addr = handle.addr();
-    let requests = loadgen_requests(args.threads);
-    let mut client =
-        Client::connect(addr).map_err(|e| format!("cannot connect to `{addr}`: {e}"))?;
-    let mut probes = Vec::with_capacity(requests.len());
-    let mut probes_simulated = 0;
-    for request in &requests {
-        let body = match client.request(request)? {
-            Response::Ok { body, .. } => body,
-            other => return Err(format!("restart probe failed: {other:?}")),
-        };
-        if !body.contains("\"simulations\": 0") {
-            probes_simulated += 1;
-        }
-        probes.push(strip_stats(&body));
-    }
-    let outcome = dbt_serve::drive(
-        addr,
-        &requests,
-        LoadOptions { clients: args.clients, iterations: args.iterations },
-        &|_, body| strip_stats(body),
-    )?;
-    let stats = match client.request(&Request::Stats)? {
-        Response::Ok { body, .. } => JsonValue::parse(&body)?,
-        other => return Err(format!("stats request failed: {other:?}")),
-    };
-    handle.shutdown();
-    handle.wait();
-    if outcome.errors > 0 || outcome.mismatches > 0 {
-        return Err(format!(
-            "restart phase: {} errors, {} mismatches",
-            outcome.errors, outcome.mismatches
-        ));
-    }
-    Ok(RestartPhase {
-        memo_hits: stat_u64(&stats, &["lab", "run_memo", "hits"])?,
-        memo_misses: stat_u64(&stats, &["lab", "run_memo", "misses"])?,
-        persist_hits: stat_u64(&stats, &["lab", "persist", "hits"])?,
-        persist_misses: stat_u64(&stats, &["lab", "persist", "misses"])?,
-        persist_writes: stat_u64(&stats, &["lab", "persist", "writes"])?,
-        probes,
-        probes_simulated,
-    })
-}
-
-/// `lab loadgen --restart`: the warm-restart equivalence check. Runs the
-/// whole loadgen mix against a cold daemon over a durable cache dir,
-/// tears the daemon down, relaunches onto the same directory, and runs
-/// the mix again. The summary is stderr-only — this mode never writes
-/// BENCH files — and the command fails if any warm answer diverges from
-/// its cold counterpart or the warm daemon simulated a fresh probe.
-fn cmd_loadgen_restart(args: &Args) -> Result<(), String> {
-    if args.addr.is_some() || args.fleet > 0 {
-        return Err("--restart owns its daemon; drop --addr/--fleet".to_string());
-    }
-    if args.json_dir.is_some() {
-        return Err("--restart writes no BENCH files; drop --json-dir".to_string());
-    }
-    let (dir, ephemeral) = match &args.cache_dir {
-        Some(dir) => (dir.clone(), false),
-        None => {
-            let dir = std::env::temp_dir()
-                .join(format!("dbt-lab-loadgen-restart-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            (dir.display().to_string(), true)
-        }
-    };
-    if !args.quiet {
-        eprintln!(
-            "[loadgen] restart: {} clients x {} iterations, cache dir {dir}",
-            args.clients, args.iterations
-        );
-    }
-    let cold = restart_phase(args, &dir)?;
-    let warm = restart_phase(args, &dir)?;
-    if ephemeral {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let identical = cold.probes == warm.probes;
-    // The summary is the artifact here; print it even under --quiet.
-    eprintln!(
-        "[loadgen] restart phase cold: run-memo hit rate {:.1}%, \
-         persist {} hits / {} misses / {} writes",
-        100.0 * cold.memo_rate(),
-        cold.persist_hits,
-        cold.persist_misses,
-        cold.persist_writes,
-    );
-    eprintln!(
-        "[loadgen] restart phase warm: run-memo hit rate {:.1}%, \
-         persist {} hits / {} misses / {} writes",
-        100.0 * warm.memo_rate(),
-        warm.persist_hits,
-        warm.persist_misses,
-        warm.persist_writes,
-    );
-    eprintln!(
-        "[loadgen] restart: warm probe simulations {} of {}; responses identical: {}",
-        warm.probes_simulated,
-        warm.probes.len(),
-        identical
-    );
-    if !identical {
-        return Err("warm-restart responses diverged from the cold daemon's".to_string());
-    }
-    if warm.probes_simulated > 0 {
-        return Err(format!(
-            "{} warm probes simulated despite the warm cache dir",
-            warm.probes_simulated
-        ));
-    }
-    Ok(())
-}
-
 /// The `--latency-json` body: per-op percentiles plus the span tree of
 /// the slowest request of each op, fetched through the `trace` op (the
 /// router stitches its own spans with the owning backend's).
@@ -1301,37 +1088,6 @@ fn cmd_router_bench(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `lab cache stats|gc|clear`: operate on a durable cache directory
-/// directly, without a daemon. `stats` scans the directory (the counter
-/// members are zero — counters are per-daemon-lifetime); `gc` evicts
-/// least-recently-used entries down to `--budget` bytes; `clear` removes
-/// every entry and quarantined file. All three print one JSON line.
-fn cmd_cache(args: &Args) -> Result<(), String> {
-    let action = args
-        .positional
-        .first()
-        .map(String::as_str)
-        .ok_or_else(|| "cache expects an action (stats|gc|clear)".to_string())?;
-    let dir =
-        args.cache_dir.as_deref().ok_or_else(|| "cache expects --cache-dir DIR".to_string())?;
-    let store = dbt_persist::PersistStore::open(dir)
-        .map_err(|e| format!("cannot open cache dir `{dir}`: {e}"))?;
-    match action {
-        "stats" => println!("{}", store.stats().to_json()),
-        "gc" => {
-            let budget =
-                args.budget.ok_or_else(|| "cache gc expects --budget BYTES".to_string())?;
-            println!("{}", store.gc(budget).to_json());
-        }
-        "clear" => {
-            let removed = store.clear().map_err(|e| format!("cannot clear `{dir}`: {e}"))?;
-            println!("{{\"removed\": {removed}}}");
-        }
-        other => return Err(format!("unknown cache action `{other}` (stats|gc|clear)")),
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse(&raw) {
@@ -1351,7 +1107,6 @@ fn main() -> ExitCode {
         "run-file" => cmd_run_file(&args),
         "sweep" => cmd_sweep(&registry, &args),
         "profile" => cmd_profile(&args),
-        "bench" => cmd_bench(&args),
         "analyze" => cmd_analyze(&args),
         "serve" => cmd_serve(&args),
         "submit" => cmd_submit(&args),
@@ -1361,7 +1116,6 @@ fn main() -> ExitCode {
         "loadgen" => cmd_loadgen(&args),
         "router" => cmd_router(&args),
         "router-bench" => cmd_router_bench(&args),
-        "cache" => cmd_cache(&args),
         other => Err(format!("unknown command `{other}`\n\n{}", usage())),
     };
     match result {

@@ -31,12 +31,8 @@ use crate::exec::{run_sweep_obs, ExecOptions};
 use crate::profile::profile_built;
 use crate::registry::Registry;
 use crate::scenario::{PlatformOverrides, PlatformVariant, ProgramSpec, Scenario, ScenarioKind};
-use dbt_obs::{EventLog, LogLevel, MetricsRegistry};
-use dbt_persist::{PersistEvent, PersistStats, PersistStore};
-use dbt_platform::{
-    ProgramRef, ProgramStore, RunMemo, TranslationService, DEFAULT_MEMO_CAPACITY,
-    DEFAULT_STORE_BUDGET_BYTES,
-};
+use dbt_obs::MetricsRegistry;
+use dbt_platform::{ProgramRef, ProgramStore, RunMemo, TranslationService};
 use dbt_riscv::Program;
 use dbt_serve::{LabBackend, ProgramSource, RunKnobs};
 use dbt_workloads::WorkloadSize;
@@ -72,16 +68,6 @@ pub struct LabDaemon {
     /// process-global, so concurrent daemons (and tests) never bleed into
     /// each other's expositions.
     obs: Arc<MetricsRegistry>,
-    /// The durable cache tier beneath the run memo and the program store,
-    /// present only when the daemon was built over a cache directory
-    /// (`--cache-dir`). `None` keeps every answer and counter
-    /// byte-identical to a daemon built before the tier existed.
-    persist: Option<Arc<PersistStore>>,
-    /// The daemon's own event log, owned only alongside `persist` (cache
-    /// lifecycle events land here); the server adopts it through
-    /// [`LabBackend::event_log`] so persistence and server lifecycle
-    /// events interleave in one `logs` stream.
-    events: Option<Arc<EventLog>>,
 }
 
 impl LabDaemon {
@@ -95,70 +81,9 @@ impl LabDaemon {
     /// threads (`0` = one per CPU); a request's `threads` member overrides
     /// it per sweep.
     pub fn with_threads(size: WorkloadSize, default_threads: usize) -> LabDaemon {
-        LabDaemon::with_cache_dir(size, default_threads, None)
-            .expect("a daemon without a cache dir cannot fail to construct")
-    }
-
-    /// [`LabDaemon::with_threads`] plus an optional durable cache tier
-    /// rooted at `cache_dir`. When present, the run memo's summaries and
-    /// the program store's uploaded images read through to (and write
-    /// behind into) the directory, uploaded programs are re-seeded
-    /// immediately, and cache lifecycle events (incompatible-cache reset,
-    /// reseeding, quarantines, GC) land in the daemon's own event log.
-    /// Translations stay in memory: a restarted daemon recompiles (and
-    /// re-analyses) only what its run-memo misses simulate. `None` is
-    /// exactly [`LabDaemon::with_threads`].
-    ///
-    /// # Errors
-    ///
-    /// Fails only when `cache_dir` names a directory that cannot be
-    /// created or written. Corrupt or incompatible *contents* of a
-    /// writable directory are never an error — they are quarantined and
-    /// recomputed.
-    pub fn with_cache_dir(
-        size: WorkloadSize,
-        default_threads: usize,
-        cache_dir: Option<&str>,
-    ) -> Result<LabDaemon, String> {
         let obs = MetricsRegistry::new();
-        let (persist, events) = match cache_dir {
-            None => (None, None),
-            Some(dir) => {
-                let tier = PersistStore::open(dir)
-                    .map_err(|e| format!("cannot open cache dir `{dir}`: {e}"))?;
-                let events = Arc::new(EventLog::new());
-                let log = Arc::clone(&events);
-                tier.set_observer(move |event| match event {
-                    PersistEvent::CorruptQuarantined { kind, key, reason } => log.log(
-                        LogLevel::Warn,
-                        "persist.cache",
-                        "corrupt entry quarantined",
-                        None,
-                        &[("kind", kind), ("key", key), ("reason", reason)],
-                    ),
-                    PersistEvent::GcEvicted { entries, bytes } => log.log(
-                        LogLevel::Info,
-                        "persist.cache",
-                        "gc evicted entries",
-                        None,
-                        &[("entries", &entries.to_string()), ("bytes", &bytes.to_string())],
-                    ),
-                });
-                if tier.incompatible_reset() {
-                    events.log(
-                        LogLevel::Warn,
-                        "persist.cache",
-                        "incompatible cache quarantined, starting fresh",
-                        None,
-                        &[("root", &tier.root().display().to_string())],
-                    );
-                }
-                (Some(tier), Some(events))
-            }
-        };
         let service = TranslationService::with_metrics(&obs);
-        let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, persist.clone());
-        let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, persist.clone());
+        let store = ProgramStore::new();
         // Every analyzable program label becomes a lazily-seeded registry
         // entry of the store, so `registry:<name>` refs (and bare names)
         // resolve without building anything until first use.
@@ -166,30 +91,14 @@ impl LabDaemon {
             let spec = resolve_program(label, size).expect("registry labels resolve");
             store.register(label, move || spec.build());
         }
-        // With registry names claimed, restore the previous daemon
-        // lifetime's uploaded programs so `fp:` refs resolve immediately.
-        if persist.is_some() {
-            let reseeded = store.reseed_from_persist();
-            if let Some(events) = &events {
-                events.log(
-                    LogLevel::Info,
-                    "persist.cache",
-                    "durable cache attached",
-                    None,
-                    &[("programs_reseeded", &reseeded.to_string())],
-                );
-            }
-        }
-        Ok(LabDaemon {
+        LabDaemon {
             registry: Registry::standard(size),
             default_threads,
             service,
-            memo,
+            memo: RunMemo::new(),
             store,
             obs,
-            persist,
-            events,
-        })
+        }
     }
 
     /// The process-wide translation service all requests share.
@@ -210,22 +119,6 @@ impl LabDaemon {
     /// The daemon's metric registry (what the `metrics` op renders).
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
         &self.obs
-    }
-
-    /// The durable cache tier, when the daemon was built over one.
-    pub fn persist(&self) -> Option<&Arc<PersistStore>> {
-        self.persist.as_ref()
-    }
-
-    /// The `"persist"` member of the `stats` body: `{"enabled": false}`
-    /// without a cache dir, the full [`PersistStats`] snapshot (plus the
-    /// flag) with one.
-    fn persist_stats_json(&self) -> String {
-        match &self.persist {
-            None => "{\"enabled\": false}".to_string(),
-            // Splice the flag in front of the stats object's own members.
-            Some(tier) => format!("{{\"enabled\": true, {}", &tier.stats().to_json()[1..]),
-        }
     }
 
     fn exec_opts(&self, threads: usize) -> ExecOptions {
@@ -367,14 +260,13 @@ impl LabBackend for LabDaemon {
         let service = self.service.stats();
         format!(
             "{{\"run_memo\": {}, \"translation\": {{\"hits\": {}, \"misses\": {}, \
-             \"programs\": {}, \"evictions\": {}}}, \"store\": {}, \"persist\": {}}}",
+             \"programs\": {}, \"evictions\": {}}}, \"store\": {}}}",
             memo.to_json(),
             service.hits,
             service.misses,
             service.programs,
             service.evictions,
-            self.store.stats().to_json(),
-            self.persist_stats_json()
+            self.store.stats().to_json()
         )
     }
 
@@ -385,56 +277,8 @@ impl LabBackend for LabDaemon {
         self.memo.stats().export(&self.obs);
         self.service.stats().export(&self.obs);
         self.store.stats().export(&self.obs);
-        // The durable tier is std-only and cannot reach dbt-obs itself, so
-        // the daemon mirrors its snapshot. Only when enabled: a daemon
-        // without a cache dir scrapes byte-identically to one built before
-        // the tier existed.
-        if let Some(tier) = &self.persist {
-            export_persist(&tier.stats(), &self.obs);
-        }
         self.obs.render()
     }
-
-    fn event_log(&self) -> Option<Arc<EventLog>> {
-        self.events.clone()
-    }
-}
-
-/// Mirrors a [`PersistStats`] snapshot into `registry` as the
-/// `dbt_persist_*` families (the durable-cache analogue of the in-memory
-/// layers' `export` methods, kept here because `dbt-persist` is
-/// dependency-free).
-pub fn export_persist(stats: &PersistStats, registry: &MetricsRegistry) {
-    registry
-        .counter("dbt_persist_hits_total", "Durable-cache entries read back and validated.")
-        .set(stats.hits);
-    registry
-        .counter("dbt_persist_misses_total", "Durable-cache reads that found no valid entry.")
-        .set(stats.misses);
-    registry
-        .counter("dbt_persist_writes_total", "Durable-cache entries published.")
-        .set(stats.writes);
-    registry
-        .counter(
-            "dbt_persist_corrupt_quarantined_total",
-            "Durable-cache entries rejected by validation and quarantined.",
-        )
-        .set(stats.corrupt_quarantined);
-    registry
-        .counter(
-            "dbt_persist_gc_evictions_total",
-            "Durable-cache entries deleted by byte-budget GC.",
-        )
-        .set(stats.gc_evictions);
-    registry
-        .gauge("dbt_persist_entries", "Durable-cache entries currently on disk.")
-        .set(stats.entries as i64);
-    registry
-        .gauge("dbt_persist_disk_bytes", "Bytes of durable-cache entries on disk.")
-        .set(stats.disk_bytes as i64);
-    registry
-        .gauge("dbt_persist_quarantined", "Files currently quarantined under corrupt/.")
-        .set(stats.quarantined as i64);
 }
 
 /// The one-scenario job an ad-hoc `run` request expands to: the resolved
@@ -531,16 +375,12 @@ mod tests {
     #[test]
     fn stats_json_is_a_single_stable_line() {
         let daemon = LabDaemon::new(WorkloadSize::Mini);
-        let stats = daemon.stats_json();
-        assert!(!stats.contains('\n'));
-        assert!(stats.contains(
-            "\"run_memo\": {\"hits\": 0, \"misses\": 0, \"entries\": 0, \"evictions\": 0}"
-        ));
-        assert!(stats.contains("\"translation\""));
-        assert!(stats.contains("\"store\": {\"programs\": 0"), "{stats}");
-        assert!(
-            stats.ends_with("\"persist\": {\"enabled\": false}}"),
-            "without a cache dir the persist member is the bare flag: {stats}"
+        assert_eq!(
+            daemon.stats_json(),
+            "{\"run_memo\": {\"hits\": 0, \"misses\": 0, \"entries\": 0, \"evictions\": 0}, \
+             \"translation\": {\"hits\": 0, \"misses\": 0, \"programs\": 0, \"evictions\": 0}, \
+             \"store\": {\"programs\": 0, \"uploads\": 0, \"dedup_hits\": 0, \"seeded\": 0, \
+             \"evictions\": 0}}"
         );
     }
 
@@ -724,90 +564,6 @@ mod tests {
         // Scraping is read-only: two back-to-back scrapes of an idle daemon
         // render byte-identical expositions.
         assert_eq!(daemon.metrics_text(), daemon.metrics_text());
-    }
-
-    fn fresh_cache_dir(tag: &str) -> String {
-        let root =
-            std::env::temp_dir().join(format!("dbt-lab-daemon-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        root.display().to_string()
-    }
-
-    #[test]
-    fn restarted_daemon_with_warm_cache_dir_never_simulates() {
-        let dir = fresh_cache_dir("restart");
-        let scenario = "ptr-matmul/gemm (flat)/fence/default";
-        let cold_daemon = LabDaemon::with_cache_dir(WorkloadSize::Mini, 1, Some(&dir)).unwrap();
-        let cold = cold_daemon.run_scenario(scenario).unwrap();
-        assert!(cold_daemon.persist().unwrap().stats().writes > 0, "runs published behind");
-        drop(cold_daemon);
-
-        // A fresh process-equivalent daemon over the same directory: the
-        // answer is byte-identical outside `stats`, nothing simulates, and
-        // the memo counters equal the cold daemon's — disk hits still
-        // count as memo misses, so warmth never skews the hit rate.
-        let warm_daemon = LabDaemon::with_cache_dir(WorkloadSize::Mini, 1, Some(&dir)).unwrap();
-        let warm = warm_daemon.run_scenario(scenario).unwrap();
-        assert_eq!(strip_stats(&cold), strip_stats(&warm));
-        assert!(warm.contains("\"simulations\": 0"), "warm restarts never simulate: {warm}");
-        assert!(warm.contains("\"baseline_simulations\": 0"), "{warm}");
-        let persist = warm_daemon.persist().unwrap().stats();
-        assert_eq!(persist.misses, 0, "everything answered from disk: {persist:?}");
-        assert!(persist.hits > 0, "{persist:?}");
-        let stats = warm_daemon.stats_json();
-        assert!(stats.contains("\"persist\": {\"enabled\": true, \"hits\": "), "{stats}");
-        let log = warm_daemon.event_log().expect("persist daemons own an event log");
-        assert!(
-            log.json(LogLevel::Info).contains("durable cache attached"),
-            "{}",
-            log.json(LogLevel::Info)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_dir_daemon_matches_a_memoryonly_daemon_to_the_byte() {
-        let dir = fresh_cache_dir("identity");
-        let scenario = "ptr-matmul/gemm (flat)/fence/default";
-        let plain = LabDaemon::with_threads(WorkloadSize::Mini, 1);
-        let durable = LabDaemon::with_cache_dir(WorkloadSize::Mini, 1, Some(&dir)).unwrap();
-        assert_eq!(
-            plain.run_scenario(scenario).unwrap(),
-            durable.run_scenario(scenario).unwrap(),
-            "the tier must not perturb answers, including the stats block"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn persist_metrics_agree_with_the_stats_member() {
-        let dir = fresh_cache_dir("metrics");
-        let daemon = LabDaemon::with_cache_dir(WorkloadSize::Mini, 1, Some(&dir)).unwrap();
-        daemon.run_scenario("ptr-matmul/gemm (flat)/fence/default").unwrap();
-        let stats = dbt_serve::JsonValue::parse(&daemon.stats_json()).unwrap();
-        let metrics = daemon.metrics_text();
-        for (name, member) in [
-            ("dbt_persist_hits_total", "hits"),
-            ("dbt_persist_misses_total", "misses"),
-            ("dbt_persist_writes_total", "writes"),
-            ("dbt_persist_corrupt_quarantined_total", "corrupt_quarantined"),
-            ("dbt_persist_gc_evictions_total", "gc_evictions"),
-            ("dbt_persist_entries", "entries"),
-            ("dbt_persist_disk_bytes", "disk_bytes"),
-            ("dbt_persist_quarantined", "quarantined"),
-        ] {
-            let expected = stats
-                .get("persist")
-                .and_then(|p| p.get(member))
-                .and_then(|v| v.as_u64())
-                .unwrap_or_else(|| panic!("stats lacks persist.{member}"));
-            assert_eq!(sample(&metrics, name), expected, "`{name}` diverges from stats");
-        }
-        assert!(sample(&metrics, "dbt_persist_writes_total") > 0);
-        // A daemon without the tier exports no persist families at all.
-        let plain = LabDaemon::with_threads(WorkloadSize::Mini, 1);
-        assert!(!plain.metrics_text().contains("dbt_persist_"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -32,9 +32,6 @@
 //! * [`profile`] — `lab profile`: the deterministic hot-path profile of
 //!   one program (per-phase cycle attribution, speculation events,
 //!   Chrome-trace export), byte-stable run to run;
-//! * [`mod@bench`] — `lab bench`: one cold run per registry workload,
-//!   behind the `BENCH_sim-throughput.json` artifact (cycles, guest
-//!   instructions and blocks, all deterministic);
 //! * [`table`] — the human-readable tables of the paper (Figure 4 layout,
 //!   Section V-A attack table).
 //!
@@ -53,7 +50,6 @@
 //! ```
 
 pub mod analyze;
-pub mod bench;
 pub mod daemon;
 pub mod exec;
 pub mod json;
@@ -63,7 +59,6 @@ pub mod scenario;
 pub mod table;
 
 pub use analyze::{analyze_built, analyze_program, resolve_program, AnalyzeReport, BlockAnalysis};
-pub use bench::{run_bench, BenchReport, BenchRow};
 pub use daemon::{adhoc_scenario, strip_stats, LabDaemon};
 pub use dbt_platform::{
     MemoStats, ProgramRef, ProgramStore, RunMemo, ServiceStats, StoreStats, TranslationService,

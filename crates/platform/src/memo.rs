@@ -25,72 +25,11 @@
 //! translation service being the first): a fleet of clients submitting the
 //! same scenarios pays one simulation per distinct scenario, and every
 //! repeat is answered from the memo.
-//!
-//! With a durable tier attached ([`RunMemo::with_capacity`]), a miss
-//! consults the on-disk store before simulating and publishes fresh
-//! results behind the write: a restarted daemon answers its old working
-//! set from disk without simulating anything. The hit/miss counters are
-//! **unchanged** by the tier — a disk hit still counts as a memo miss
-//! (the in-memory slot had to be filled), so a given job list produces
-//! byte-identical stats whatever the disk warmth; only the persist
-//! store's own counters (and the simulation count) reveal the tier.
 
 use crate::processor::RunSummary;
-use dbt_persist::codec::{ByteReader, ByteWriter};
-use dbt_persist::{BoundedMap, PersistStore};
+use dbt_persist::BoundedMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Entry kind the memo uses in the durable store.
-const RUN_KIND: &str = "run";
-
-/// Payload format version inside a `run` entry (the store frames and
-/// checksums around it; this versions the fields below).
-const RUN_PAYLOAD_VERSION: u8 = 1;
-
-/// The durable-store key: both fingerprints, concatenated as hex.
-fn run_key_hex(key: RunKey) -> String {
-    format!("{:016x}{:016x}", key.program, key.config)
-}
-
-/// Binary payload of one cached run (decoded by [`decode_cached_run`]).
-fn encode_cached_run(run: &CachedRun) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(RUN_PAYLOAD_VERSION);
-    w.put_u64(run.summary.cycles);
-    w.put_u64(run.summary.blocks_executed);
-    w.put_u64(run.summary.rollbacks);
-    w.put_bool(run.summary.halted);
-    w.put_u64(run.summary.guest_insts);
-    w.put_usize(run.patterns);
-    match &run.recovered {
-        None => w.put_bool(false),
-        Some(bytes) => {
-            w.put_bool(true);
-            w.put_bytes(bytes);
-        }
-    }
-    w.finish()
-}
-
-/// Total decode of a `run` payload; `None` means the entry is torn or
-/// foreign and must be quarantined and recomputed.
-fn decode_cached_run(bytes: &[u8]) -> Option<CachedRun> {
-    let mut r = ByteReader::new(bytes);
-    if r.u8()? != RUN_PAYLOAD_VERSION {
-        return None;
-    }
-    let summary = RunSummary {
-        cycles: r.u64()?,
-        blocks_executed: r.u64()?,
-        rollbacks: r.u64()?,
-        halted: r.bool()?,
-        guest_insts: r.u64()?,
-    };
-    let patterns = r.usize()?;
-    let recovered = if r.bool()? { Some(r.bytes()?.to_vec()) } else { None };
-    r.done().then_some(CachedRun { summary, patterns, recovered })
-}
 
 /// Content address of one run: program fingerprint × config fingerprint.
 ///
@@ -221,33 +160,27 @@ pub const DEFAULT_MEMO_CAPACITY: usize = 4096;
 #[derive(Debug)]
 pub struct RunMemo {
     slots: Mutex<BoundedMap<RunKey, Slot>>,
-    persist: Option<Arc<PersistStore>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl RunMemo {
-    /// An empty memo with the default capacity and no durable tier,
-    /// behind an [`Arc`], ready to share across threads.
+    /// An empty memo with the default capacity, behind an [`Arc`], ready
+    /// to share across threads.
     pub fn new() -> Arc<RunMemo> {
-        RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, None)
+        RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY)
     }
 
     /// A memo bounded to `capacity` resident entries (least recently used
-    /// entries are evicted beyond that). With a durable tier (`persist`),
-    /// misses consult it before simulating, fresh successful results are
-    /// published behind the write, and entries that fail to decode are
-    /// quarantined and recomputed. Failed runs are memoized in memory
-    /// only — an error is never written to disk.
+    /// entries are evicted beyond that).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize, persist: Option<Arc<PersistStore>>) -> Arc<RunMemo> {
+    pub fn with_capacity(capacity: usize) -> Arc<RunMemo> {
         assert!(capacity >= 1, "the run memo needs room for at least one entry");
         Arc::new(RunMemo {
             slots: Mutex::new(BoundedMap::new(capacity as u64)),
-            persist,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
@@ -272,11 +205,7 @@ impl RunMemo {
     }
 
     /// Returns the cached run for `key`, simulating it (exactly once
-    /// process-wide, via `run`) if it is not resident yet. With a durable
-    /// tier attached, the disk is consulted before `run` — a valid disk
-    /// entry fills the slot without simulating (still counted as a memo
-    /// miss, see the module docs), and a fresh result is published to
-    /// disk behind the write.
+    /// process-wide, via `run`) if it is not resident yet.
     ///
     /// Failed runs are memoized too: a scenario that errors once errors
     /// identically — and cheaply — on every repeat.
@@ -294,16 +223,7 @@ impl RunMemo {
         let result = slot
             .get_or_init(|| {
                 computed = true;
-                if let Some(tier) = &self.persist {
-                    if let Some(cached) = read_through(tier, key) {
-                        return Ok(cached);
-                    }
-                }
-                let result = run();
-                if let (Some(tier), Ok(cached)) = (&self.persist, &result) {
-                    tier.put(RUN_KIND, &run_key_hex(key), &encode_cached_run(cached));
-                }
-                result
+                run()
             })
             .clone();
         if computed {
@@ -312,21 +232,6 @@ impl RunMemo {
             self.hits.fetch_add(1, Ordering::SeqCst);
         }
         result
-    }
-}
-
-/// The disk side of a memo miss: a framed entry that decodes is the run;
-/// one that does not is quarantined (semantic reject — the store's own
-/// checksum passed) so the simulation can re-publish cleanly.
-fn read_through(tier: &PersistStore, key: RunKey) -> Option<CachedRun> {
-    let hex = run_key_hex(key);
-    let bytes = tier.get(RUN_KIND, &hex)?;
-    match decode_cached_run(&bytes) {
-        Some(cached) => Some(cached),
-        None => {
-            tier.quarantine(RUN_KIND, &hex, "run payload decode failed");
-            None
-        }
     }
 }
 
@@ -401,7 +306,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_the_least_recently_used_entry() {
-        let memo = RunMemo::with_capacity(2, None);
+        let memo = RunMemo::with_capacity(2);
         for config in 1..=3u64 {
             let _ = memo.get_or_run(RunKey { program: 1, config }, || Ok(sample_run(config)));
         }
@@ -423,101 +328,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_is_rejected() {
-        let _ = RunMemo::with_capacity(0, None);
-    }
-
-    fn fresh_root(tag: &str) -> std::path::PathBuf {
-        let root =
-            std::env::temp_dir().join(format!("dbt-platform-memo-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        root
-    }
-
-    #[test]
-    fn cached_run_payload_round_trips() {
-        for run in [
-            sample_run(99),
-            CachedRun {
-                summary: RunSummary {
-                    cycles: 0,
-                    blocks_executed: 0,
-                    rollbacks: 3,
-                    halted: false,
-                    guest_insts: u64::MAX,
-                },
-                patterns: 0,
-                recovered: None,
-            },
-        ] {
-            let bytes = encode_cached_run(&run);
-            assert_eq!(decode_cached_run(&bytes), Some(run));
-        }
-        assert_eq!(decode_cached_run(&[]), None);
-        assert_eq!(decode_cached_run(&[9]), None, "unknown payload versions are rejected");
-        let mut truncated = encode_cached_run(&sample_run(1));
-        truncated.pop();
-        assert_eq!(decode_cached_run(&truncated), None);
-    }
-
-    #[test]
-    fn persist_tier_answers_a_restarted_memo_without_simulating() {
-        let root = fresh_root("restart");
-        let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let key = RunKey { program: 0xabc, config: 0xdef };
-        let first = {
-            let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, Some(Arc::clone(&tier)));
-            memo.get_or_run(key, || Ok(sample_run(77))).unwrap()
-        };
-        // A new memo (a restarted daemon) over the same root: the run
-        // comes back identical with the closure never invoked.
-        let tier2 = dbt_persist::PersistStore::open(&root).unwrap();
-        let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, Some(Arc::clone(&tier2)));
-        let again =
-            memo.get_or_run(key, || panic!("a warm disk tier must not re-simulate")).unwrap();
-        assert_eq!(first, again);
-        // Still a memo *miss* (the in-memory slot was cold) — stats stay
-        // byte-identical to a cold run — but a persist *hit*.
-        assert_eq!((memo.stats().hits, memo.stats().misses), (0, 1));
-        assert_eq!(tier2.stats().hits, 1);
-        // Repeats are ordinary memo hits that never touch the disk.
-        let _ = memo.get_or_run(key, || panic!("resident")).unwrap();
-        assert_eq!(memo.stats().hits, 1);
-        assert_eq!(tier2.stats().hits, 1);
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn errors_are_never_persisted() {
-        let root = fresh_root("errors");
-        let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let key = RunKey { program: 1, config: 2 };
-        {
-            let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, Some(Arc::clone(&tier)));
-            assert!(memo.get_or_run(key, || Err("boom".to_string())).is_err());
-        }
-        assert_eq!(tier.stats().writes, 0);
-        // A restarted memo re-runs the failed key.
-        let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, Some(Arc::clone(&tier)));
-        let ok = memo.get_or_run(key, || Ok(sample_run(5))).unwrap();
-        assert_eq!(ok.summary.cycles, 5);
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn undecodable_disk_entries_are_quarantined_and_recomputed() {
-        let root = fresh_root("quarantine");
-        let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let key = RunKey { program: 0x11, config: 0x22 };
-        // Plant a store-valid entry whose payload is not a cached run.
-        assert!(tier.put(RUN_KIND, &run_key_hex(key), b"not a run payload"));
-        let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, Some(Arc::clone(&tier)));
-        let got = memo.get_or_run(key, || Ok(sample_run(8))).unwrap();
-        assert_eq!(got.summary.cycles, 8, "the recompute answered");
-        assert_eq!(tier.stats().corrupt_quarantined, 1);
-        // The recompute re-published; a fresh memo now reads it back.
-        let memo = RunMemo::with_capacity(DEFAULT_MEMO_CAPACITY, Some(Arc::clone(&tier)));
-        let again = memo.get_or_run(key, || panic!("republished")).unwrap();
-        assert_eq!(got, again);
-        std::fs::remove_dir_all(&root).unwrap();
+        let _ = RunMemo::with_capacity(0);
     }
 }

@@ -25,22 +25,12 @@
 //!
 //! [`RunMemo`]: crate::RunMemo
 
-use dbt_persist::{BoundedMap, PersistStore};
+use dbt_persist::BoundedMap;
 use dbt_riscv::Program;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Entry kind the store uses in the durable tier: the program-image JSON
-/// (the same text `upload` ships on the wire), keyed by the program's
-/// content fingerprint.
-const PROG_KIND: &str = "prog";
-
-/// The durable-store key of a program: its fingerprint as hex.
-fn prog_key_hex(fp: u64) -> String {
-    format!("{fp:016x}")
-}
 
 /// How a request names a guest program.
 ///
@@ -222,7 +212,6 @@ fn image_bytes(program: &Program) -> u64 {
 pub struct ProgramStore {
     programs: Mutex<BoundedMap<u64, Arc<Program>>>,
     named: Mutex<HashMap<String, Arc<NamedEntry>>>,
-    persist: Option<Arc<PersistStore>>,
     uploads: AtomicU64,
     dedup_hits: AtomicU64,
     seeded: AtomicU64,
@@ -235,10 +224,10 @@ impl fmt::Debug for ProgramStore {
 }
 
 impl ProgramStore {
-    /// An empty store with the default budget and no durable tier, behind
-    /// an [`Arc`], ready to share across threads.
+    /// An empty store with the default budget, behind an [`Arc`], ready
+    /// to share across threads.
     pub fn new() -> Arc<ProgramStore> {
-        ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, None)
+        ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES)
     }
 
     /// A store whose unpinned programs may hold `budget_bytes` of guest
@@ -248,23 +237,14 @@ impl ProgramStore {
     /// resolves (until the next insert). Pinned (seeded registry) entries
     /// sit outside the budget.
     ///
-    /// With a durable tier (`persist`), uploaded and inline programs are
-    /// published as program images behind the write, [`ProgramStore::get`]
-    /// misses read through to disk (so an evicted or restart-lost upload
-    /// stays resolvable by `fp:` ref), and
-    /// [`ProgramStore::reseed_from_persist`] restores the whole uploaded
-    /// set at boot. Registry seeds are rebuilt by their builders, never
-    /// persisted.
-    ///
     /// # Panics
     ///
     /// Panics if `budget_bytes` is zero.
-    pub fn with_budget(budget_bytes: u64, persist: Option<Arc<PersistStore>>) -> Arc<ProgramStore> {
+    pub fn with_budget(budget_bytes: u64) -> Arc<ProgramStore> {
         assert!(budget_bytes >= 1, "the program store needs a budget of at least one byte");
         Arc::new(ProgramStore {
             programs: Mutex::new(BoundedMap::new(budget_bytes)),
             named: Mutex::new(HashMap::new()),
-            persist,
             uploads: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
             seeded: AtomicU64::new(0),
@@ -316,10 +296,8 @@ impl ProgramStore {
     /// still held (a concurrent insert may evict it right after), and
     /// whether the content was already resident. `pin` marks the entry as
     /// never-evictable (sticky: a later unpinned intern of the same
-    /// content keeps the pin). `publish` writes newly resident unpinned
-    /// programs behind to the durable tier (off for boot re-seeds and disk
-    /// read-throughs, whose images are already on disk).
-    fn intern_entry(&self, program: Program, pin: bool, publish: bool) -> (Arc<Program>, bool) {
+    /// content keeps the pin).
+    fn intern_entry(&self, program: Program, pin: bool) -> (Arc<Program>, bool) {
         let fp = program.fingerprint();
         // A seed joins at weight 0 and is pinned at once, so it never
         // counts against the budget.
@@ -336,19 +314,7 @@ impl ProgramStore {
         if pin {
             programs.pin(&fp);
         }
-        drop(programs);
-        // Write-behind outside the lock: the publish is best-effort I/O
-        // and must not serialize the store.
-        if let Some(tier) = self.persist.as_ref().filter(|_| publish && !pin && !resident) {
-            tier.put(PROG_KIND, &prog_key_hex(fp), program.to_image().as_bytes());
-        }
         (program, resident)
-    }
-
-    /// [`ProgramStore::intern_entry`] without pinning (uploads and inline
-    /// sources), published to the durable tier when one is attached.
-    fn intern(&self, program: Program) -> (Arc<Program>, bool) {
-        self.intern_entry(program, false, true)
     }
 
     /// Submits a program (the `upload` operation). Returns its content
@@ -356,7 +322,7 @@ impl ProgramStore {
     /// already resident).
     pub fn upload(&self, program: Program) -> (u64, bool) {
         self.uploads.fetch_add(1, Ordering::SeqCst);
-        let (program, dedup) = self.intern(program);
+        let (program, dedup) = self.intern_entry(program, false);
         if dedup {
             self.dedup_hits.fetch_add(1, Ordering::SeqCst);
         }
@@ -365,74 +331,8 @@ impl ProgramStore {
 
     /// The resident program with content fingerprint `fp`, if any.
     /// Counts as a use for LRU purposes.
-    fn lookup(&self, fp: u64) -> Option<Arc<Program>> {
-        self.programs.lock().expect("program store poisoned").get(&fp).map(|p| Arc::clone(p))
-    }
-
-    /// The program with content fingerprint `fp`, if it is resident or
-    /// (with a durable tier attached) published on disk. Counts as a use
-    /// for LRU purposes; a disk read-through re-interns the program
-    /// without re-publishing it.
     pub fn get(&self, fp: u64) -> Option<Arc<Program>> {
-        if let Some(program) = self.lookup(fp) {
-            return Some(program);
-        }
-        let program = self.fetch_persisted(fp)?;
-        Some(self.intern_entry(program, false, false).0)
-    }
-
-    /// Reads the image published under `fp` from the durable tier and
-    /// decodes it. An image that does not parse, or whose content
-    /// fingerprint contradicts its key, is quarantined (semantic reject —
-    /// the store's own checksum passed) and reads as a miss.
-    fn fetch_persisted(&self, fp: u64) -> Option<Program> {
-        let tier = self.persist.as_ref()?;
-        let key = prog_key_hex(fp);
-        let bytes = tier.get(PROG_KIND, &key)?;
-        let image = match std::str::from_utf8(&bytes) {
-            Ok(image) => image,
-            Err(_) => {
-                tier.quarantine(PROG_KIND, &key, "program image is not UTF-8");
-                return None;
-            }
-        };
-        let program = match Program::from_image(image) {
-            Ok(program) => program,
-            Err(err) => {
-                tier.quarantine(PROG_KIND, &key, &format!("program image decode failed: {err}"));
-                return None;
-            }
-        };
-        if program.fingerprint() != fp {
-            tier.quarantine(PROG_KIND, &key, "program fingerprint contradicts entry key");
-            return None;
-        }
-        Some(program)
-    }
-
-    /// Re-interns every program image the durable tier holds (a daemon
-    /// boot step), so the uploaded set of the previous incarnation is
-    /// resolvable by `fp:` ref immediately. Returns how many programs
-    /// were restored; unreadable images are quarantined by the normal
-    /// read path and skipped. Upload/dedup counters are untouched.
-    pub fn reseed_from_persist(&self) -> usize {
-        let Some(tier) = self.persist.as_ref() else {
-            return 0;
-        };
-        let mut restored = 0;
-        for key in tier.keys(PROG_KIND) {
-            let Ok(fp) = u64::from_str_radix(&key, 16) else {
-                continue;
-            };
-            if self.lookup(fp).is_some() {
-                continue;
-            }
-            if let Some(program) = self.fetch_persisted(fp) {
-                self.intern_entry(program, false, false);
-                restored += 1;
-            }
-        }
-        restored
+        self.programs.lock().expect("program store poisoned").get(&fp).map(|p| Arc::clone(p))
     }
 
     /// Resolves a ref to its program: registry entries are lazily seeded
@@ -459,9 +359,8 @@ impl ProgramStore {
                         let program = (entry.build)()?;
                         self.seeded.fetch_add(1, Ordering::SeqCst);
                         // Pinned: the builder never runs again, so an
-                        // evicted seed could not be rebuilt. Never
-                        // persisted: the builder is the durable copy.
-                        Ok(self.intern_entry(program, true, false).0)
+                        // evicted seed could not be rebuilt.
+                        Ok(self.intern_entry(program, true).0)
                     })
                     .clone()
             }
@@ -470,11 +369,11 @@ impl ProgramStore {
             }),
             ProgramRef::InlineAsm(source) => {
                 let program = dbt_riscv::parse_asm(source).map_err(|e| e.to_string())?;
-                Ok(self.intern(program).0)
+                Ok(self.intern_entry(program, false).0)
             }
             ProgramRef::InlineImage(source) => {
                 let program = Program::from_image(source).map_err(|e| e.to_string())?;
-                Ok(self.intern(program).0)
+                Ok(self.intern_entry(program, false).0)
             }
         }
     }
@@ -546,7 +445,7 @@ mod tests {
     fn capacity_bound_evicts_the_least_recently_used_upload() {
         // Two instructions (8 bytes) plus 1000 data bytes each: two fit.
         assert_eq!(image_bytes(&sized(1, 1000)), 1008);
-        let store = ProgramStore::with_budget(2100, None);
+        let store = ProgramStore::with_budget(2100);
         let (first, _) = store.upload(sized(1, 1000));
         let (second, _) = store.upload(sized(2, 1000));
         assert_eq!(store.resident_bytes(), 2016);
@@ -577,7 +476,7 @@ mod tests {
         // Every program outweighs the whole budget, so each insert evicts
         // all the others: a resolve that looked its program up again after
         // interning it would find another thread's insert had evicted it.
-        let store = ProgramStore::with_budget(1, None);
+        let store = ProgramStore::with_budget(1);
         std::thread::scope(|scope| {
             for thread in 0..2i64 {
                 let store = &store;
@@ -600,7 +499,7 @@ mod tests {
 
     #[test]
     fn seeded_registry_programs_are_pinned_against_eviction() {
-        let store = ProgramStore::with_budget(1, None);
+        let store = ProgramStore::with_budget(1);
         store.register("tiny", || Ok(tiny(7)));
         let r = ProgramRef::parse("tiny").unwrap();
         let seeded_fp = store.resolve(&r).unwrap().fingerprint();
@@ -620,7 +519,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one byte")]
     fn zero_capacity_is_rejected() {
-        let _ = ProgramStore::with_budget(0, None);
+        let _ = ProgramStore::with_budget(0);
     }
 
     #[test]
@@ -664,87 +563,6 @@ mod tests {
         store.register("broken", || Err("no such kernel".to_string()));
         let err = store.resolve(&ProgramRef::Registry("broken".to_string())).unwrap_err();
         assert!(err.contains("no such kernel"), "{err}");
-    }
-
-    fn fresh_root(tag: &str) -> std::path::PathBuf {
-        let root =
-            std::env::temp_dir().join(format!("dbt-platform-store-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        root
-    }
-
-    #[test]
-    fn uploads_survive_restart_via_reseed_and_read_through() {
-        let root = fresh_root("reseed");
-        let fp = {
-            let tier = dbt_persist::PersistStore::open(&root).unwrap();
-            let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, Some(tier));
-            let (fp, dedup) = store.upload(tiny(1));
-            assert!(!dedup);
-            fp
-        };
-        // A restarted store over the same root: boot re-seed restores
-        // the upload, upload/dedup counters stay untouched.
-        let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, Some(Arc::clone(&tier)));
-        assert_eq!(store.reseed_from_persist(), 1);
-        assert_eq!(store.reseed_from_persist(), 0, "a second re-seed finds everything resident");
-        let stats = store.stats();
-        assert_eq!((stats.programs, stats.uploads, stats.dedup_hits), (1, 0, 0));
-        let resolved = store.resolve(&ProgramRef::Fingerprint(fp)).unwrap();
-        assert_eq!(resolved.fingerprint(), fp);
-        // Re-uploading the same content is now a dedup hit, and the
-        // re-seed published nothing new.
-        let (again, dedup) = store.upload(tiny(1));
-        assert_eq!(again, fp);
-        assert!(dedup);
-        assert_eq!(tier.stats().writes, 0, "re-seeds and dedups never re-publish");
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn get_reads_through_without_a_boot_reseed() {
-        let root = fresh_root("readthrough");
-        let fp = {
-            let tier = dbt_persist::PersistStore::open(&root).unwrap();
-            let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, Some(tier));
-            store.upload(tiny(2)).0
-        };
-        let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, Some(tier));
-        assert_eq!(store.stats().programs, 0);
-        let program = store.get(fp).expect("a persisted image answers a cold get");
-        assert_eq!(program.fingerprint(), fp);
-        assert_eq!(store.stats().programs, 1, "the read-through re-interned the program");
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn corrupt_persisted_images_are_quarantined_not_errors() {
-        let root = fresh_root("corrupt");
-        let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        // A store-valid entry that is not a program image at all, plus
-        // one whose image decodes to a different fingerprint.
-        assert!(tier.put(PROG_KIND, &prog_key_hex(0xdead), b"not an image"));
-        assert!(tier.put(PROG_KIND, &prog_key_hex(0xbeef), tiny(3).to_image().as_bytes()));
-        let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, Some(Arc::clone(&tier)));
-        assert_eq!(store.reseed_from_persist(), 0);
-        assert!(store.get(0xdead).is_none());
-        assert!(store.get(0xbeef).is_none());
-        assert_eq!(tier.stats().corrupt_quarantined, 2);
-        assert_eq!(tier.stats().entries, 0, "both bad entries left objects/");
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn registry_seeds_are_never_published() {
-        let root = fresh_root("seeds");
-        let tier = dbt_persist::PersistStore::open(&root).unwrap();
-        let store = ProgramStore::with_budget(DEFAULT_STORE_BUDGET_BYTES, Some(Arc::clone(&tier)));
-        store.register("tiny", || Ok(tiny(7)));
-        let _ = store.resolve(&ProgramRef::parse("tiny").unwrap()).unwrap();
-        assert_eq!(tier.stats().writes, 0, "builders are the durable copy of registry seeds");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

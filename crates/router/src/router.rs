@@ -246,9 +246,6 @@ enum Route {
     Replicate(String),
     /// Ask every backend and answer a merged body.
     FanOut,
-    /// Any live backend will do (the trace-log form of `profile` — each
-    /// daemon keeps its own log; the fleet answer is one shard's view).
-    Any,
     /// Answered by the router itself from its own observability rings
     /// (`trace` = the stitched span tree, `logs` = the event log).
     Observe,
@@ -262,11 +259,9 @@ enum Route {
 fn route(request: &Request) -> Route {
     match request {
         Request::Run { scenario } => Route::Key(scenario_key(scenario)),
-        Request::RunProgram { program, .. } | Request::Analyze { program } => {
-            Route::Key(normalize_ref(program))
-        }
-        Request::Profile { program: Some(program), .. } => Route::Key(normalize_ref(program)),
-        Request::Profile { program: None, .. } => Route::Any,
+        Request::RunProgram { program, .. }
+        | Request::Analyze { program }
+        | Request::Profile { program, .. } => Route::Key(normalize_ref(program)),
         Request::Sweep { name, .. } => Route::Key(format!("sweep:{name}")),
         Request::Upload { source } => Route::Replicate(source.text().to_string()),
         Request::Stats | Request::Metrics | Request::Health => Route::FanOut,
@@ -441,10 +436,6 @@ impl Shared {
                 (Answer::Local(Response::Ok { op, body }), false)
             }
             Route::Observe => (Answer::Local(self.observe_answer(&request)), false),
-            Route::Any => {
-                let order: Vec<usize> = (0..self.backends.len()).collect();
-                (self.relay(line, &op, &order, trace), false)
-            }
             Route::Key(key) => (self.relay(line, &op, &self.ring.preference(&key), trace), false),
             Route::Replicate(key) => (self.replicate_upload(line, &key, trace), false),
         }

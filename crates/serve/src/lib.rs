@@ -60,5 +60,5 @@ pub use protocol::{FrameMeta, ProgramSource, Request, Response, RunKnobs, DEFAUL
 pub use queue::{BoundedQueue, PushError};
 pub use server::{
     logs_response, serve, serve_with_clock, spawn_acceptor, wake_acceptor, LabBackend, LineService,
-    OpMetrics, ServerConfig, ServerHandle, DEFAULT_MAX_FRAME_BYTES, TRACE_LOG_CAPACITY,
+    OpMetrics, ServerConfig, ServerHandle, DEFAULT_MAX_FRAME_BYTES,
 };

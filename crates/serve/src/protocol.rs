@@ -16,7 +16,7 @@
 //! | `sweep`      | `sweep`, `threads?`      | full sweep report JSON          |
 //! | `analyze`    | `program`                | taint-verdict report JSON       |
 //! | `upload`     | `asm` \| `image`         | content fingerprint + dedup     |
-//! | `profile`    | `program?`, `policy?`    | cycle profile / server trace log|
+//! | `profile`    | `program`, `policy?`     | cycle-domain profile report JSON|
 //! | `stats`      | —                        | server + cache counters         |
 //! | `metrics`    | —                        | Prometheus text exposition      |
 //! | `trace`      | `target`                 | span tree of one trace id       |
@@ -220,12 +220,10 @@ pub enum Request {
         /// Sparse platform overrides and optional planted secret.
         knobs: RunKnobs,
     },
-    /// The deterministic cycle-domain profile of one program run
-    /// (`program` set), or the server's request trace log (no
-    /// `program`).
+    /// The deterministic cycle-domain profile of one program run.
     Profile {
-        /// Program ref to profile; absent = answer the trace log.
-        program: Option<String>,
+        /// Program ref to profile.
+        program: String,
         /// Mitigation-policy label for the profiled run.
         policy: String,
     },
@@ -291,19 +289,17 @@ impl Request {
     }
 
     /// `true` if the request is executed on the worker pool (and therefore
-    /// subject to queue backpressure) rather than answered inline. A
-    /// `profile` request is heavy only when it actually profiles a
-    /// program; the trace-log form is answered inline.
+    /// subject to queue backpressure) rather than answered inline.
     pub fn is_heavy(&self) -> bool {
-        match self {
+        matches!(
+            self,
             Request::Run { .. }
-            | Request::RunProgram { .. }
-            | Request::Sweep { .. }
-            | Request::Analyze { .. }
-            | Request::Upload { .. } => true,
-            Request::Profile { program, .. } => program.is_some(),
-            _ => false,
-        }
+                | Request::RunProgram { .. }
+                | Request::Profile { .. }
+                | Request::Sweep { .. }
+                | Request::Analyze { .. }
+                | Request::Upload { .. }
+        )
     }
 
     /// Encodes the frame (one line, no trailing newline).
@@ -322,14 +318,11 @@ impl Request {
                 out.push('}');
                 out
             }
-            Request::Profile { program, policy } => match program {
-                Some(program) => format!(
-                    "{{\"op\": \"profile\", \"program\": \"{}\", \"policy\": \"{}\"}}",
-                    escape(program),
-                    escape(policy)
-                ),
-                None => "{\"op\": \"profile\"}".to_string(),
-            },
+            Request::Profile { program, policy } => format!(
+                "{{\"op\": \"profile\", \"program\": \"{}\", \"policy\": \"{}\"}}",
+                escape(program),
+                escape(policy)
+            ),
             Request::Sweep { name, threads } => format!(
                 "{{\"op\": \"sweep\", \"sweep\": \"{}\", \"threads\": {threads}}}",
                 escape(name)
@@ -431,13 +424,7 @@ impl Request {
                     Ok(Request::Run { scenario: need("scenario")? })
                 }
             }
-            "profile" => Ok(Request::Profile {
-                program: match value.get("program") {
-                    None => None,
-                    Some(_) => Some(need("program")?),
-                },
-                policy: policy(value)?,
-            }),
+            "profile" => Ok(Request::Profile { program: need("program")?, policy: policy(value)? }),
             "sweep" => {
                 let threads = match value.get("threads") {
                     None => 0,
@@ -643,11 +630,7 @@ mod tests {
                     secret: Some("GhostBusters!".to_string()),
                 },
             },
-            Request::Profile {
-                program: Some("spectre-v1".to_string()),
-                policy: "selective".to_string(),
-            },
-            Request::Profile { program: None, policy: DEFAULT_RUN_POLICY.to_string() },
+            Request::Profile { program: "spectre-v1".to_string(), policy: "selective".to_string() },
             Request::Sweep { name: "figure4".to_string(), threads: 7 },
             Request::Analyze { program: "histogram".to_string() },
             Request::Upload { source: ProgramSource::Asm("li a0, 1\necall\n".to_string()) },
@@ -723,6 +706,14 @@ mod tests {
     }
 
     #[test]
+    fn profile_without_a_program_no_longer_decodes() {
+        let error = Request::decode(r#"{"op": "profile"}"#).unwrap_err();
+        assert_eq!(error, "`profile` needs a string `program` member");
+        let error = Request::decode(r#"{"op": "profile", "policy": "unsafe"}"#).unwrap_err();
+        assert!(error.contains("`program`"), "{error}");
+    }
+
+    #[test]
     fn quota_exceeded_responses_round_trip() {
         let response = Response::QuotaExceeded { op: "run".to_string() };
         let line = response.encode();
@@ -764,17 +755,11 @@ mod tests {
         assert_eq!(
             heavy,
             Request::Profile {
-                program: Some("spectre-v1".to_string()),
+                program: "spectre-v1".to_string(),
                 policy: DEFAULT_RUN_POLICY.to_string(),
             }
         );
         assert!(heavy.is_heavy(), "profiling a program runs on the worker pool");
-        let light = Request::decode(r#"{"op": "profile"}"#).unwrap();
-        assert_eq!(
-            light,
-            Request::Profile { program: None, policy: DEFAULT_RUN_POLICY.to_string() }
-        );
-        assert!(!light.is_heavy(), "the trace-log form is answered inline");
         assert_eq!(heavy.op(), "profile");
         // The observability ops are always cheap: answered inline, never
         // queued, never quota-charged.

@@ -13,13 +13,12 @@
 //!    thread that reads newline-delimited request frames through a
 //!    [`Conn`] (these two loops are [`spawn_acceptor`]'s, shared with the
 //!    `dbt-router` front door through the [`LineService`] trait);
-//! 2. cheap requests (`stats`, `health`, `shutdown`, the trace-log form
-//!    of `profile`) are answered inline;
-//! 3. heavy requests (`run`, `sweep`, `analyze`, `upload`, the
-//!    program-profiling form of `profile`) are pushed onto
-//!    the bounded [`BoundedQueue`]; a full queue answers `busy` immediately
-//!    — explicit backpressure instead of unbounded buffering (request
-//!    lines themselves are bounded too: see
+//! 2. cheap requests (`stats`, `metrics`, `health`, `trace`, `logs`,
+//!    `shutdown`) are answered inline;
+//! 3. heavy requests (`run`, `profile`, `sweep`, `analyze`, `upload`) are
+//!    pushed onto the bounded [`BoundedQueue`]; a full queue answers
+//!    `busy` immediately — explicit backpressure instead of unbounded
+//!    buffering (request lines themselves are bounded too: see
 //!    [`ServerConfig::max_frame_bytes`]);
 //! 4. the fixed pool of worker threads pops jobs, executes them on the
 //!    backend, and sends the result back to the waiting handler, which
@@ -32,9 +31,8 @@
 //!
 //! Every answered request is tagged with a trace id — the frame's own
 //! `trace_id` when the client sent one, a deterministic per-connection
-//! `t<n>` otherwise — echoed on the response frame and recorded in a
-//! bounded in-memory trace log that the inline form of the `profile`
-//! request reads back.
+//! `t<n>` otherwise — echoed on the response frame. Its latency lands in
+//! the per-op `dbt_serve_request_seconds` histogram.
 //!
 //! Heavy requests additionally get a causal span tree keyed by that
 //! trace id: a `d:request` root (attached under the frame's
@@ -44,21 +42,19 @@
 //! the ambient [`dbt_obs::TraceHandle`] the worker enters around
 //! execution. The `trace` op assembles the tree; the `logs` op serves
 //! the daemon's structured [`EventLog`] (lifecycle events live there).
-//! All three rings are bounded by fixed capacities ([`TRACE_LOG_CAPACITY`],
-//! [`dbt_obs::DEFAULT_SPAN_CAPACITY`], [`dbt_obs::DEFAULT_EVENT_CAPACITY`]).
+//! Both rings are bounded by fixed capacities
+//! ([`dbt_obs::DEFAULT_SPAN_CAPACITY`], [`dbt_obs::DEFAULT_EVENT_CAPACITY`]).
 
 use crate::conn::{Conn, Frame, FrameCounters};
-use crate::json::escape;
 use crate::protocol::{ProgramSource, Request, Response, RunKnobs};
 use crate::queue::{BoundedQueue, PushError};
 use dbt_obs::{
     Counter, EventLog, Gauge, Histogram, LogLevel, MetricsRegistry, Span, SpanRecord, SpanRecorder,
     TraceClock, TraceHandle, DEFAULT_LATENCY_BOUNDS_MICROS,
 };
-use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -145,16 +141,6 @@ pub trait LabBackend: Send + Sync {
     /// keep working unchanged.
     fn metrics_text(&self) -> String {
         String::new()
-    }
-
-    /// The backend's own structured event log, if it keeps one. When
-    /// present, the server adopts it as the log behind the `logs` op —
-    /// backend events (durable-cache lifecycle, quarantines, GC) and
-    /// server lifecycle events interleave in one stream. The default is
-    /// `None`: the server creates its own log bounded by
-    /// [`dbt_obs::DEFAULT_EVENT_CAPACITY`], exactly as before.
-    fn event_log(&self) -> Option<Arc<EventLog>> {
-        None
     }
 }
 
@@ -274,9 +260,6 @@ pub fn logs_response(events: &EventLog, level: Option<&str>) -> Response {
     }
 }
 
-/// Bound of the in-memory request trace log (oldest entries evicted).
-pub const TRACE_LOG_CAPACITY: usize = 256;
-
 /// Span-id prefix and root span id of daemon-side spans.
 const SPAN_PREFIX: &str = "d";
 const ROOT_SPAN: &str = "d:request";
@@ -337,16 +320,10 @@ struct Shared {
     shutdown: AtomicBool,
     started: Instant,
     metrics: ServerMetrics,
-    /// The request trace log: `(trace_id, op, micros)` of the last
-    /// [`TRACE_LOG_CAPACITY`] answered requests, newest
-    /// last. Latencies are wall-clock and operator-facing, like the
-    /// metrics exposition.
-    traces: Mutex<VecDeque<(String, String, u64)>>,
     /// Finished request spans, served by the `trace` op.
     spans: Arc<SpanRecorder>,
-    /// Structured lifecycle events, served by the `logs` op. Shared with
-    /// the backend when it lends its own log via [`LabBackend::event_log`].
-    events: Arc<EventLog>,
+    /// Structured lifecycle events, served by the `logs` op.
+    events: EventLog,
 }
 
 impl LineService for Shared {
@@ -357,9 +334,8 @@ impl LineService for Shared {
     }
 
     /// Parses and answers one request line, timing it into the per-op
-    /// latency histogram and the trace log. The n-th frame of a
-    /// connection gets the fallback trace id `t<n>` unless the client
-    /// chose its own.
+    /// latency histogram. The n-th frame of a connection gets the fallback
+    /// trace id `t<n>` unless the client chose its own.
     fn respond(&self, _: &mut (), seq: u64, line: &str) -> (String, bool) {
         self.metrics.inflight.inc();
         let decode_start = self.spans.now_micros();
@@ -374,7 +350,6 @@ impl LineService for Shared {
         // asked.
         let op = decoded.as_ref().map(Request::op).unwrap_or("invalid");
         let span = self.metrics.ops.count(op);
-        let started = Instant::now();
         // Heavy requests get a span tree under the request root; cheap
         // ones (including the `trace` fetch itself) stay span-free.
         let trace = decoded.as_ref().map(Request::is_heavy).unwrap_or(false).then(|| {
@@ -411,9 +386,6 @@ impl LineService for Shared {
             });
         }
         drop(span);
-        // Recorded *after* answering, so a trace-log answer describes only
-        // the requests before it, never itself.
-        self.record_trace(&trace_id, op, started.elapsed().as_micros() as u64);
         self.metrics.inflight.dec();
         (frame, stop)
     }
@@ -434,36 +406,6 @@ impl LineService for Shared {
 }
 
 impl Shared {
-    /// Appends one entry to the bounded trace log.
-    fn record_trace(&self, trace_id: &str, op: &str, micros: u64) {
-        let mut traces = self.traces.lock().expect("trace log lock");
-        if traces.len() == TRACE_LOG_CAPACITY {
-            traces.pop_front();
-        }
-        traces.push_back((trace_id.to_string(), op.to_string(), micros));
-    }
-
-    /// The single-line JSON body of the inline (trace-log) `profile`
-    /// answer.
-    fn trace_log_json(&self) -> String {
-        let traces = self.traces.lock().expect("trace log lock");
-        let entries = traces
-            .iter()
-            .map(|(trace_id, op, micros)| {
-                format!(
-                    "{{\"trace_id\": \"{}\", \"op\": \"{}\", \"micros\": {micros}}}",
-                    escape(trace_id),
-                    escape(op)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"schema\": \"dbt-serve/trace-log/v1\", \"capacity\": {TRACE_LOG_CAPACITY}, \
-             \"entries\": [{entries}]}}"
-        )
-    }
-
     /// The untimed request dispatch behind [`Shared::respond`]; `trace`
     /// is the span context of a heavy traced request, handed across the
     /// queue to the executing worker.
@@ -509,9 +451,6 @@ impl Shared {
             }
             Request::Shutdown => {
                 (Response::Ok { op, body: "{\"stopping\": true}".to_string() }, true)
-            }
-            Request::Profile { program: None, .. } => {
-                (Response::Ok { op, body: self.trace_log_json() }, false)
             }
             Request::Trace { target } => {
                 (Response::Ok { op, body: self.spans.tree_json(&target) }, false)
@@ -591,13 +530,12 @@ fn execute(backend: &dyn LabBackend, request: &Request) -> Result<String, String
         Request::RunProgram { program, policy, knobs } => {
             backend.run_program(program, policy, knobs)
         }
-        Request::Profile { program: Some(program), policy } => backend.profile(program, policy),
+        Request::Profile { program, policy } => backend.profile(program, policy),
         Request::Sweep { name, threads } => backend.sweep(name, *threads),
         Request::Analyze { program } => backend.analyze(program),
         Request::Upload { source } => backend.upload(source),
         // Cheap requests never reach the queue.
-        Request::Profile { program: None, .. }
-        | Request::Stats
+        Request::Stats
         | Request::Metrics
         | Request::Trace { .. }
         | Request::Logs { .. }
@@ -751,10 +689,6 @@ pub fn serve_with_clock<A: ToSocketAddrs>(
     // The pool never runs empty: clamp here so both the spawn loop and the
     // `health` response describe the same daemon.
     let config = ServerConfig { workers: config.workers.max(1), ..config };
-    // A backend that keeps its own event log (the durable-cache daemon
-    // does, so persistence events and server lifecycle interleave in one
-    // `logs` stream) lends it to the server; otherwise the server owns one.
-    let events = backend.event_log().unwrap_or_else(|| Arc::new(EventLog::new()));
     let shared = Arc::new(Shared {
         backend,
         queue: BoundedQueue::new(config.queue_depth),
@@ -762,9 +696,8 @@ pub fn serve_with_clock<A: ToSocketAddrs>(
         shutdown: AtomicBool::new(false),
         started: Instant::now(),
         metrics: ServerMetrics::new(),
-        traces: Mutex::new(VecDeque::new()),
         spans: Arc::new(SpanRecorder::new(clock)),
-        events,
+        events: EventLog::new(),
         config,
     });
     shared.events.log(
@@ -814,6 +747,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::protocol::DEFAULT_RUN_POLICY;
+    use std::sync::Mutex;
 
     /// A backend whose `run_scenario` blocks until the test releases it,
     /// so queue occupancy is fully under test control.
@@ -942,7 +876,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_ids_echo_and_fill_the_trace_log() {
+    fn trace_ids_echo_and_profiles_reach_the_backend() {
         let (started_tx, _started_rx) = mpsc::channel();
         let (_release_tx, release_rx) = mpsc::channel();
         let backend = BlockingBackend { started: started_tx, release: Mutex::new(release_rx) };
@@ -957,25 +891,11 @@ mod tests {
         let (_, trace) = client.request_traced(&Request::Health, Some("probe-1")).unwrap();
         assert_eq!(trace.as_deref(), Some("probe-1"));
 
-        // The inline `profile` form answers the trace log — which records
-        // the earlier requests but never the answering request itself.
-        let log_request =
-            Request::Profile { program: None, policy: DEFAULT_RUN_POLICY.to_string() };
-        let (reply, trace) = client.request_traced(&log_request, Some("log-probe")).unwrap();
-        assert_eq!(trace.as_deref(), Some("log-probe"));
-        let Response::Ok { op, body } = reply else { panic!("profile must answer ok") };
-        assert_eq!(op, "profile");
-        assert!(body.contains("\"schema\": \"dbt-serve/trace-log/v1\""), "{body}");
-        assert!(body.contains("\"trace_id\": \"t0\", \"op\": \"health\""), "{body}");
-        assert!(body.contains("\"trace_id\": \"probe-1\""), "{body}");
-        assert!(!body.contains("log-probe"), "the trace-log answer excludes itself: {body}");
-
-        // The program-profiling form reaches the backend, which rejects it
-        // by default, and `request` (no trace) still works on trace-tagged
-        // response frames.
+        // `profile` reaches the backend, which rejects it by default, and
+        // `request` (no trace) still works on trace-tagged response frames.
         let reply = client
             .request(&Request::Profile {
-                program: Some("gemm".to_string()),
+                program: "gemm".to_string(),
                 policy: DEFAULT_RUN_POLICY.to_string(),
             })
             .unwrap();
@@ -1092,36 +1012,6 @@ mod tests {
         let (started_tx, _started_rx) = mpsc::channel();
         let (_release_tx, release_rx) = mpsc::channel();
         Arc::new(BlockingBackend { started: started_tx, release: Mutex::new(release_rx) })
-    }
-
-    #[test]
-    fn trace_log_capacity_knob_evicts_at_the_boundary() {
-        let handle = serve("127.0.0.1:0", quiet_backend(), ServerConfig::default()).unwrap();
-        let mut client = Client::connect(handle.addr()).unwrap();
-        // Ids are quoted in the body, so `"q1"` never matches `"q10"`.
-        let ids: Vec<String> = (1..=TRACE_LOG_CAPACITY).map(|n| format!("q{n}")).collect();
-        for id in &ids {
-            client.request_traced(&Request::Health, Some(id)).unwrap();
-        }
-        // Exactly at capacity: nothing evicted yet.
-        let log_request =
-            Request::Profile { program: None, policy: DEFAULT_RUN_POLICY.to_string() };
-        let (reply, _) = client.request_traced(&log_request, Some("scrape-1")).unwrap();
-        let Response::Ok { body, .. } = reply else { panic!("profile must answer ok") };
-        assert!(body.contains(&format!("\"capacity\": {TRACE_LOG_CAPACITY}")), "{body}");
-        for id in &ids {
-            assert!(body.contains(&format!("\"{id}\"")), "{body}");
-        }
-        // One over (the scrape itself was recorded after answering): the
-        // oldest entry, and only it, is gone.
-        let (reply, _) = client.request_traced(&log_request, Some("scrape-2")).unwrap();
-        let Response::Ok { body, .. } = reply else { panic!("profile must answer ok") };
-        assert!(!body.contains("\"q1\""), "oldest entry must be evicted: {body}");
-        for id in ids[1..].iter().map(String::as_str).chain(["scrape-1"]) {
-            assert!(body.contains(&format!("\"{id}\"")), "{body}");
-        }
-        handle.shutdown();
-        handle.wait();
     }
 
     #[test]
