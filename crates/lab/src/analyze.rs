@@ -75,7 +75,7 @@ fn suite_name(name: &str) -> Result<&'static str, String> {
 /// Returns a message if the program cannot be built or the run faults.
 pub fn analyze_program(label: &str, size: WorkloadSize) -> Result<AnalyzeReport, String> {
     let spec = resolve_program(label, size)?;
-    analyze_built(label, &spec.build()?)
+    analyze_built(label, &*spec.build()?)
 }
 
 /// [`analyze_program`] for an already-built program — the entry point for

@@ -96,8 +96,10 @@ const DEFAULT_ADDR: &str = "127.0.0.1:4075";
 /// Default router address for `lab router` and `--via-router`.
 const DEFAULT_ROUTER_ADDR: &str = "127.0.0.1:4076";
 
-fn usage() -> &'static str {
-    "usage: lab <command> [options]\n\
+fn usage() -> String {
+    let ServerConfig { workers, queue_depth, .. } = ServerConfig::default();
+    format!(
+        "usage: lab <command> [options]\n\
      \n\
      commands:\n\
      \x20 list                     list declared sweeps and their scenarios\n\
@@ -164,8 +166,10 @@ fn usage() -> &'static str {
      \x20 --quiet                  no per-job progress on stderr\n\
      \x20 --addr HOST:PORT         daemon address (default: 127.0.0.1:4075;\n\
      \x20                          loadgen: in-process daemon when omitted)\n\
-     \x20 --workers N              serve: worker pool size (default: 2)\n\
-     \x20 --queue-depth N          serve: job queue bound (default: 16)\n\
+     \x20 --workers N              serve: most heavy requests running at once\n\
+     \x20                          (default: {workers})\n\
+     \x20 --queue-depth N          serve: most heavy requests waiting for a\n\
+     \x20                          running slot before `busy` (default: {queue_depth})\n\
      \x20 --clients N              loadgen: concurrent clients (default: 4)\n\
      \x20 --iterations N           loadgen: passes per client (default: 8)\n\
      \x20 --fleet N                loadgen: drive N in-process daemons behind\n\
@@ -179,6 +183,7 @@ fn usage() -> &'static str {
      \x20 --rate N                 router: quota refill, tokens/sec per\n\
      \x20                          client (default: quota off)\n\
      \x20 --burst N                router: quota burst (default: --rate)\n"
+    )
 }
 
 fn parse(args: &[String]) -> Result<Args, String> {
@@ -192,8 +197,8 @@ fn parse(args: &[String]) -> Result<Args, String> {
         json: false,
         dot: false,
         addr: None,
-        workers: 2,
-        queue_depth: 16,
+        workers: ServerConfig::default().workers,
+        queue_depth: ServerConfig::default().queue_depth,
         clients: 4,
         iterations: 8,
         policy: DEFAULT_RUN_POLICY.to_string(),
@@ -422,7 +427,7 @@ fn cmd_run_file(args: &Args) -> Result<(), String> {
     // Build once up front so parse errors carry the source diagnostics
     // instead of surfacing as a failed job row.
     let spec = ProgramSpec::Source { label: label.clone(), kind, text };
-    let program = Arc::new(spec.build()?);
+    let program = spec.build()?;
     let scenario = adhoc_scenario(&label, program, policy, PlatformOverrides::default(), None);
     let opts = ExecOptions { threads: 1, verbose: !args.quiet };
     let report = run_sweep(&scenario.name, std::slice::from_ref(&scenario), opts);

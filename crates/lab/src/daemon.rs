@@ -89,7 +89,7 @@ impl LabDaemon {
         // resolve without building anything until first use.
         for label in analyzable_labels() {
             let spec = resolve_program(label, size).expect("registry labels resolve");
-            store.register(label, move || spec.build());
+            store.register(label, move || spec.build().map(Arc::unwrap_or_clone));
         }
         LabDaemon {
             registry: Registry::standard(size),

@@ -50,7 +50,7 @@ pub fn profile_program(
 ) -> Result<ProfileOutput, String> {
     let label = canonical_label(label);
     let spec = resolve_program(&label, size)?;
-    profile_built(&label, &spec.build()?, policy)
+    profile_built(&label, &*spec.build()?, policy)
 }
 
 /// [`profile_program`] for an already-built program (ad-hoc sources,

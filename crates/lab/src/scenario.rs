@@ -178,14 +178,15 @@ impl ProgramSpec {
         }
     }
 
-    /// Assembles the guest program.
+    /// Assembles the guest program. A stored program without a secret is
+    /// handed out as is, not copied.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message if the kernel name is unknown,
     /// assembly fails, or an ad-hoc source does not parse.
-    pub fn build(&self) -> Result<Program, String> {
-        match self {
+    pub fn build(&self) -> Result<Arc<Program>, String> {
+        let program = match self {
             ProgramSpec::Workload { name, size } => workload(name, *size)
                 .map(|w| w.program)
                 .ok_or_else(|| format!("unknown workload `{name}`")),
@@ -197,14 +198,15 @@ impl ProgramSpec {
                     .map_err(|e| format!("spectre-v4 does not assemble: {e}")),
             },
             ProgramSpec::Stored { program, secret, .. } => match secret {
-                None => Ok((**program).clone()),
+                None => return Ok(Arc::clone(program)),
                 Some(secret) => plant_secret(program, secret),
             },
             ProgramSpec::Source { kind, text, .. } => match kind {
                 SourceKind::Asm => dbt_riscv::parse_asm(text).map_err(|e| e.to_string()),
                 SourceKind::Image => Program::from_image(text).map_err(|e| e.to_string()),
             },
-        }
+        };
+        program.map(Arc::new)
     }
 }
 
@@ -399,7 +401,7 @@ mod tests {
         };
         assert_eq!(stored.label(), "fp:whatever");
         assert!(stored.key().contains(&format!("{:016x}", program.fingerprint())));
-        assert_eq!(stored.build().unwrap(), *program);
+        assert!(Arc::ptr_eq(&stored.build().unwrap(), &program), "stored programs are not copied");
         assert_eq!(stored.secret(), None);
 
         let with_secret = ProgramSpec::Stored {
@@ -415,7 +417,7 @@ mod tests {
             kind: SourceKind::Asm,
             text: "li a0, 9\necall\n".to_string(),
         };
-        assert_eq!(source.build().unwrap(), *program, "source builds the same program");
+        assert_eq!(*source.build().unwrap(), *program, "source builds the same program");
         let relabeled = ProgramSpec::Source {
             label: "other-name".to_string(),
             kind: SourceKind::Asm,
@@ -428,7 +430,7 @@ mod tests {
             kind: SourceKind::Image,
             text: program.to_image(),
         };
-        assert_eq!(image.build().unwrap(), *program);
+        assert_eq!(*image.build().unwrap(), *program);
         assert_eq!(image.key(), source.key(), "same built program, same key across source forms");
         assert_eq!(image.key(), stored.key(), "source forms share the stored form's identity");
 
@@ -452,8 +454,15 @@ mod tests {
             secret: Some(b"GB".to_vec()),
         };
         let planted = spec.build().unwrap();
-        assert_eq!(planted, dbt_attacks::spectre_v1::build(b"GB").unwrap());
+        assert_eq!(*planted, dbt_attacks::spectre_v1::build(b"GB").unwrap());
         assert_ne!(planted.fingerprint(), base.fingerprint(), "the secret is program content");
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        std::hash::Hash::hash(&*planted, &mut hasher);
+        assert_eq!(
+            planted.fingerprint(),
+            std::hash::Hasher::finish(&hasher),
+            "planting hashes the patched content"
+        );
 
         // Programs without a secret buffer reject planting; oversized
         // secrets are caught instead of clobbering neighbouring data.

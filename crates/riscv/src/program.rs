@@ -6,6 +6,7 @@ use crate::inst::Inst;
 use crate::memory::GuestMemory;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Error produced when building or loading a [`Program`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +52,8 @@ impl From<DecodeError> for ProgramError {
 ///
 /// Programs are usually produced by the [`Assembler`](crate::Assembler) and
 /// consumed either by the reference [`Interpreter`](crate::Interpreter) or by
-/// the DBT platform.
+/// the DBT platform. A program never changes after [`Program::new`], its
+/// only constructor, so the content hash is taken there once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// Guest address of the first code byte.
@@ -68,6 +70,22 @@ pub struct Program {
     memory_size: u64,
     /// Named addresses (data symbols and code labels).
     symbols: BTreeMap<String, u64>,
+    /// [`Program::fingerprint`], computed by [`Program::new`].
+    fingerprint: u64,
+}
+
+impl Hash for Program {
+    /// Hashes the program's content; the stored fingerprint is derived
+    /// from it and left out.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.code_base.hash(state);
+        self.code.hash(state);
+        self.data_base.hash(state);
+        self.data.hash(state);
+        self.entry.hash(state);
+        self.memory_size.hash(state);
+        self.symbols.hash(state);
+    }
 }
 
 impl Program {
@@ -87,7 +105,22 @@ impl Program {
         let code_end = code_base + 4 * code.len() as u64;
         let data_end = data_base + data.len() as u64;
         let memory_size = memory_size.max(code_end).max(data_end);
-        Program { code_base, code, data_base, data, entry, memory_size, symbols }
+        let mut program = Program {
+            code_base,
+            code,
+            data_base,
+            data,
+            entry,
+            memory_size,
+            symbols,
+            fingerprint: 0,
+        };
+        // DefaultHasher with the default keys is deterministic within a
+        // process, which is the only scope the fingerprint is used in.
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        program.hash(&mut hasher);
+        program.fingerprint = hasher.finish();
+        program
     }
 
     /// Guest address of the first instruction.
@@ -208,19 +241,12 @@ impl Program {
     /// fingerprint a sound content address everywhere one is needed: the
     /// program half of the translation-service and run-memo keys, and
     /// the identity the `ProgramStore` deduplicates uploads by.
+    ///
+    /// It is the [`Hash`] of the program under a default
+    /// [`DefaultHasher`](std::collections::hash_map::DefaultHasher),
+    /// taken once by [`Program::new`], so reading it costs nothing.
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        // DefaultHasher with the default keys is deterministic within a
-        // process, which is the only scope the fingerprint is used in.
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        self.code_base.hash(&mut hasher);
-        self.code.hash(&mut hasher);
-        self.data_base.hash(&mut hasher);
-        self.data.hash(&mut hasher);
-        self.entry.hash(&mut hasher);
-        self.memory_size.hash(&mut hasher);
-        self.symbols.hash(&mut hasher);
-        hasher.finish()
+        self.fingerprint
     }
 
     /// Number of instructions in the code section.
@@ -323,6 +349,24 @@ mod tests {
             e.fingerprint(),
             "symbols locate a run's observables, so they are identity too"
         );
+    }
+
+    /// The program's hash, computed afresh from its content.
+    fn fresh_hash(program: &Program) -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        program.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn the_stored_fingerprint_is_the_content_hash() {
+        let built = sample_program();
+        let parsed = crate::parse_asm(".data buf, 16\nli a0, 7\necall\n").unwrap();
+        let reloaded = Program::from_image(&parsed.to_image()).unwrap();
+        for program in [&built, &parsed, &reloaded] {
+            assert_eq!(program.fingerprint(), fresh_hash(program), "{program}");
+        }
+        assert_eq!(reloaded.fingerprint(), parsed.fingerprint(), "an image round trip keeps it");
     }
 
     #[test]

@@ -885,14 +885,14 @@ fn parse_remote_spans(trace_id: &str, body: &str) -> Vec<SpanRecord> {
         .collect()
 }
 
-/// `true` for the two daemon answers that mean "the job was never
+/// `true` for the daemon answer that means "the request was never
 /// executed because this daemon is going away" — a shutting-down daemon
-/// keeps answering open connections, and those refusals must trigger
-/// failover exactly like a refused connection. Any other `error` is the
-/// *request's* failure and is relayed, never retried.
+/// keeps answering open connections, and that refusal must trigger
+/// failover exactly like a refused connection. Any other `error` (a
+/// request that panicked in the backend included) is the *request's*
+/// failure and is relayed, never retried.
 fn is_lifecycle_refusal(reply: &str) -> bool {
-    reply.starts_with("{\"status\": \"error\"")
-        && (reply.contains("server is shutting down") || reply.contains("worker dropped the job"))
+    reply.starts_with("{\"status\": \"error\"") && reply.contains("server is shutting down")
 }
 
 /// Handle on a running router: address, shutdown, join.
@@ -1121,6 +1121,21 @@ mod tests {
             Response::Ok { body, .. } => body,
             other => panic!("expected ok, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn only_a_shutdown_refusal_fails_over() {
+        let frame = |error: &str| {
+            let response = Response::Error { op: "run".to_string(), error: error.to_string() };
+            response.encode_with_trace(Some("t0"))
+        };
+        assert!(is_lifecycle_refusal(&frame("server is shutting down")));
+        // A request that panicked in the backend is its own failure: relay
+        // it instead of replaying it on every backend.
+        assert!(!is_lifecycle_refusal(&frame("the `run` request panicked: boom")));
+        let ok =
+            Response::Ok { op: "run".to_string(), body: "server is shutting down".to_string() };
+        assert!(!is_lifecycle_refusal(&ok.encode()));
     }
 
     #[test]

@@ -18,13 +18,12 @@
 //! * [`json`] — the dependency-free JSON reader the protocol needs (the
 //!   repo's emitters are hand-rolled writers; this is the matching
 //!   parser);
-//! * [`queue`] — a bounded MPMC job queue: admission control with an
-//!   explicit `busy` response when full, never unbounded buffering;
-//! * [`server`] — the daemon: acceptor, per-connection handlers, a fixed
-//!   `std::thread` worker pool, all generic over the [`LabBackend`] trait
-//!   (implemented by `dbt-lab`'s `LabDaemon`, which owns the process-wide
-//!   `TranslationService` and the content-addressed `RunMemo` — the two
-//!   cache levels a client fleet amortizes);
+//! * [`server`] — the daemon: per-connection handlers that run each heavy
+//!   request on the thread that read it behind a counting gate (explicit
+//!   `busy` when full, never unbounded buffering), generic over the
+//!   [`LabBackend`] trait (implemented by `dbt-lab`'s `LabDaemon`, which
+//!   owns the process-wide `TranslationService` and the content-addressed
+//!   `RunMemo` — the two cache levels a client fleet amortizes);
 //! * [`conn`] — the one framed connection every socket goes through:
 //!   `TCP_NODELAY`, one write per frame, bounded request reads, retries,
 //!   timeouts and byte counters;
@@ -37,7 +36,7 @@
 //!
 //! The server instruments itself through `dbt-obs`: per-op request
 //! counters and latency histograms, in-flight and queue-depth gauges,
-//! busy/frame-cap/byte counters — scraped via the `metrics` op as
+//! busy/panic/frame-cap/byte counters — scraped via the `metrics` op as
 //! Prometheus text exposition (see `docs/PROTOCOL.md`).
 //!
 //! The crate is `std`-only and knows nothing about the lab itself — the
@@ -49,7 +48,6 @@ pub mod conn;
 pub mod json;
 pub mod loadgen;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 
 pub use client::Client;
@@ -57,7 +55,6 @@ pub use conn::{Conn, ConnectOptions};
 pub use json::JsonValue;
 pub use loadgen::{drive, LoadOptions, LoadOutcome, OpLatency};
 pub use protocol::{FrameMeta, ProgramSource, Request, Response, RunKnobs, DEFAULT_RUN_POLICY};
-pub use queue::{BoundedQueue, PushError};
 pub use server::{
     logs_response, serve, serve_with_clock, spawn_acceptor, wake_acceptor, LabBackend, LineService,
     OpMetrics, ServerConfig, ServerHandle, DEFAULT_MAX_FRAME_BYTES,

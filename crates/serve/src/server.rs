@@ -1,4 +1,5 @@
-//! The daemon itself: TCP listener, bounded job queue, fixed worker pool.
+//! The daemon itself: TCP listener, per-connection handlers and the
+//! counting gate that bounds heavy work.
 //!
 //! The server is generic over a [`LabBackend`] — the object that actually
 //! runs scenarios, sweeps and analyses (in this repo: `dbt-lab`'s
@@ -15,19 +16,18 @@
 //!    `dbt-router` front door through the [`LineService`] trait);
 //! 2. cheap requests (`stats`, `metrics`, `health`, `trace`, `logs`,
 //!    `shutdown`) are answered inline;
-//! 3. heavy requests (`run`, `profile`, `sweep`, `analyze`, `upload`) are
-//!    pushed onto the bounded [`BoundedQueue`]; a full queue answers
-//!    `busy` immediately — explicit backpressure instead of unbounded
-//!    buffering (request lines themselves are bounded too: see
-//!    [`ServerConfig::max_frame_bytes`]);
-//! 4. the fixed pool of worker threads pops jobs, executes them on the
-//!    backend, and sends the result back to the waiting handler, which
-//!    writes the response frame.
+//! 3. heavy requests (`run`, `profile`, `sweep`, `analyze`, `upload`) run
+//!    on the handler thread that read them once a counting gate admits
+//!    them: at most [`ServerConfig::workers`] run and at most
+//!    [`ServerConfig::queue_depth`] wait, and the next one answers `busy`
+//!    at once — explicit backpressure instead of unbounded buffering
+//!    (request lines are bounded too: [`ServerConfig::max_frame_bytes`]).
+//!    A backend panic answers an `error` frame naming the op.
 //!
 //! Shutdown (`shutdown` request or [`ServerHandle::shutdown`]) closes the
-//! queue — workers drain what was admitted, later pushes answer an error
-//! — and wakes the acceptor, so [`ServerHandle::wait`] returns once all
-//! admitted work is done.
+//! gate — admitted requests still run, later heavy requests answer an
+//! error — and wakes the acceptor; [`ServerHandle::wait`] returns once
+//! all admitted work is done.
 //!
 //! Every answered request is tagged with a trace id — the frame's own
 //! `trace_id` when the client sent one, a deterministic per-connection
@@ -37,34 +37,34 @@
 //! Heavy requests additionally get a causal span tree keyed by that
 //! trace id: a `d:request` root (attached under the frame's
 //! `parent_span` when a router relayed it), with `d:decode`,
-//! `d:queue-wait`, `d:encode` children recorded here, and the deeper
-//! `translate.*`/`simulate` stages recorded by the lab layers through
-//! the ambient [`dbt_obs::TraceHandle`] the worker enters around
-//! execution. The `trace` op assembles the tree; the `logs` op serves
-//! the daemon's structured [`EventLog`] (lifecycle events live there).
-//! Both rings are bounded by fixed capacities
+//! `d:queue-wait` (the wait at the gate) and `d:encode` children recorded
+//! here, and the deeper `translate.*`/`simulate` stages recorded by the
+//! lab layers through the ambient [`dbt_obs::TraceHandle`] the handler
+//! enters around execution. The `trace` op assembles the tree; the `logs`
+//! op serves the daemon's structured [`EventLog`] (lifecycle events and
+//! request panics live there). Both rings are bounded by fixed capacities
 //! ([`dbt_obs::DEFAULT_SPAN_CAPACITY`], [`dbt_obs::DEFAULT_EVENT_CAPACITY`]).
 
 use crate::conn::{Conn, Frame, FrameCounters};
 use crate::protocol::{ProgramSource, Request, Response, RunKnobs};
-use crate::queue::{BoundedQueue, PushError};
 use dbt_obs::{
     Counter, EventLog, Gauge, Histogram, LogLevel, MetricsRegistry, Span, SpanRecord, SpanRecorder,
     TraceClock, TraceHandle, DEFAULT_LATENCY_BOUNDS_MICROS,
 };
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// What the daemon delegates actual lab work to.
 ///
-/// Implementations must be thread-safe: the worker pool calls these
-/// concurrently. Every method returns the *payload* of an `ok` response —
-/// for the report-producing operations that is expected to be the lab's
-/// byte-stable report JSON, so a daemon answer is byte-identical to what a
-/// local CLI invocation would have printed.
+/// Implementations must be thread-safe: connection handlers call these
+/// concurrently, up to [`ServerConfig::workers`] at once. Every method
+/// returns the *payload* of an `ok` response — for the report-producing
+/// operations the lab's byte-stable report JSON, so a daemon answer is
+/// byte-identical to what a local CLI invocation would have printed.
 pub trait LabBackend: Send + Sync {
     /// Runs one scenario by full name, returning the report JSON.
     ///
@@ -153,10 +153,11 @@ pub const DEFAULT_MAX_FRAME_BYTES: usize = 4 << 20;
 /// Daemon sizing knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Fixed number of worker threads executing heavy requests.
+    /// Most heavy requests that run at once (at least one).
     pub workers: usize,
-    /// Bound of the job queue; `0` makes every heavy request answer
-    /// `busy` (useful to exercise the backpressure path).
+    /// Most heavy requests that wait for a running slot; the next one
+    /// answers `busy`, so `0` makes every heavy request answer `busy`
+    /// (useful to exercise the backpressure path).
     pub queue_depth: usize,
     /// Bound on one request line: longer frames are answered with a clean
     /// `error` frame and the connection is closed (the line's framing can
@@ -165,30 +166,102 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// Two workers over a 16-deep queue: enough concurrency to overlap a
-    /// sweep with single-scenario queries without oversubscribing the
-    /// sweep executor's own threads. Frames are capped at
-    /// [`DEFAULT_MAX_FRAME_BYTES`].
+    /// Two running requests and sixteen waiting ones: enough concurrency
+    /// to overlap a sweep with single-scenario queries without
+    /// oversubscribing the sweep executor's own threads. Frames are capped
+    /// at [`DEFAULT_MAX_FRAME_BYTES`].
     fn default() -> ServerConfig {
         ServerConfig { workers: 2, queue_depth: 16, max_frame_bytes: DEFAULT_MAX_FRAME_BYTES }
     }
 }
 
-/// One admitted job: the parsed request plus the channel its connection
-/// handler is waiting on, plus the causal trace context the worker
-/// re-enters around execution (heavy traced requests only).
-struct Job {
-    request: Request,
-    reply: mpsc::Sender<Result<String, String>>,
-    trace: Option<JobTrace>,
+/// The counting gate every heavy request passes before it runs on the
+/// thread that read it. Parked requests and [`Gate::drain`] wait on one
+/// condvar.
+struct Gate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+    workers: usize,
+    depth: usize,
 }
 
-/// The span context a job carries across the queue.
-struct JobTrace {
-    handle: TraceHandle,
-    /// Clock reading at admission; the worker turns the gap until pop
-    /// into the `d:queue-wait` span.
-    enqueued_micros: u64,
+#[derive(Default)]
+struct GateState {
+    waiting: usize,
+    running: usize,
+    closed: bool,
+}
+
+/// Why the gate turned a heavy request away: `depth` requests already
+/// wait, or the daemon is shutting down.
+enum Refusal {
+    Busy,
+    Closed,
+}
+
+/// A running slot, freed when dropped (on unwind too).
+struct Pass<'a>(&'a Gate);
+
+impl Gate {
+    fn new(workers: usize, depth: usize) -> Gate {
+        Gate { state: Mutex::default(), changed: Condvar::new(), workers, depth }
+    }
+
+    /// The counters. No backend code runs under this lock, so poisoning
+    /// cannot leave them half-updated.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Admits a request if fewer than `depth` wait, then parks it until
+    /// fewer than `workers` run.
+    fn enter(&self) -> Result<Pass<'_>, Refusal> {
+        let mut state = self.lock();
+        if state.closed {
+            return Err(Refusal::Closed);
+        }
+        if state.waiting >= self.depth {
+            return Err(Refusal::Busy);
+        }
+        state.waiting += 1;
+        while state.running >= self.workers {
+            state = self.changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        state.waiting -= 1;
+        state.running += 1;
+        Ok(Pass(self))
+    }
+
+    /// Requests admitted but not yet running.
+    fn waiting(&self) -> usize {
+        self.lock().waiting
+    }
+
+    /// Admits nothing more; requests already admitted still run.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.changed.notify_all();
+    }
+
+    /// Blocks until no admitted request waits or runs.
+    fn drain(&self) {
+        let mut state = self.lock();
+        while state.waiting + state.running > 0 {
+            state = self.changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+impl Drop for Pass<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.running -= 1;
+        // Only a parked request or a draining `wait` listens; skipping the
+        // wake-up otherwise keeps an uncontended request free of syscalls.
+        if state.waiting > 0 || state.closed {
+            self.0.changed.notify_all();
+        }
+    }
 }
 
 /// The request `op` labels [`OpMetrics`] pre-registers, so every per-op
@@ -274,6 +347,7 @@ struct ServerMetrics {
     queue_depth: Arc<Gauge>,
     completed: Arc<Counter>,
     busy_rejections: Arc<Counter>,
+    panics: Arc<Counter>,
     /// `dbt_serve_bytes_{read,written}_total` and
     /// `dbt_serve_frame_cap_errors_total`, counted by every connection.
     frames: FrameCounters,
@@ -289,13 +363,21 @@ impl ServerMetrics {
         ServerMetrics {
             ops: OpMetrics::register(&registry, "dbt_serve", ops_help),
             inflight: registry.gauge("dbt_serve_inflight", "Requests currently being answered."),
-            queue_depth: registry
-                .gauge("dbt_serve_queue_depth", "Heavy jobs queued (sampled at scrape time)."),
-            completed: registry
-                .counter("dbt_serve_completed_total", "Heavy jobs completed by the worker pool."),
+            queue_depth: registry.gauge(
+                "dbt_serve_queue_depth",
+                "Heavy requests waiting at the gate for a running slot (sampled at scrape time).",
+            ),
+            completed: registry.counter(
+                "dbt_serve_completed_total",
+                "Heavy requests the backend answered, counted before the response is sent.",
+            ),
             busy_rejections: registry.counter(
                 "dbt_serve_busy_rejections_total",
-                "Heavy requests bounced because the job queue was full.",
+                "Heavy requests bounced because queue_depth requests were already waiting.",
+            ),
+            panics: registry.counter(
+                "dbt_serve_request_panics_total",
+                "Heavy requests whose backend call panicked, each answered with an error frame.",
             ),
             frames: FrameCounters {
                 read: registry
@@ -314,7 +396,7 @@ impl ServerMetrics {
 
 struct Shared {
     backend: Arc<dyn LabBackend>,
-    queue: BoundedQueue<Job>,
+    gate: Gate,
     config: ServerConfig,
     addr: SocketAddr,
     shutdown: AtomicBool,
@@ -394,12 +476,12 @@ impl LineService for Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Idempotently starts the shutdown: closes the queue (workers drain
-    /// admitted jobs and exit) and pokes the acceptor awake.
+    /// Idempotently starts the shutdown: closes the gate (admitted
+    /// requests still run) and pokes the acceptor awake.
     fn stop(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
             self.events.log(LogLevel::Info, "serve.lifecycle", "stopping", None, &[]);
-            self.queue.close();
+            self.gate.close();
             wake_acceptor(self.addr);
         }
     }
@@ -407,8 +489,8 @@ impl LineService for Shared {
 
 impl Shared {
     /// The untimed request dispatch behind [`Shared::respond`]; `trace`
-    /// is the span context of a heavy traced request, handed across the
-    /// queue to the executing worker.
+    /// is the span context of a heavy request, entered around its
+    /// execution.
     fn answer(
         &self,
         decoded: Result<Request, String>,
@@ -426,7 +508,7 @@ impl Shared {
                      \"uptime_secs\": {}, \"version\": \"{}\"}}",
                     self.config.workers,
                     self.config.queue_depth,
-                    self.queue.len(),
+                    self.gate.waiting(),
                     self.started.elapsed().as_secs(),
                     env!("CARGO_PKG_VERSION")
                 );
@@ -444,7 +526,7 @@ impl Shared {
                 (Response::Ok { op, body }, false)
             }
             Request::Metrics => {
-                self.metrics.queue_depth.set(self.queue.len() as i64);
+                self.metrics.queue_depth.set(self.gate.waiting() as i64);
                 let body =
                     format!("{}{}", self.metrics.registry.render(), self.backend.metrics_text());
                 (Response::Ok { op, body }, false)
@@ -456,33 +538,62 @@ impl Shared {
                 (Response::Ok { op, body: self.spans.tree_json(&target) }, false)
             }
             Request::Logs { level } => (logs_response(&self.events, level.as_deref()), false),
-            request => {
-                let trace = trace.map(|handle| JobTrace {
-                    handle: handle.clone(),
-                    enqueued_micros: self.spans.now_micros(),
-                });
-                let (reply, result) = mpsc::channel();
-                match self.queue.try_push(Job { request, reply, trace }) {
-                    Ok(()) => match result.recv() {
-                        Ok(Ok(body)) => (Response::Ok { op, body }, false),
-                        Ok(Err(error)) => (Response::Error { op, error }, false),
-                        Err(_) => (
-                            Response::Error {
-                                op,
-                                error: "worker dropped the job (server shutting down)".to_string(),
-                            },
-                            false,
-                        ),
-                    },
-                    Err(PushError::Full) => {
-                        self.metrics.busy_rejections.inc();
-                        (Response::Busy { op }, false)
-                    }
-                    Err(PushError::Closed) => (
-                        Response::Error { op, error: "server is shutting down".to_string() },
-                        false,
-                    ),
+            request => (self.run_heavy(request, op, trace), false),
+        }
+    }
+
+    /// Runs one heavy request on this thread once the gate admits it. A
+    /// backend panic is caught here and answered as an `error` frame, so
+    /// the connection and the gate slot survive it.
+    fn run_heavy(&self, request: Request, op: String, trace: Option<&TraceHandle>) -> Response {
+        let arrived = self.spans.now_micros();
+        let pass = match self.gate.enter() {
+            Ok(pass) => pass,
+            Err(Refusal::Busy) => {
+                self.metrics.busy_rejections.inc();
+                return Response::Busy { op };
+            }
+            Err(Refusal::Closed) => {
+                return Response::Error { op, error: "server is shutting down".to_string() }
+            }
+        };
+        // Surface the wait at the gate, then re-enter the request's trace
+        // context around execution (the lab layers' stage spans flow
+        // through it).
+        let scope = trace.map(|handle| {
+            let admitted = self.spans.now_micros();
+            self.spans.record(SpanRecord {
+                trace_id: handle.trace_id().to_string(),
+                span_id: format!("{SPAN_PREFIX}:queue-wait"),
+                parent: Some(ROOT_SPAN.to_string()),
+                stage: "queue-wait".to_string(),
+                start_micros: arrived,
+                duration_micros: admitted.saturating_sub(arrived),
+            });
+            handle.enter()
+        });
+        let result = catch_unwind(AssertUnwindSafe(|| execute(&*self.backend, &request)));
+        drop(scope);
+        drop(pass);
+        match result {
+            Ok(result) => {
+                self.metrics.completed.inc();
+                match result {
+                    Ok(body) => Response::Ok { op, body },
+                    Err(error) => Response::Error { op, error },
                 }
+            }
+            Err(panic) => {
+                self.metrics.panics.inc();
+                let message = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("no message");
+                let error = format!("the `{op}` request panicked: {message}");
+                let trace_id = trace.map(TraceHandle::trace_id);
+                self.events.log(LogLevel::Error, "serve.request", &error, trace_id, &[]);
+                Response::Error { op, error }
             }
         }
     }
@@ -492,7 +603,6 @@ impl Shared {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -501,10 +611,10 @@ impl ServerHandle {
         self.shared.addr
     }
 
-    /// Number of jobs currently queued (racy by nature; for observability
-    /// and tests).
+    /// Number of heavy requests waiting at the gate for a running slot
+    /// (racy by nature; for observability and tests).
     pub fn queue_len(&self) -> usize {
-        self.shared.queue.len()
+        self.shared.gate.waiting()
     }
 
     /// Asks the daemon to stop, without waiting. Equivalent to a client
@@ -513,14 +623,13 @@ impl ServerHandle {
         self.shared.stop();
     }
 
-    /// Blocks until the daemon has stopped (acceptor and workers joined).
-    /// Connections still open at that point are served their remaining
-    /// cheap requests; heavy requests answer an error.
+    /// Blocks until the daemon has stopped: the acceptor has exited and
+    /// every admitted heavy request has finished. Connections still open
+    /// at that point are served their remaining cheap requests; heavy
+    /// requests answer an error.
     pub fn wait(self) {
         let _ = self.acceptor.join();
-        for worker in self.workers {
-            let _ = worker.join();
-        }
+        self.shared.gate.drain();
     }
 }
 
@@ -534,13 +643,13 @@ fn execute(backend: &dyn LabBackend, request: &Request) -> Result<String, String
         Request::Sweep { name, threads } => backend.sweep(name, *threads),
         Request::Analyze { program } => backend.analyze(program),
         Request::Upload { source } => backend.upload(source),
-        // Cheap requests never reach the queue.
+        // Cheap requests are answered before the gate.
         Request::Stats
         | Request::Metrics
         | Request::Trace { .. }
         | Request::Logs { .. }
         | Request::Health
-        | Request::Shutdown => Err("internal: cheap request on the worker pool".to_string()),
+        | Request::Shutdown => Err("internal: cheap request passed the gate".to_string()),
     }
 }
 
@@ -686,12 +795,13 @@ pub fn serve_with_clock<A: ToSocketAddrs>(
     clock: TraceClock,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    // The pool never runs empty: clamp here so both the spawn loop and the
-    // `health` response describe the same daemon.
+    // A gate with no running slot would park every admitted request:
+    // clamp here so both the gate and the `health` response describe the
+    // same daemon.
     let config = ServerConfig { workers: config.workers.max(1), ..config };
     let shared = Arc::new(Shared {
         backend,
-        queue: BoundedQueue::new(config.queue_depth),
+        gate: Gate::new(config.workers, config.queue_depth),
         addr: listener.local_addr()?,
         shutdown: AtomicBool::new(false),
         started: Instant::now(),
@@ -707,39 +817,8 @@ pub fn serve_with_clock<A: ToSocketAddrs>(
         None,
         &[("addr", &shared.addr.to_string()), ("workers", &shared.config.workers.to_string())],
     );
-
-    let workers = (0..shared.config.workers)
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                while let Some(job) = shared.queue.pop() {
-                    // Re-enter the request's trace context on this thread
-                    // (the lab layers' stage spans flow through it) and
-                    // surface the time the job sat admitted-but-unpopped.
-                    let scope = job.trace.as_ref().map(|trace| {
-                        let popped = shared.spans.now_micros();
-                        shared.spans.record(SpanRecord {
-                            trace_id: trace.handle.trace_id().to_string(),
-                            span_id: format!("{SPAN_PREFIX}:queue-wait"),
-                            parent: Some(ROOT_SPAN.to_string()),
-                            stage: "queue-wait".to_string(),
-                            start_micros: trace.enqueued_micros,
-                            duration_micros: popped.saturating_sub(trace.enqueued_micros),
-                        });
-                        trace.handle.enter()
-                    });
-                    let result = execute(&*shared.backend, &job.request);
-                    drop(scope);
-                    // A handler that gave up (client disconnected) is fine.
-                    let _ = job.reply.send(result);
-                    shared.metrics.completed.inc();
-                }
-            })
-        })
-        .collect();
-
     let acceptor = spawn_acceptor(listener, Arc::clone(&shared), shared.config.max_frame_bytes);
-    Ok(ServerHandle { shared, acceptor, workers })
+    Ok(ServerHandle { shared, acceptor })
 }
 
 #[cfg(test)]
@@ -747,10 +826,11 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::protocol::DEFAULT_RUN_POLICY;
-    use std::sync::Mutex;
+    use std::sync::mpsc;
 
     /// A backend whose `run_scenario` blocks until the test releases it,
-    /// so queue occupancy is fully under test control.
+    /// so gate occupancy is fully under test control (and panics when
+    /// asked to run `panic`).
     struct BlockingBackend {
         started: mpsc::Sender<()>,
         release: Mutex<mpsc::Receiver<()>>,
@@ -758,6 +838,7 @@ mod tests {
 
     impl LabBackend for BlockingBackend {
         fn run_scenario(&self, scenario: &str) -> Result<String, String> {
+            assert_ne!(scenario, "panic", "the backend was asked to panic");
             self.started.send(()).expect("test alive");
             self.release.lock().expect("lock").recv().expect("release signal");
             Ok(format!("done {scenario}"))
@@ -773,8 +854,27 @@ mod tests {
         }
     }
 
+    /// A [`BlockingBackend`] plus the test's ends of its two channels.
+    fn blocking_backend() -> (BlockingBackend, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (started, started_rx) = mpsc::channel();
+        let (release_tx, release) = mpsc::channel();
+        (BlockingBackend { started, release: Mutex::new(release) }, started_rx, release_tx)
+    }
+
+    fn quiet_backend() -> Arc<BlockingBackend> {
+        Arc::new(blocking_backend().0)
+    }
+
     fn run_request(name: &str) -> Request {
         Request::Run { scenario: name.to_string() }
+    }
+
+    /// The body of the `ok` answer to `request`.
+    fn ok_body(client: &mut Client, request: &Request) -> String {
+        match client.request(request).unwrap() {
+            Response::Ok { body, .. } => body,
+            other => panic!("`{}` must answer ok: {other:?}", request.op()),
+        }
     }
 
     #[test]
@@ -859,28 +959,158 @@ mod tests {
         handle.wait();
     }
 
+    /// A [`BlockingBackend`] that records how many `run_scenario` calls
+    /// overlapped at most.
+    struct PeakBackend {
+        blocking: BlockingBackend,
+        running: std::sync::atomic::AtomicUsize,
+        peak: std::sync::atomic::AtomicUsize,
+    }
+
+    impl LabBackend for PeakBackend {
+        fn run_scenario(&self, scenario: &str) -> Result<String, String> {
+            let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            let result = self.blocking.run_scenario(scenario);
+            self.running.fetch_sub(1, Ordering::SeqCst);
+            result
+        }
+        fn sweep(&self, name: &str, threads: usize) -> Result<String, String> {
+            self.blocking.sweep(name, threads)
+        }
+        fn analyze(&self, program: &str) -> Result<String, String> {
+            self.blocking.analyze(program)
+        }
+        fn stats_json(&self) -> String {
+            self.blocking.stats_json()
+        }
+    }
+
+    /// Sends `request` on a connection of its own thread.
+    fn spawn_request(addr: SocketAddr, request: Request) -> JoinHandle<Response> {
+        std::thread::spawn(move || Client::connect(addr).unwrap().request(&request).unwrap())
+    }
+
+    #[test]
+    fn the_gate_never_runs_more_than_workers_at_once() {
+        let (blocking, started, release) = blocking_backend();
+        let backend = Arc::new(PeakBackend { blocking, running: 0.into(), peak: 0.into() });
+        let config = ServerConfig { workers: 2, queue_depth: 8, ..ServerConfig::default() };
+        let handle = serve("127.0.0.1:0", Arc::clone(&backend) as Arc<dyn LabBackend>, config);
+        let handle = handle.unwrap();
+        let clients: Vec<_> =
+            (0..5).map(|i| spawn_request(handle.addr(), run_request(&format!("c{i}")))).collect();
+        // Two requests run; the other three wait at the gate, and no third
+        // one reaches the backend while they do.
+        (0..2).for_each(|_| started.recv().unwrap());
+        while handle.queue_len() < 3 {
+            std::thread::yield_now();
+        }
+        assert!(started.recv_timeout(std::time::Duration::from_millis(50)).is_err());
+        (0..5).for_each(|_| release.send(()).unwrap());
+        for client in clients {
+            assert!(matches!(client.join().unwrap(), Response::Ok { .. }));
+        }
+        assert_eq!(backend.peak.load(Ordering::SeqCst), 2);
+        handle.shutdown();
+        handle.wait();
+    }
+
+    #[test]
+    fn shutdown_finishes_admitted_requests_and_refuses_new_ones() {
+        let (backend, started, release) = blocking_backend();
+        let config = ServerConfig { workers: 1, queue_depth: 1, ..ServerConfig::default() };
+        let handle = serve("127.0.0.1:0", Arc::new(backend), config).unwrap();
+        // One request runs and one waits; a third connection stays open.
+        let running = spawn_request(handle.addr(), run_request("running"));
+        started.recv().unwrap();
+        let waiting = spawn_request(handle.addr(), run_request("waiting"));
+        while handle.queue_len() < 1 {
+            std::thread::yield_now();
+        }
+        let mut late = Client::connect(handle.addr()).unwrap();
+        ok_body(&mut late, &Request::Health);
+
+        handle.shutdown();
+        let refused = late.request(&run_request("late")).unwrap();
+        assert!(
+            matches!(&refused, Response::Error { error, .. } if error == "server is shutting down")
+        );
+        let (done_tx, done) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            handle.wait();
+            done_tx.send(()).unwrap();
+        });
+        let early = done.recv_timeout(std::time::Duration::from_millis(50));
+        assert!(early.is_err(), "wait returned while admitted requests were unfinished");
+        (0..2).for_each(|_| release.send(()).unwrap());
+        for (client, name) in [(running, "running"), (waiting, "waiting")] {
+            let done = Response::Ok { op: "run".to_string(), body: format!("done {name}") };
+            assert_eq!(client.join().unwrap(), done);
+        }
+        done.recv().unwrap();
+        waiter.join().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_request_answers_an_error_and_the_daemon_keeps_serving() {
+        let (backend, _started, release) = blocking_backend();
+        (0..2).for_each(|_| release.send(()).unwrap());
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        let handle = serve("127.0.0.1:0", Arc::new(backend), config).unwrap();
+        // A panic that cost the only running slot would leave every later
+        // heavy request waiting: time out instead of hanging.
+        let timeout = Some(std::time::Duration::from_secs(30));
+        let options = crate::conn::ConnectOptions { read_timeout: timeout, ..Default::default() };
+        let mut client = Client::connect_with(handle.addr(), options).unwrap();
+        let (reply, _) = client.request_traced(&run_request("panic"), Some("boom-1")).unwrap();
+        let Response::Error { op, error } = reply else { panic!("expected an error frame") };
+        assert_eq!(op, "run");
+        assert!(error.starts_with("the `run` request panicked: "), "{error}");
+        assert!(error.contains("asked to panic"), "{error}");
+
+        let ran = Response::Ok { op: "run".to_string(), body: "done after".to_string() };
+        assert_eq!(client.request(&run_request("after")).unwrap(), ran);
+        let mut fresh = Client::connect_with(handle.addr(), options).unwrap();
+        assert_eq!(fresh.request(&run_request("after")).unwrap(), ran);
+
+        let metrics = ok_body(&mut fresh, &Request::Metrics);
+        assert_eq!(sample_value(&metrics, "dbt_serve_request_panics_total"), 1);
+        let logs = ok_body(&mut fresh, &Request::Logs { level: Some("error".to_string()) });
+        assert!(logs.contains("\"trace_id\": \"boom-1\""), "{logs}");
+        assert!(logs.contains("request panicked"), "{logs}");
+        handle.shutdown();
+        handle.wait();
+    }
+
+    #[test]
+    fn completed_counts_each_heavy_request_before_its_answer() {
+        let handle = serve("127.0.0.1:0", quiet_backend(), ServerConfig::default()).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        for round in 1..=20 {
+            ok_body(&mut client, &Request::Analyze { program: "p".to_string() });
+            let stats = ok_body(&mut client, &Request::Stats);
+            assert!(stats.contains(&format!("\"completed\": {round},")), "{round}: {stats}");
+        }
+        handle.shutdown();
+        handle.wait();
+    }
+
     #[test]
     fn invalid_lines_answer_an_error_frame() {
-        let (started_tx, _started_rx) = mpsc::channel();
-        let (_release_tx, release_rx) = mpsc::channel();
-        let backend = BlockingBackend { started: started_tx, release: Mutex::new(release_rx) };
-        let handle = serve("127.0.0.1:0", Arc::new(backend), ServerConfig::default()).unwrap();
+        let handle = serve("127.0.0.1:0", quiet_backend(), ServerConfig::default()).unwrap();
         let mut client = Client::connect(handle.addr()).unwrap();
         let reply = client.raw_request("this is not json").unwrap();
         assert!(matches!(&reply, Response::Error { op, .. } if op == "invalid"), "{reply:?}");
         // The connection survives a bad frame.
-        let reply = client.request(&Request::Health).unwrap();
-        assert!(matches!(reply, Response::Ok { .. }));
+        ok_body(&mut client, &Request::Health);
         handle.shutdown();
         handle.wait();
     }
 
     #[test]
     fn trace_ids_echo_and_profiles_reach_the_backend() {
-        let (started_tx, _started_rx) = mpsc::channel();
-        let (_release_tx, release_rx) = mpsc::channel();
-        let backend = BlockingBackend { started: started_tx, release: Mutex::new(release_rx) };
-        let handle = serve("127.0.0.1:0", Arc::new(backend), ServerConfig::default()).unwrap();
+        let handle = serve("127.0.0.1:0", quiet_backend(), ServerConfig::default()).unwrap();
         let mut client = Client::connect(handle.addr()).unwrap();
 
         // Generated ids are deterministic per connection: frame n gets `t<n>`.
@@ -910,20 +1140,12 @@ mod tests {
 
     #[test]
     fn oversized_frames_answer_a_clean_error_and_close() {
-        let (started_tx, _started_rx) = mpsc::channel();
-        let (_release_tx, release_rx) = mpsc::channel();
-        let backend = BlockingBackend { started: started_tx, release: Mutex::new(release_rx) };
-        let handle = serve(
-            "127.0.0.1:0",
-            Arc::new(backend),
-            ServerConfig { max_frame_bytes: 64, ..ServerConfig::default() },
-        )
-        .unwrap();
+        let config = ServerConfig { max_frame_bytes: 64, ..ServerConfig::default() };
+        let handle = serve("127.0.0.1:0", quiet_backend(), config).unwrap();
 
         // A frame under the cap still answers normally.
         let mut client = Client::connect(handle.addr()).unwrap();
-        let reply = client.request(&Request::Health).unwrap();
-        assert!(matches!(reply, Response::Ok { .. }));
+        ok_body(&mut client, &Request::Health);
 
         // A line of *exactly* the cap is within the limit (the newline is
         // framing, not payload): it fails as bad JSON, not as oversized,
@@ -932,8 +1154,7 @@ mod tests {
         let reply = client.raw_request(&exact).unwrap();
         let Response::Error { error, .. } = reply else { panic!("expected an error frame") };
         assert!(!error.contains("limit"), "{error}");
-        let reply = client.request(&Request::Health).unwrap();
-        assert!(matches!(reply, Response::Ok { .. }));
+        ok_body(&mut client, &Request::Health);
 
         // A frame over the cap gets one clean error frame, not a hang and
         // not unbounded buffering...
@@ -950,11 +1171,8 @@ mod tests {
         // Fresh connections keep working, and the rejection is visible in
         // the metrics exposition.
         let mut client = Client::connect(handle.addr()).unwrap();
-        let reply = client.request(&Request::Health).unwrap();
-        assert!(matches!(reply, Response::Ok { .. }));
-        let Response::Ok { body, .. } = client.request(&Request::Metrics).unwrap() else {
-            panic!("metrics must answer ok")
-        };
+        ok_body(&mut client, &Request::Health);
+        let body = ok_body(&mut client, &Request::Metrics);
         assert!(body.contains("dbt_serve_frame_cap_errors_total 1"), "{body}");
 
         handle.shutdown();
@@ -1008,12 +1226,6 @@ mod tests {
         assert_eq!(*echo.nodelay.lock().unwrap(), [true, true], "every accepted socket");
     }
 
-    fn quiet_backend() -> Arc<BlockingBackend> {
-        let (started_tx, _started_rx) = mpsc::channel();
-        let (_release_tx, release_rx) = mpsc::channel();
-        Arc::new(BlockingBackend { started: started_tx, release: Mutex::new(release_rx) })
-    }
-
     #[test]
     fn trace_op_assembles_the_span_tree_of_a_heavy_request() {
         use crate::protocol::FrameMeta;
@@ -1028,11 +1240,7 @@ mod tests {
         // A heavy request without a parent_span roots its own tree...
         let analyze = Request::Analyze { program: "p".to_string() };
         client.request_traced(&analyze, Some("job-1")).unwrap();
-        let Response::Ok { body, .. } =
-            client.request(&Request::Trace { target: "job-1".to_string() }).unwrap()
-        else {
-            panic!("trace must answer ok")
-        };
+        let body = ok_body(&mut client, &Request::Trace { target: "job-1".to_string() });
         assert!(
             body.starts_with("{\"schema\": \"dbt-serve/trace/v1\", \"trace_id\": \"job-1\""),
             "{body}"
@@ -1051,18 +1259,10 @@ mod tests {
             ..FrameMeta::default()
         };
         client.request_meta(&analyze, &meta).unwrap();
-        let Response::Ok { body, .. } =
-            client.request(&Request::Trace { target: "job-2".to_string() }).unwrap()
-        else {
-            panic!("trace must answer ok")
-        };
+        let body = ok_body(&mut client, &Request::Trace { target: "job-2".to_string() });
         assert!(body.contains("\"span_id\": \"d:request\", \"parent\": \"r:relay\""), "{body}");
         // Cheap requests (the trace fetches above included) record nothing.
-        let Response::Ok { body, .. } =
-            client.request(&Request::Trace { target: "t2".to_string() }).unwrap()
-        else {
-            panic!("trace must answer ok")
-        };
+        let body = ok_body(&mut client, &Request::Trace { target: "t2".to_string() });
         assert!(body.contains("\"spans\": []"), "{body}");
         handle.shutdown();
         handle.wait();
@@ -1072,19 +1272,12 @@ mod tests {
     fn logs_op_serves_leveled_lifecycle_events() {
         let handle = serve("127.0.0.1:0", quiet_backend(), ServerConfig::default()).unwrap();
         let mut client = Client::connect(handle.addr()).unwrap();
-        let Response::Ok { body, .. } = client.request(&Request::Logs { level: None }).unwrap()
-        else {
-            panic!("logs must answer ok")
-        };
+        let body = ok_body(&mut client, &Request::Logs { level: None });
         assert!(body.starts_with("{\"schema\": \"dbt-serve/logs/v1\""), "{body}");
         assert!(body.contains("\"target\": \"serve.lifecycle\""), "{body}");
         assert!(body.contains("\"message\": \"listening\""), "{body}");
         // The level filter hides info-level lifecycle chatter.
-        let Response::Ok { body, .. } =
-            client.request(&Request::Logs { level: Some("warn".to_string()) }).unwrap()
-        else {
-            panic!("logs must answer ok")
-        };
+        let body = ok_body(&mut client, &Request::Logs { level: Some("warn".to_string()) });
         assert!(!body.contains("listening"), "{body}");
         // Unknown levels are described, not guessed.
         let reply = client.request(&Request::Logs { level: Some("loud".to_string()) }).unwrap();
@@ -1107,19 +1300,10 @@ mod tests {
 
     #[test]
     fn health_reports_uptime_version_and_pool_size() {
-        let (started_tx, _started_rx) = mpsc::channel();
-        let (_release_tx, release_rx) = mpsc::channel();
-        let backend = BlockingBackend { started: started_tx, release: Mutex::new(release_rx) };
-        let handle = serve(
-            "127.0.0.1:0",
-            Arc::new(backend),
-            ServerConfig { workers: 3, queue_depth: 5, ..ServerConfig::default() },
-        )
-        .unwrap();
+        let config = ServerConfig { workers: 3, queue_depth: 5, ..ServerConfig::default() };
+        let handle = serve("127.0.0.1:0", quiet_backend(), config).unwrap();
         let mut client = Client::connect(handle.addr()).unwrap();
-        let Response::Ok { body, .. } = client.request(&Request::Health).unwrap() else {
-            panic!("health must answer ok")
-        };
+        let body = ok_body(&mut client, &Request::Health);
         assert!(body.contains("\"workers\": 3"), "{body}");
         assert!(body.contains("\"queue_depth\": 5"), "{body}");
         assert!(body.contains("\"uptime_secs\": "), "{body}");
@@ -1133,23 +1317,15 @@ mod tests {
 
     #[test]
     fn metrics_expose_per_op_counters_that_agree_with_stats() {
-        let (started_tx, _started_rx) = mpsc::channel();
-        let (_release_tx, release_rx) = mpsc::channel();
-        let backend = BlockingBackend { started: started_tx, release: Mutex::new(release_rx) };
-        let handle = serve("127.0.0.1:0", Arc::new(backend), ServerConfig::default()).unwrap();
+        let handle = serve("127.0.0.1:0", quiet_backend(), ServerConfig::default()).unwrap();
         let mut client = Client::connect(handle.addr()).unwrap();
 
         // A scripted sequence: one analyze (heavy, completes), one health,
         // one invalid frame, then the scrape itself.
-        assert!(matches!(
-            client.request(&Request::Analyze { program: "p".to_string() }).unwrap(),
-            Response::Ok { .. }
-        ));
-        assert!(matches!(client.request(&Request::Health).unwrap(), Response::Ok { .. }));
+        ok_body(&mut client, &Request::Analyze { program: "p".to_string() });
+        ok_body(&mut client, &Request::Health);
         assert!(matches!(client.raw_request("not json").unwrap(), Response::Error { .. }));
-        let Response::Ok { body, .. } = client.request(&Request::Metrics).unwrap() else {
-            panic!("metrics must answer ok")
-        };
+        let body = ok_body(&mut client, &Request::Metrics);
 
         assert_eq!(sample_value(&body, "dbt_serve_requests_total{op=\"analyze\"}"), 1);
         assert_eq!(sample_value(&body, "dbt_serve_requests_total{op=\"health\"}"), 1);
@@ -1173,9 +1349,7 @@ mod tests {
 
         // The stats view counts the same frames: analyze + health +
         // invalid + metrics + this stats request = 5.
-        let Response::Ok { body, .. } = client.request(&Request::Stats).unwrap() else {
-            panic!("stats must answer ok")
-        };
+        let body = ok_body(&mut client, &Request::Stats);
         assert!(body.contains("\"requests\": 5"), "{body}");
         assert!(body.contains("\"completed\": 1"), "{body}");
 

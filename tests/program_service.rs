@@ -39,7 +39,7 @@ fn registry_programs() -> Vec<(String, Program)> {
                 .expect("registry label resolves")
                 .build()
                 .expect("registry program builds");
-            (label.to_string(), program)
+            (label.to_string(), Arc::unwrap_or_clone(program))
         })
         .collect()
 }
