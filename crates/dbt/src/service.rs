@@ -39,7 +39,7 @@ use crate::schedule::schedule;
 use crate::trace_builder::GuestPath;
 use crate::translate::translate_path;
 use dbt_ir::{BlockKind, DepGraph, DfgOptions, IrBlock};
-use dbt_obs::{Histogram, MetricsRegistry, Span, StageSpan, DEFAULT_LATENCY_BOUNDS_MICROS};
+use dbt_obs::{Histogram, MetricsRegistry, Span, DEFAULT_LATENCY_BOUNDS_MICROS};
 use dbt_persist::BoundedMap;
 use dbt_vliw::TranslatedBlock;
 use ghostbusters::{apply_with_verdict, MitigationPolicy, MitigationReport};
@@ -416,15 +416,17 @@ impl TranslationService {
         let codegen_key = hash64(&(analysis_key, policy, config.issue_width));
         let fp = program_fingerprint;
         let analyse = || {
-            let _span = self.metrics.as_ref().map(|m| Span::on(&m.analysis_seconds));
-            let _stage = StageSpan::enter("translate.analysis");
+            let _span = Span::enter(
+                "translate.analysis",
+                self.metrics.as_ref().map(|m| &m.analysis_seconds),
+            );
             run_analysis(path, kind, options)
         };
         let compile = || {
             let (analysis, _) = self.query(fp, |p| &mut p.analyses, analysis_key, analyse);
             let analysis = analysis?;
-            let _span = self.metrics.as_ref().map(|m| Span::on(&m.codegen_seconds));
-            let _stage = StageSpan::enter("translate.codegen");
+            let _span =
+                Span::enter("translate.codegen", self.metrics.as_ref().map(|m| &m.codegen_seconds));
             run_codegen(&analysis, config.policy, config.issue_width)
         };
         let (product, cache_hit) = self.query(fp, |p| &mut p.codegens, codegen_key, compile);

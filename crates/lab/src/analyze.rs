@@ -126,7 +126,7 @@ impl AnalyzeReport {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"schema\": \"dbt-lab/analyze/v1\",\n");
-        out.push_str(&format!("  \"program\": \"{}\",\n", crate::json::escape(&self.program)));
+        out.push_str(&format!("  \"program\": \"{}\",\n", dbt_json::escape(&self.program)));
         out.push_str(&format!("  \"flagged_blocks\": {},\n", self.flagged_blocks()));
         out.push_str("  \"blocks\": [");
         for (i, block) in self.blocks.iter().enumerate() {

@@ -48,7 +48,7 @@
 
 use dbt_lab::{
     adhoc_scenario, analyze_built, analyze_program, format_attack_table, format_table,
-    format_variant_table, profile_program, run_sweep, run_sweep_with, strip_stats, ExecOptions,
+    format_variant_table, profile_program, run_sweep, run_sweep_obs, strip_stats, ExecOptions,
     LabDaemon, PlatformOverrides, ProgramSpec, Registry, ScenarioKind, SourceKind,
     TranslationService,
 };
@@ -346,7 +346,7 @@ fn cmd_sweep(registry: &Registry, args: &Args) -> Result<(), String> {
                 opts.effective_threads(scenarios.len())
             );
         }
-        let report = run_sweep_with(&sweep.name, &scenarios, opts, &service);
+        let report = run_sweep_obs(&sweep.name, &scenarios, opts, &service, None, None);
         total_jobs += report.stats.jobs;
         total_hits += report.stats.translation_hits;
         total_misses += report.stats.translation_misses;

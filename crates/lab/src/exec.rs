@@ -21,9 +21,7 @@
 //!   in the sweep JSON), so the reuse is visible in the artifacts.
 
 use crate::scenario::{Scenario, ScenarioKind};
-use dbt_obs::{
-    Histogram, MetricsRegistry, Span, StageSpan, TraceHandle, DEFAULT_LATENCY_BOUNDS_MICROS,
-};
+use dbt_obs::{Histogram, MetricsRegistry, Span, TraceHandle, DEFAULT_LATENCY_BOUNDS_MICROS};
 use dbt_platform::{CachedRun, RunKey, RunMemo, Session, TranslationService};
 use ghostbusters::MitigationPolicy;
 use std::collections::HashMap;
@@ -254,11 +252,9 @@ impl SweepContext {
         let run = || {
             // The span times only simulations that actually run: memo hits
             // never enter this closure, so the histogram's count stays in
-            // lockstep with the `simulations` counter. The stage span
-            // feeds the same wall-clock reading into the request's trace
-            // when one is being recorded (inert otherwise).
-            let _span = self.simulate_seconds.as_ref().map(Span::on);
-            let _stage = StageSpan::enter("simulate");
+            // lockstep with the `simulations` counter. It records the same
+            // interval into the request's trace when one is being recorded.
+            let _span = Span::enter("simulate", self.simulate_seconds.as_ref());
             self.sims.fetch_add(1, Ordering::SeqCst);
             if is_baseline {
                 self.baseline_sims.fetch_add(1, Ordering::SeqCst);
@@ -391,11 +387,13 @@ fn run_job(scenario: &Scenario, ctx: &SweepContext) -> JobOutcome {
 /// the translation hit/miss counters, since every translation resolves
 /// exactly once sweep-wide.
 pub fn run_sweep(sweep: &str, scenarios: &[Scenario], opts: ExecOptions) -> LabReport {
-    run_sweep_with(sweep, scenarios, opts, &TranslationService::new())
+    run_sweep_obs(sweep, scenarios, opts, &TranslationService::new(), None, None)
 }
 
 /// [`run_sweep`] against a caller-provided [`TranslationService`], so
-/// several sweeps (or repeated invocations) can share one memo.
+/// several sweeps (or repeated invocations) can share one memo, plus an
+/// optional content-addressed [`RunMemo`] and an optional
+/// [`MetricsRegistry`].
 ///
 /// The report's translation counters cover exactly the queries issued by
 /// *this sweep's sessions* (summed from each engine's own counters, never
@@ -404,42 +402,22 @@ pub fn run_sweep(sweep: &str, scenarios: &[Scenario], opts: ExecOptions) -> LabR
 /// towards hits, while cycle counts and recovery rates stay identical —
 /// memoized translations are pure functions of the same inputs a fresh
 /// compile would see.
-pub fn run_sweep_with(
-    sweep: &str,
-    scenarios: &[Scenario],
-    opts: ExecOptions,
-    service: &Arc<TranslationService>,
-) -> LabReport {
-    run_sweep_memo(sweep, scenarios, opts, service, None)
-}
-
-/// [`run_sweep_with`] plus an optional content-addressed [`RunMemo`]: with
-/// a memo attached, every simulation is looked up under its
+///
+/// With a memo attached, every simulation is looked up under its
 /// `(program fingerprint, config fingerprint)` address first, so a
 /// scenario that an earlier sweep (or an earlier daemon request) already
 /// ran is answered without simulating — or even translating — anything.
-///
 /// Memo hits change only the *counters* of the report (`simulations` and
 /// the translation hit/miss pair shrink, since no session runs); the cycle
 /// data, recovery rates and every other observable are byte-identical to a
 /// memo-less run, because the platform is a deterministic simulator and
 /// the memo key covers every input it reads. This is the executor the
 /// `dbt-serve` daemon drives.
-pub fn run_sweep_memo(
-    sweep: &str,
-    scenarios: &[Scenario],
-    opts: ExecOptions,
-    service: &Arc<TranslationService>,
-    memo: Option<&Arc<RunMemo>>,
-) -> LabReport {
-    run_sweep_obs(sweep, scenarios, opts, service, memo, None)
-}
-
-/// [`run_sweep_memo`] plus an optional [`MetricsRegistry`]: with a registry
-/// attached, every simulation that actually runs (never a memo hit) is
-/// timed into a `dbt_lab_phase_seconds{phase="simulate"}` histogram. The
-/// timing is observation only — reports stay byte-identical with or
-/// without it.
+///
+/// With a registry attached, every simulation that actually runs (never a
+/// memo hit) is timed into a `dbt_lab_phase_seconds{phase="simulate"}`
+/// histogram. The timing is observation only — reports stay
+/// byte-identical with or without it.
 pub fn run_sweep_obs(
     sweep: &str,
     scenarios: &[Scenario],
@@ -567,12 +545,12 @@ mod tests {
         let service = TranslationService::new();
         let memo = RunMemo::new();
         let opts = ExecOptions { threads: 4, verbose: false };
-        let first = run_sweep_memo("tiny", &scenarios, opts, &service, Some(&memo));
+        let first = run_sweep_obs("tiny", &scenarios, opts, &service, Some(&memo), None);
         let cold = memo.stats();
         assert_eq!(cold.hits, 0, "distinct scenarios cannot hit a cold memo");
         assert_eq!(cold.misses, first.stats.simulations as u64, "one entry per simulation");
 
-        let second = run_sweep_memo("tiny", &scenarios, opts, &service, Some(&memo));
+        let second = run_sweep_obs("tiny", &scenarios, opts, &service, Some(&memo), None);
         assert_eq!(first.results, second.results, "memo hits must not change observables");
         assert_eq!(second.stats.simulations, 0, "every run was answered from the memo");
         assert_eq!(

@@ -6,16 +6,7 @@
 //! artifacts can be diffed across PRs.
 
 use crate::exec::{JobOutcome, JobResult, LabReport};
-
-/// Escapes `s` for use inside a JSON string literal.
-///
-/// Delegates to `dbt-serve`'s escaper so the whole workspace shares one
-/// set of escaping rules — the daemon's byte-identity contract (unescaped
-/// frame bodies == locally emitted reports) depends on the emitters and
-/// the protocol never diverging here.
-pub fn escape(s: &str) -> String {
-    dbt_serve::json::escape(s)
-}
+use dbt_json::escape;
 
 /// Formats a float deterministically (fixed six fractional digits).
 pub fn number(x: f64) -> String {

@@ -64,8 +64,8 @@ pub use dbt_platform::{
     MemoStats, ProgramRef, ProgramStore, RunMemo, ServiceStats, StoreStats, TranslationService,
 };
 pub use exec::{
-    run_sweep, run_sweep_memo, run_sweep_obs, run_sweep_with, AttackMetrics, ExecOptions,
-    ExecStats, JobOutcome, JobResult, LabReport, PerfMetrics, LAB_PHASE_FAMILY,
+    run_sweep, run_sweep_obs, AttackMetrics, ExecOptions, ExecStats, JobOutcome, JobResult,
+    LabReport, PerfMetrics, LAB_PHASE_FAMILY,
 };
 pub use profile::{canonical_label, profile_built, profile_program, ProfileOutput};
 pub use registry::{Registry, Sweep, SweepProgram, DEFAULT_SECRET};

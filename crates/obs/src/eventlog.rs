@@ -7,13 +7,13 @@
 //! with an explicit dropped count, rendered as the single-line
 //! `dbt-serve/logs/v1` body the `logs` protocol op serves.
 //!
-//! Same discipline as the span ring: bounded memory, oldest-first
+//! Same [`Ring`] as the span recorder: bounded memory, oldest-first
 //! eviction surfaced as a count, wall-clock kept out entirely (ordering
 //! comes from `seq`), and nothing here ever reaches a report body or a
 //! `BENCH_*.json` artifact.
 
+use crate::ring::Ring;
 use dbt_json::escape;
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Default bound of an [`EventLog`] ring.
@@ -78,15 +78,13 @@ pub struct LogRecord {
 
 #[derive(Debug)]
 struct LogRing {
-    ring: VecDeque<LogRecord>,
-    dropped: u64,
+    ring: Ring<LogRecord>,
     next_seq: u64,
 }
 
 /// A bounded ring of [`LogRecord`]s with oldest-first eviction.
 #[derive(Debug)]
 pub struct EventLog {
-    capacity: usize,
     inner: Mutex<LogRing>,
 }
 
@@ -104,10 +102,11 @@ impl EventLog {
 
     /// A log bounded at `capacity` records (0 drops everything).
     pub(crate) fn with_capacity(capacity: usize) -> EventLog {
-        EventLog {
-            capacity,
-            inner: Mutex::new(LogRing { ring: VecDeque::new(), dropped: 0, next_seq: 0 }),
-        }
+        EventLog { inner: Mutex::new(LogRing { ring: Ring::new(capacity), next_seq: 0 }) }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, LogRing> {
+        self.inner.lock().expect("event log lock poisoned")
     }
 
     /// Appends one event. Sequence numbers keep counting across
@@ -120,18 +119,10 @@ impl EventLog {
         trace_id: Option<&str>,
         fields: &[(&str, &str)],
     ) {
-        let mut inner = self.inner.lock().expect("event log lock poisoned");
+        let mut inner = self.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        if self.capacity == 0 {
-            inner.dropped += 1;
-            return;
-        }
-        if inner.ring.len() == self.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(LogRecord {
+        inner.ring.push(LogRecord {
             seq,
             level,
             target: target.to_string(),
@@ -143,37 +134,27 @@ impl EventLog {
 
     /// Records evicted (or refused at capacity 0) so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("event log lock poisoned").dropped
-    }
-
-    /// Records currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("event log lock poisoned").ring.len()
-    }
-
-    /// True when the ring holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lock().ring.dropped()
     }
 
     /// Retained records at or above `min_level`, oldest first.
     pub fn records(&self, min_level: LogLevel) -> Vec<LogRecord> {
-        let inner = self.inner.lock().expect("event log lock poisoned");
-        inner.ring.iter().filter(|record| record.level >= min_level).cloned().collect()
+        self.lock().ring.iter().filter(|record| record.level >= min_level).cloned().collect()
     }
 
     /// The `dbt-serve/logs/v1` body: every retained record at or above
     /// `min_level`, as a single JSON line.
     pub fn json(&self, min_level: LogLevel) -> String {
-        let records = self.records(min_level);
+        let inner = self.lock();
         let mut body = format!(
             "{{\"schema\": \"{EVENT_LOG_SCHEMA}\", \"capacity\": {}, \"dropped\": {}, \
              \"min_level\": \"{}\", \"entries\": [",
-            self.capacity,
-            self.dropped(),
+            inner.ring.capacity(),
+            inner.ring.dropped(),
             min_level.as_str(),
         );
-        for (index, record) in records.iter().enumerate() {
+        let records = inner.ring.iter().filter(|record| record.level >= min_level);
+        for (index, record) in records.enumerate() {
             if index > 0 {
                 body.push_str(", ");
             }
@@ -221,8 +202,6 @@ mod tests {
         for message in ["a", "b", "c"] {
             log.log(LogLevel::Info, "test", message, None, &[]);
         }
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped(), 1);
         let kept: Vec<u64> = log.records(LogLevel::Debug).into_iter().map(|r| r.seq).collect();
         assert_eq!(kept, vec![1, 2], "seq must reveal the evicted head");
     }
@@ -250,13 +229,5 @@ mod tests {
         assert!(body.contains("\"trace_id\": \"t7\""), "{body}");
         assert!(body.contains("\"fields\": {\"backend\": \"1\"}"), "{body}");
         assert!(!body.contains("evicted"), "{body}");
-    }
-
-    #[test]
-    fn zero_capacity_log_drops_everything() {
-        let log = EventLog::with_capacity(0);
-        log.log(LogLevel::Error, "test", "gone", None, &[]);
-        assert!(log.is_empty());
-        assert_eq!(log.dropped(), 1);
     }
 }

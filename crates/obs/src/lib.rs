@@ -9,8 +9,8 @@
 //! * a [`MetricsRegistry`] whose [`MetricsRegistry::render`] emits
 //!   **byte-stable Prometheus text-format exposition** — the body of the
 //!   daemon's protocol-v2 `metrics` op (see `docs/PROTOCOL.md`);
-//! * a [`Span`] RAII guard for wall-clock phase timing
-//!   (`Span::on(&histogram)`), recording into its histogram on drop;
+//! * one RAII timer, [`Span`]: on drop it records the elapsed time into
+//!   an optional histogram and into the thread's active trace, if any;
 //! * fixed workspace-wide latency buckets
 //!   ([`DEFAULT_LATENCY_BOUNDS_MICROS`]) and deterministic bucket-edge
 //!   quantiles ([`Histogram::quantile_micros`]) for the load generator's
@@ -22,11 +22,13 @@
 //! * a [`SpanRecorder`] of causal per-request spans (trace id, span id,
 //!   parent, stage, start/duration micros from an injectable
 //!   [`TraceClock`]) with ambient cross-thread propagation
-//!   ([`TraceHandle`] / [`StageSpan`]) — the daemon and router stitch
+//!   ([`TraceHandle`] / [`TraceScope`]) — the daemon and router stitch
 //!   these into the `trace` op's `dbt-serve/trace/v1` tree;
 //! * an [`EventLog`] — a leveled, bounded ring of structured
 //!   `{seq, level, target, message, fields}` records correlated by trace
-//!   id, served by the `logs` op as `dbt-serve/logs/v1`.
+//!   id, served by the `logs` op as `dbt-serve/logs/v1`;
+//! * a [`Ring`] — the one bounded newest-kept buffer with a `dropped`
+//!   count behind the span recorder, the event log and the flight recorder.
 //!
 //! Two invariants shape the design:
 //!
@@ -45,15 +47,15 @@ mod eventlog;
 mod metric;
 mod profiler;
 mod registry;
-mod span;
+mod ring;
 mod spanrec;
 
 pub use eventlog::{EventLog, LogLevel, LogRecord, DEFAULT_EVENT_CAPACITY, EVENT_LOG_SCHEMA};
 pub use metric::{micros_as_seconds, Counter, Gauge, Histogram, DEFAULT_LATENCY_BOUNDS_MICROS};
 pub use profiler::{Phase, PhaseCycles, Profiler, SpecEvents, TraceEvent, DEFAULT_TRACE_CAPACITY};
 pub use registry::MetricsRegistry;
-pub use span::Span;
+pub use ring::Ring;
 pub use spanrec::{
-    SpanRecord, SpanRecorder, StageSpan, TraceClock, TraceHandle, TraceScope,
-    DEFAULT_SPAN_CAPACITY, TRACE_TREE_SCHEMA,
+    Span, SpanRecord, SpanRecorder, TraceClock, TraceHandle, TraceScope, DEFAULT_SPAN_CAPACITY,
+    TRACE_TREE_SCHEMA,
 };

@@ -26,7 +26,7 @@
 //! one microsecond of trace time, so `chrome://tracing` / Perfetto render
 //! the cycle timeline directly.
 
-use std::collections::VecDeque;
+use crate::ring::Ring;
 
 /// Default capacity of the flight-recorder ring.
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
@@ -159,9 +159,7 @@ pub struct Profiler {
     pub phases: PhaseCycles,
     /// Speculation / memory-system event counts.
     pub events: SpecEvents,
-    ring: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
+    ring: Ring<TraceEvent>,
 }
 
 impl Default for Profiler {
@@ -176,14 +174,13 @@ impl Profiler {
         Profiler::with_capacity(DEFAULT_TRACE_CAPACITY)
     }
 
-    /// A profiler whose flight recorder keeps at most `capacity` events.
+    /// A profiler whose flight recorder keeps at most `capacity` events
+    /// (room for all of them is allocated up front).
     pub fn with_capacity(capacity: usize) -> Profiler {
         Profiler {
             phases: PhaseCycles::default(),
             events: SpecEvents::default(),
-            ring: VecDeque::with_capacity(capacity.min(DEFAULT_TRACE_CAPACITY)),
-            capacity,
-            dropped: 0,
+            ring: Ring::new(capacity),
         }
     }
 
@@ -202,15 +199,7 @@ impl Profiler {
     /// Appends an event to the flight recorder, evicting (and counting)
     /// the oldest event once the ring is full.
     pub fn record(&mut self, kind: &'static str, pc: u64, start_cycle: u64, cycles: u64) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(TraceEvent { kind, pc, start_cycle, cycles: cycles.max(1) });
+        self.ring.push(TraceEvent { kind, pc, start_cycle, cycles: cycles.max(1) });
     }
 
     /// The retained flight-recorder events, oldest first.
@@ -226,7 +215,7 @@ impl Profiler {
     /// Events evicted because the ring was full — nonzero means the trace
     /// shows only the *tail* of the run.
     pub fn trace_dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// Renders the flight recorder in Chrome `trace_event` JSON
@@ -248,7 +237,7 @@ impl Profiler {
         out.push_str(&format!(
             "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"clock\":\"simulated-cycles\",\
              \"dropped_events\":{}}}}}",
-            self.dropped
+            self.ring.dropped()
         ));
         out
     }
@@ -269,26 +258,6 @@ mod tests {
         assert_eq!(p.phases.total(), 70);
         let names: Vec<&str> = p.phases.entries().iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["fetch", "issue", "execute", "commit", "rollback"]);
-    }
-
-    #[test]
-    fn ring_is_bounded_and_counts_drops() {
-        let mut p = Profiler::with_capacity(2);
-        p.record("block", 0x1000, 0, 5);
-        p.record("block", 0x2000, 5, 5);
-        p.record("block", 0x3000, 10, 5);
-        assert_eq!(p.trace_len(), 2);
-        assert_eq!(p.trace_dropped(), 1);
-        let pcs: Vec<u64> = p.trace_events().map(|e| e.pc).collect();
-        assert_eq!(pcs, [0x2000, 0x3000], "oldest event evicted first");
-    }
-
-    #[test]
-    fn zero_capacity_ring_drops_everything() {
-        let mut p = Profiler::with_capacity(0);
-        p.record("block", 0x1000, 0, 1);
-        assert_eq!(p.trace_len(), 0);
-        assert_eq!(p.trace_dropped(), 1);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Causal request spans: who spent the wall-clock time, stage by stage.
+//! Causal request spans, and the one RAII timer every layer uses.
 //!
-//! [`Span`](crate::Span) (PR 6) answers "how long does this phase take in
-//! aggregate" via histograms; this module answers "where did *this*
-//! request's time go" with a per-request tree of spans — router relay,
-//! backend queue wait, translate, simulate, encode — stitched across
-//! processes by trace id.
+//! A [`Span`] times one interval. On drop it records the elapsed time into
+//! an optional [`Histogram`] ("how long does this stage take in
+//! aggregate") and into the trace active on its thread, if any ("where did
+//! *this* request's time go"): router relay, backend queue wait,
+//! translate, simulate, encode, stitched across processes by trace id.
 //!
 //! * [`SpanRecord`] — one completed span: trace id, span id, optional
 //!   parent span id, stage label, start/duration micros.
@@ -12,26 +12,46 @@
 //!   [`TraceClock::wall`]; determinism tests use [`TraceClock::scripted`],
 //!   a counter that advances a fixed step per reading, which makes whole
 //!   span trees byte-stable.
-//! * [`SpanRecorder`] — a bounded ring of finished spans with an explicit
-//!   dropped count (the `Profiler` flight-recorder discipline), plus the
-//!   `dbt-serve/trace/v1` tree renderer the `trace` protocol op serves.
-//! * [`TraceHandle`] / [`TraceScope`] / [`StageSpan`] — ambient context
-//!   propagation. A server opens a handle per traced request, *enters* it
-//!   on whichever thread runs the work (worker pools included — handles
-//!   are `Send + Clone`), and deep layers call
-//!   `StageSpan::enter("simulate")` without ever seeing the recorder.
-//!   With no scope active, `StageSpan::enter` is inert, so local CLI runs
-//!   record nothing.
+//! * [`SpanRecorder`] — a bounded [`Ring`] of finished spans with an
+//!   explicit dropped count, plus the `dbt-serve/trace/v1` tree renderer
+//!   the `trace` protocol op serves.
+//! * [`TraceHandle`] / [`TraceScope`] — ambient context propagation. A
+//!   server opens a handle per traced request and *enters* it on whichever
+//!   thread runs the work (handles are `Send + Clone`), and deep layers
+//!   open `Span::enter("simulate", None)` without ever seeing the
+//!   recorder. With no scope active a span records only into its
+//!   histogram, and with no histogram either it records nothing, so local
+//!   CLI runs record nothing.
+//!
+//! ```
+//! # use dbt_obs::{MetricsRegistry, Span, SpanRecorder, TraceClock, TraceHandle};
+//! # use dbt_obs::DEFAULT_LATENCY_BOUNDS_MICROS;
+//! # use std::sync::Arc;
+//! let registry = MetricsRegistry::new();
+//! let simulate =
+//!     registry.histogram("dbt_simulate_seconds", "Simulation time.", DEFAULT_LATENCY_BOUNDS_MICROS);
+//! let spans = Arc::new(SpanRecorder::new(TraceClock::scripted(10)));
+//! let trace = TraceHandle::new(Arc::clone(&spans), "t1", "d", None);
+//! {
+//!     let _scope = trace.enter();
+//!     let _span = Span::enter("simulate", Some(&simulate));
+//!     // ... the stage ...
+//! } // drop records the interval into the histogram and the trace
+//! assert_eq!(simulate.count(), 1);
+//! assert_eq!(spans.spans_for("t1")[0].span_id, "d:simulate");
+//! ```
 //!
 //! Same invariant as every other corner of `dbt-obs`: wall-clock readings
-//! appear only in observability output (the `trace` op, Chrome exports),
-//! never in report bodies or `BENCH_*.json` artifacts.
+//! appear only in observability output (metrics, the `trace` op, Chrome
+//! exports), never in report bodies or `BENCH_*.json` artifacts.
 
+use crate::metric::Histogram;
+use crate::ring::Ring;
 use dbt_json::escape;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Default bound of a [`SpanRecorder`] ring.
@@ -94,22 +114,15 @@ impl TraceClock {
     }
 }
 
-#[derive(Debug)]
-struct SpanRing {
-    ring: VecDeque<SpanRecord>,
-    dropped: u64,
-}
-
-/// A bounded ring of finished [`SpanRecord`]s sharing one [`TraceClock`].
+/// A bounded [`Ring`] of finished [`SpanRecord`]s sharing one [`TraceClock`].
 ///
 /// Oldest spans are evicted first and counted in
 /// [`SpanRecorder::dropped`], which every rendered tree surfaces — a
 /// truncated trace is visible, never silent.
 #[derive(Debug)]
 pub struct SpanRecorder {
-    capacity: usize,
     clock: TraceClock,
-    inner: Mutex<SpanRing>,
+    ring: Mutex<Ring<SpanRecord>>,
 }
 
 impl SpanRecorder {
@@ -120,11 +133,7 @@ impl SpanRecorder {
 
     /// A recorder bounded at `capacity` spans (0 drops everything).
     pub(crate) fn with_capacity(capacity: usize, clock: TraceClock) -> SpanRecorder {
-        SpanRecorder {
-            capacity,
-            clock,
-            inner: Mutex::new(SpanRing { ring: VecDeque::new(), dropped: 0 }),
-        }
+        SpanRecorder { clock, ring: Mutex::new(Ring::new(capacity)) }
     }
 
     /// Current clock reading in micros.
@@ -132,44 +141,26 @@ impl SpanRecorder {
         self.clock.now_micros()
     }
 
-    /// The ring bound this recorder was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// The ring, also after a panic elsewhere poisoned its lock: a push
+    /// leaves it valid at every step, and a [`Span`] records from `Drop`,
+    /// where a panic could abort an unwinding thread.
+    fn ring(&self) -> MutexGuard<'_, Ring<SpanRecord>> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Appends one finished span, evicting the oldest at capacity.
-    pub fn record(&self, record: SpanRecord) {
-        let mut inner = self.inner.lock().expect("span ring lock poisoned");
-        if self.capacity == 0 {
-            inner.dropped += 1;
-            return;
-        }
-        if inner.ring.len() == self.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(record);
+    fn record(&self, record: SpanRecord) {
+        self.ring().push(record);
     }
 
     /// Spans evicted (or refused at capacity 0) so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("span ring lock poisoned").dropped
-    }
-
-    /// Spans currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("span ring lock poisoned").ring.len()
-    }
-
-    /// True when the ring holds no spans.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ring().dropped()
     }
 
     /// All retained spans of `trace_id`, in recording order.
     pub fn spans_for(&self, trace_id: &str) -> Vec<SpanRecord> {
-        let inner = self.inner.lock().expect("span ring lock poisoned");
-        inner.ring.iter().filter(|span| span.trace_id == trace_id).cloned().collect()
+        self.ring().iter().filter(|span| span.trace_id == trace_id).cloned().collect()
     }
 
     /// The `dbt-serve/trace/v1` tree of `trace_id` as a single JSON line.
@@ -207,8 +198,10 @@ impl SpanRecorder {
     }
 }
 
+#[derive(Debug)]
 struct ActiveScope {
     handle: TraceHandle,
+    /// Ids of the spans open on this thread, innermost last.
     stack: Vec<String>,
 }
 
@@ -217,48 +210,44 @@ thread_local! {
 }
 
 /// The shared identity of one traced request: recorder, trace id, span-id
-/// prefix and the span new stages attach under by default.
+/// prefix and the span new spans attach under when none is open on their
+/// thread.
 ///
 /// Cheap to clone and `Send`, so the thread that accepts a request can
-/// hand the context to the pool threads that execute it (the daemon's
-/// worker pool, the sweep executor's scoped threads).
+/// hand the context to the threads that execute it (the sweep executor's
+/// scoped workers, the simulation thread).
 #[derive(Debug, Clone)]
 pub struct TraceHandle {
     recorder: Arc<SpanRecorder>,
     trace_id: Arc<str>,
     prefix: Arc<str>,
-    parent: Arc<str>,
+    parent: Option<Arc<str>>,
     // Occurrence counts per stage label, shared across every thread that
     // enters this handle so span ids stay unique within the trace.
     counts: Arc<Mutex<HashMap<String, u64>>>,
 }
 
 impl TraceHandle {
-    /// A handle recording into `recorder` under `trace_id`; stage spans
-    /// get ids `"{prefix}:{stage}"` and attach under `parent` when no
-    /// enclosing [`StageSpan`] is active.
+    /// A handle recording into `recorder` under `trace_id`. Spans get ids
+    /// `"{prefix}:{stage}"`; one opened while no span is open on its thread
+    /// attaches under `parent` (`None` makes it a root).
     pub fn new(
         recorder: Arc<SpanRecorder>,
         trace_id: &str,
         prefix: &str,
-        parent: &str,
+        parent: Option<&str>,
     ) -> TraceHandle {
         TraceHandle {
             recorder,
             trace_id: trace_id.into(),
             prefix: prefix.into(),
-            parent: parent.into(),
+            parent: parent.map(Into::into),
             counts: Arc::new(Mutex::new(HashMap::new())),
         }
     }
 
-    /// The trace id this handle records under.
-    pub fn trace_id(&self) -> &str {
-        &self.trace_id
-    }
-
     /// Activates this handle on the current thread until the returned
-    /// guard drops; [`StageSpan::enter`] records through it meanwhile.
+    /// guard drops; every [`Span`] opened meanwhile records through it.
     pub fn enter(&self) -> TraceScope {
         let previous = ACTIVE.with(|active| {
             active.borrow_mut().replace(ActiveScope { handle: self.clone(), stack: Vec::new() })
@@ -266,11 +255,20 @@ impl TraceHandle {
         TraceScope { previous }
     }
 
-    /// The handle active on the current thread, if any — capture it
-    /// before spawning worker threads, then [`TraceHandle::enter`] inside
-    /// each so deep-layer stage spans keep flowing into the same trace.
+    /// The handle active on the current thread, if any, parented under
+    /// the innermost span open here. Capture it before spawning threads,
+    /// then [`TraceHandle::enter`] it inside each so their spans keep
+    /// flowing into the same trace under the same parent.
     pub fn current() -> Option<TraceHandle> {
-        ACTIVE.with(|active| active.borrow().as_ref().map(|scope| scope.handle.clone()))
+        ACTIVE.with(|active| {
+            let active = active.borrow();
+            let scope = active.as_ref()?;
+            let mut handle = scope.handle.clone();
+            if let Some(open) = scope.stack.last() {
+                handle.parent = Some(open.as_str().into());
+            }
+            Some(handle)
+        })
     }
 
     /// `"{prefix}:{stage}"` for the first occurrence of a stage in the
@@ -295,12 +293,6 @@ pub struct TraceScope {
     previous: Option<ActiveScope>,
 }
 
-impl std::fmt::Debug for ActiveScope {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ActiveScope").field("trace_id", &self.handle.trace_id()).finish()
-    }
-}
-
 impl Drop for TraceScope {
     fn drop(&mut self) {
         ACTIVE.with(|active| {
@@ -309,99 +301,138 @@ impl Drop for TraceScope {
     }
 }
 
-/// A stage span under the thread's active trace scope; records one
-/// [`SpanRecord`] on drop. Inert (and free) when no scope is active.
+/// One timed interval; records on drop.
+///
+/// Under an active trace scope it reads the trace's clock twice (open and
+/// close) and records one [`SpanRecord`], parented under the innermost
+/// span open on this thread, and the same duration into its histogram.
+/// With no scope active it times its histogram by the wall clock, and
+/// with no histogram either it is inert and reads no clock.
 #[derive(Debug)]
-pub struct StageSpan {
-    state: Option<OpenSpan>,
+#[must_use = "a span records when dropped; binding it to _ would record immediately"]
+pub struct Span {
+    histogram: Option<Arc<Histogram>>,
+    timing: Timing,
+}
+
+#[derive(Debug)]
+enum Timing {
+    Traced(OpenSpan),
+    Wall(Instant),
+    Inert,
 }
 
 #[derive(Debug)]
 struct OpenSpan {
     handle: TraceHandle,
     span_id: String,
-    parent: String,
+    parent: Option<String>,
     stage: String,
     start_micros: u64,
 }
 
-impl StageSpan {
-    /// Opens a span for `stage`, parented under the innermost open
-    /// [`StageSpan`] on this thread (or the handle's request root).
-    pub fn enter(stage: &str) -> StageSpan {
-        let state = ACTIVE.with(|active| {
+impl Span {
+    /// Opens a span of `stage` that also times into `histogram`, if given.
+    pub fn enter(stage: &str, histogram: Option<&Arc<Histogram>>) -> Span {
+        Span::open(stage, None, None, histogram)
+    }
+
+    /// [`Span::enter`] for the `n`-th of a numbered series: its id is
+    /// `"{prefix}:{stage}.{n}"`, whatever the stage's occurrence count.
+    pub fn numbered(stage: &str, n: u64) -> Span {
+        Span::open(stage, Some(n), None, None)
+    }
+
+    /// [`Span::enter`] whose trace record starts at `start_micros`, an
+    /// earlier reading of the active trace's clock (a request's root and
+    /// its decode span start before the frame naming the trace is read).
+    /// With no scope active it times from now.
+    pub fn since(stage: &str, start_micros: u64, histogram: Option<&Arc<Histogram>>) -> Span {
+        Span::open(stage, None, Some(start_micros), histogram)
+    }
+
+    fn open(
+        stage: &str,
+        number: Option<u64>,
+        start_micros: Option<u64>,
+        histogram: Option<&Arc<Histogram>>,
+    ) -> Span {
+        let open = ACTIVE.with(|active| {
             let mut active = active.borrow_mut();
             let scope = active.as_mut()?;
             let handle = scope.handle.clone();
-            let span_id = handle.next_span_id(stage);
-            let parent = scope.stack.last().cloned().unwrap_or_else(|| handle.parent.to_string());
+            let span_id = match number {
+                Some(n) => format!("{}:{stage}.{n}", handle.prefix),
+                None => handle.next_span_id(stage),
+            };
+            let parent =
+                scope.stack.last().cloned().or_else(|| handle.parent.as_deref().map(Into::into));
             scope.stack.push(span_id.clone());
-            let start_micros = handle.recorder.now_micros();
+            let start_micros = start_micros.unwrap_or_else(|| handle.recorder.now_micros());
             Some(OpenSpan { handle, span_id, parent, stage: stage.to_string(), start_micros })
         });
-        StageSpan { state }
+        let timing = match open {
+            Some(open) => Timing::Traced(open),
+            None if histogram.is_some() => Timing::Wall(Instant::now()),
+            None => Timing::Inert,
+        };
+        Span { histogram: histogram.cloned(), timing }
     }
 }
 
-impl Drop for StageSpan {
+impl Drop for Span {
     fn drop(&mut self) {
-        let Some(open) = self.state.take() else { return };
-        let end = open.handle.recorder.now_micros();
+        let micros = match std::mem::replace(&mut self.timing, Timing::Inert) {
+            Timing::Traced(open) => open.close(),
+            Timing::Wall(started) => {
+                u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
+            }
+            Timing::Inert => return,
+        };
+        if let Some(histogram) = &self.histogram {
+            histogram.observe_micros(micros);
+        }
+    }
+}
+
+impl OpenSpan {
+    /// Pops the span off its thread's stack and records it; returns its
+    /// duration in micros.
+    fn close(self) -> u64 {
+        let end = self.handle.recorder.now_micros();
         ACTIVE.with(|active| {
             if let Some(scope) = active.borrow_mut().as_mut() {
-                if let Some(position) = scope.stack.iter().rposition(|id| *id == open.span_id) {
+                if let Some(position) = scope.stack.iter().rposition(|id| *id == self.span_id) {
                     scope.stack.remove(position);
                 }
             }
         });
-        open.handle.recorder.record(SpanRecord {
-            trace_id: open.handle.trace_id.to_string(),
-            span_id: open.span_id,
-            parent: Some(open.parent),
-            stage: open.stage,
-            start_micros: open.start_micros,
-            duration_micros: end.saturating_sub(open.start_micros),
+        let duration_micros = end.saturating_sub(self.start_micros);
+        self.handle.recorder.record(SpanRecord {
+            trace_id: self.handle.trace_id.to_string(),
+            span_id: self.span_id,
+            parent: self.parent,
+            stage: self.stage,
+            start_micros: self.start_micros,
+            duration_micros,
         });
+        duration_micros
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MetricsRegistry;
+    use crate::DEFAULT_LATENCY_BOUNDS_MICROS;
 
     fn recorder(capacity: usize) -> Arc<SpanRecorder> {
         Arc::new(SpanRecorder::with_capacity(capacity, TraceClock::scripted(10)))
     }
 
-    fn record(spans: &SpanRecorder, trace: &str, id: &str) {
-        spans.record(SpanRecord {
-            trace_id: trace.to_string(),
-            span_id: id.to_string(),
-            parent: None,
-            stage: id.to_string(),
-            start_micros: 0,
-            duration_micros: 1,
-        });
-    }
-
-    #[test]
-    fn ring_is_bounded_and_counts_evictions() {
-        let spans = recorder(2);
-        for id in ["a", "b", "c"] {
-            record(&spans, "t", id);
-        }
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans.dropped(), 1);
-        let kept: Vec<String> = spans.spans_for("t").into_iter().map(|s| s.span_id).collect();
-        assert_eq!(kept, vec!["b", "c"], "oldest span must go first");
-    }
-
-    #[test]
-    fn zero_capacity_recorder_drops_everything() {
-        let spans = recorder(0);
-        record(&spans, "t", "a");
-        assert!(spans.is_empty());
-        assert_eq!(spans.dropped(), 1);
+    fn histogram(registry: &MetricsRegistry, phase: &str) -> Arc<Histogram> {
+        let bounds = DEFAULT_LATENCY_BOUNDS_MICROS;
+        registry.histogram_with("dbt_test_seconds", "t", bounds, &[("phase", phase)])
     }
 
     #[test]
@@ -413,13 +444,58 @@ mod tests {
     }
 
     #[test]
-    fn stage_spans_nest_under_the_active_scope() {
+    fn a_span_records_once_into_its_histogram_and_once_into_the_trace() {
+        let registry = MetricsRegistry::new();
+        let codegen = histogram(&registry, "codegen");
         let spans = recorder(16);
-        let handle = TraceHandle::new(Arc::clone(&spans), "t1", "d", "d:request");
+        let handle = TraceHandle::new(Arc::clone(&spans), "t1", "d", Some("d:request"));
         {
             let _scope = handle.enter();
-            let outer = StageSpan::enter("translate");
-            let _inner = StageSpan::enter("translate.analysis");
+            let _span = Span::enter("translate.codegen", Some(&codegen));
+            assert_eq!(codegen.count(), 0, "nothing recorded in flight");
+            assert!(spans.spans_for("t1").is_empty());
+        }
+        let tree = spans.spans_for("t1");
+        assert_eq!(tree.len(), 1);
+        assert_eq!(codegen.count(), 1);
+        // One interval: the histogram holds the very duration the trace does.
+        assert_eq!((tree[0].duration_micros, codegen.sum_micros()), (10, 10));
+    }
+
+    #[test]
+    fn nested_spans_attribute_to_their_own_phases() {
+        // Without a trace scope each span times only its own histogram:
+        // the inner one records at its drop, the outer one stays in flight.
+        let registry = MetricsRegistry::new();
+        let (outer, inner) = (histogram(&registry, "outer"), histogram(&registry, "inner"));
+        {
+            let _outer = Span::enter("outer", Some(&outer));
+            drop(Span::enter("inner", Some(&inner)));
+            assert_eq!((outer.count(), inner.count()), (0, 1), "outer still in flight");
+        }
+        assert_eq!((outer.count(), inner.count()), (1, 1));
+    }
+
+    #[test]
+    fn spans_are_inert_without_a_scope() {
+        let spans = recorder(16);
+        let _idle = TraceHandle::new(Arc::clone(&spans), "t1", "d", None);
+        drop(Span::enter("simulate", None));
+        drop(Span::numbered("probe", 3));
+        drop(Span::since("decode", 0, None));
+        assert!(spans.spans_for("t1").is_empty());
+        assert_eq!(spans.dropped(), 0);
+        assert_eq!(spans.now_micros(), 0, "a handle not entered is never read");
+    }
+
+    #[test]
+    fn stage_spans_nest_under_the_active_scope() {
+        let spans = recorder(16);
+        let handle = TraceHandle::new(Arc::clone(&spans), "t1", "d", Some("d:request"));
+        {
+            let _scope = handle.enter();
+            let outer = Span::enter("translate", None);
+            let _inner = Span::enter("translate.analysis", None);
             drop(outer);
         }
         let tree = spans.spans_for("t1");
@@ -431,52 +507,78 @@ mod tests {
     }
 
     #[test]
+    fn a_backdated_root_parents_its_children_and_numbered_spans_keep_their_number() {
+        let spans = recorder(16);
+        let start = spans.now_micros();
+        let handle = TraceHandle::new(Arc::clone(&spans), "t1", "r", None);
+        {
+            let _scope = handle.enter();
+            let _root = Span::since("request", start, None);
+            drop(Span::since("decode", start, None));
+            drop(Span::numbered("failover-retry", 2));
+        }
+        let rows: Vec<(String, Option<String>, u64, u64)> = spans
+            .spans_for("t1")
+            .into_iter()
+            .map(|s| (s.span_id, s.parent, s.start_micros, s.duration_micros))
+            .collect();
+        let request = Some("r:request".to_string());
+        assert_eq!(
+            rows,
+            [
+                ("r:decode".to_string(), request.clone(), 0, 10),
+                ("r:failover-retry.2".to_string(), request, 20, 10),
+                ("r:request".to_string(), None, 0, 40),
+            ]
+        );
+    }
+
+    #[test]
     fn repeated_stages_get_occurrence_suffixes() {
         let spans = recorder(16);
-        let handle = TraceHandle::new(Arc::clone(&spans), "t1", "d", "d:request");
+        let handle = TraceHandle::new(Arc::clone(&spans), "t1", "d", Some("d:request"));
         let _scope = handle.enter();
-        drop(StageSpan::enter("simulate"));
-        drop(StageSpan::enter("simulate"));
+        drop(Span::enter("simulate", None));
+        drop(Span::enter("simulate", None));
         let ids: Vec<String> = spans.spans_for("t1").into_iter().map(|s| s.span_id).collect();
         assert_eq!(ids, vec!["d:simulate", "d:simulate.1"]);
     }
 
     #[test]
-    fn spans_are_inert_without_a_scope() {
-        let spans = recorder(16);
-        drop(StageSpan::enter("simulate"));
-        assert!(spans.is_empty());
-        assert_eq!(spans.dropped(), 0);
-    }
-
-    #[test]
     fn handles_cross_threads_and_keep_ids_unique() {
         let spans = recorder(64);
-        let handle = TraceHandle::new(Arc::clone(&spans), "t1", "d", "d:request");
+        let handle = TraceHandle::new(Arc::clone(&spans), "t1", "d", None);
         let _scope = handle.enter();
+        let _root = Span::enter("request", None);
         let captured = TraceHandle::current().expect("scope is active");
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 let worker = captured.clone();
                 scope.spawn(move || {
                     let _scope = worker.enter();
-                    drop(StageSpan::enter("simulate"));
+                    drop(Span::enter("simulate", None));
                 });
             }
         });
-        let mut ids: Vec<String> = spans.spans_for("t1").into_iter().map(|s| s.span_id).collect();
-        ids.sort();
-        assert_eq!(ids, vec!["d:simulate", "d:simulate.1"]);
+        let mut rows: Vec<(String, Option<String>)> =
+            spans.spans_for("t1").into_iter().map(|s| (s.span_id, s.parent)).collect();
+        rows.sort();
+        let request = Some("d:request".to_string());
+        assert_eq!(
+            rows,
+            [("d:simulate".to_string(), request.clone()), ("d:simulate.1".to_string(), request)],
+            "worker spans hang under the span open where the handle was captured"
+        );
     }
 
     #[test]
     fn tree_json_is_byte_stable_under_a_scripted_clock() {
         let render = || {
             let spans = recorder(16);
-            let handle = TraceHandle::new(Arc::clone(&spans), "t1", "d", "d:request");
+            let handle = TraceHandle::new(Arc::clone(&spans), "t1", "d", Some("d:request"));
             {
                 let _scope = handle.enter();
-                drop(StageSpan::enter("simulate"));
+                drop(Span::enter("simulate", None));
             }
             spans.tree_json("t1")
         };

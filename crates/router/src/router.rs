@@ -11,7 +11,8 @@
 //!    `quota_exceeded` frames), so no denied request ever reaches a
 //!    backend;
 //! 3. heavy ops are **relayed raw**: the client's original frame bytes
-//!    go to the backend chosen by the consistent-hash ring, and the
+//!    (plus the router's generated trace id when the frame has none) go
+//!    to the backend chosen by the consistent-hash ring, and the
 //!    backend's response line comes back verbatim — byte-identical to
 //!    talking to that daemon directly, trace-id echo included. Transport
 //!    failures fail over along the ring's preference order with
@@ -36,25 +37,27 @@
 //! children (probe rounds get spans of their own under the synthetic
 //! `probe` trace), and the `trace` op answers a *stitched* tree — the
 //! router's spans plus the owning backend's, the backend's roots
-//! reparented under the successful relay span. Relayed frames stay byte
-//! verbatim, so stitching requires the client to choose the trace id
-//! (`lab submit --trace-id`, the load generator's `c<i>-<n>` ids);
-//! otherwise router and daemon fall back to different generated ids.
+//! reparented under the successful relay span. A relayed frame without a
+//! `trace_id` gets the router's generated `r<n>` spliced in, so the
+//! backend records (and echoes) the same id; frames that carry one stay
+//! byte-verbatim.
 //! Failover, circuit-break, probe and auth decisions are narrated into a
 //! structured [`EventLog`] served by the `logs` op.
 
 use crate::limiter::TokenBucket;
 use crate::merge::merge_expositions;
 use crate::ring::{HashRing, DEFAULT_RING_REPLICAS};
+use dbt_json::escape;
 use dbt_obs::{
-    Counter, EventLog, Gauge, LogLevel, MetricsRegistry, SpanRecord, SpanRecorder, TraceClock,
+    Counter, EventLog, Gauge, LogLevel, MetricsRegistry, Ring, Span, SpanRecord, SpanRecorder,
+    TraceClock, TraceHandle,
 };
-use dbt_serve::json::escape;
 use dbt_serve::{
     logs_response, spawn_acceptor, wake_acceptor, Conn, ConnectOptions, FrameMeta, JsonValue,
     LineService, OpMetrics, Request, Response, DEFAULT_MAX_FRAME_BYTES,
 };
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -318,13 +321,13 @@ struct Shared {
     started: Instant,
     metrics: RouterMetrics,
     /// The router's own span ring: request roots, relay attempts, probes.
-    spans: SpanRecorder,
+    spans: Arc<SpanRecorder>,
     /// The structured event log the `logs` op serves.
     events: EventLog,
-    /// Trace id → index of the backend that answered its relay (bounded
-    /// FIFO), so `trace` knows which shard holds the other half of the
-    /// tree.
-    trace_owners: Mutex<VecDeque<(String, usize)>>,
+    /// Trace id → index of the backend that answered its relay (bounded,
+    /// newest kept), so `trace` knows which shard holds the other half of
+    /// the tree.
+    trace_owners: Mutex<Ring<(String, usize)>>,
     /// Monotonic probe counter: gives every probe span a unique id under
     /// the synthetic `probe` trace.
     probe_seq: AtomicU64,
@@ -349,7 +352,7 @@ impl LineService for Shared {
     /// Answers one request line: the encoded response frame to write and
     /// whether the router must stop afterwards.
     fn respond(&self, conn: &mut ConnState, seq: u64, line: &str) -> (String, bool) {
-        let start_micros = self.spans.now_micros();
+        let start = self.spans.now_micros();
         let (decoded, meta) = match Request::decode_frame_meta(line) {
             Ok((request, meta)) => (Ok(request), meta),
             Err(error) => (Err(error), FrameMeta::default()),
@@ -357,24 +360,18 @@ impl LineService for Shared {
         // The router's fallback trace id for the n-th frame of a
         // connection is `r<n>`, like the daemon's `t<n>`.
         let trace = meta.trace_id.clone().unwrap_or_else(|| format!("r{seq}"));
-        let heavy = decoded.as_ref().map(Request::is_heavy).unwrap_or(false);
+        // Heavy frames record the router's half of the tree under an
+        // `r:request` root (decode through answer), parented under
+        // whatever span the client put on the envelope.
+        let handle = decoded.as_ref().map(Request::is_heavy).unwrap_or(false).then(|| {
+            let parent = meta.parent_span.as_deref();
+            TraceHandle::new(Arc::clone(&self.spans), &trace, "r", parent)
+        });
+        let _scope = handle.as_ref().map(TraceHandle::enter);
         let op = decoded.as_ref().map(Request::op).unwrap_or("invalid");
-        let span = self.metrics.ops.count(op);
+        let request = self.metrics.ops.count(op, start);
         let (answer, stop) = self.dispatch(line, decoded, &meta, &trace, conn);
-        drop(span);
-        if heavy {
-            // The router's root span: decode through answer, parented
-            // under whatever span the client put on the envelope.
-            let end_micros = self.spans.now_micros();
-            self.spans.record(SpanRecord {
-                trace_id: trace.clone(),
-                span_id: "r:request".to_string(),
-                parent: meta.parent_span.clone(),
-                stage: "request".to_string(),
-                start_micros,
-                duration_micros: end_micros.saturating_sub(start_micros),
-            });
-        }
+        drop(request);
         let frame = match answer {
             Answer::Raw(reply) => reply,
             Answer::Local(response) => response.encode_with_trace(Some(&trace)),
@@ -436,8 +433,13 @@ impl Shared {
                 (Answer::Local(Response::Ok { op, body }), false)
             }
             Route::Observe => (Answer::Local(self.observe_answer(&request)), false),
-            Route::Key(key) => (self.relay(line, &op, &self.ring.preference(&key), trace), false),
-            Route::Replicate(key) => (self.replicate_upload(line, &key, trace), false),
+            Route::Key(key) => {
+                let order = self.ring.preference(&key);
+                (self.relay(&with_trace_id(line, meta, trace), &op, &order, trace), false)
+            }
+            Route::Replicate(key) => {
+                (self.replicate_upload(&with_trace_id(line, meta, trace), &key, trace), false)
+            }
         }
     }
 
@@ -456,9 +458,8 @@ impl Shared {
     /// The stitched `trace` body: the router's own spans for `target`
     /// plus the owning backend's tree, the backend's parentless roots
     /// reparented under the router's last relay span so the whole request
-    /// reads as one tree. Requires the client to have chosen the trace id
-    /// (a relayed frame travels verbatim, so router and daemon fall back
-    /// to different generated ids otherwise).
+    /// reads as one tree. Router and backend share the trace id: a relayed
+    /// frame carries the client's or, spliced in, the router's `r<n>`.
     fn stitched_trace_body(&self, target: &str) -> String {
         let mut spans = self.spans.spans_for(target);
         if let Some(owner) = self.owner_of(target) {
@@ -486,13 +487,9 @@ impl Shared {
         owners.iter().rev().find(|(id, _)| id == trace_id).map(|&(_, index)| index)
     }
 
-    /// Remembers which backend answered `trace_id` (bounded FIFO).
+    /// Remembers which backend answered `trace_id` (newest kept).
     fn record_owner(&self, trace_id: &str, index: usize) {
-        let mut owners = self.trace_owners.lock().expect("trace owner lock");
-        if owners.len() >= TRACE_OWNER_CAPACITY {
-            owners.pop_front();
-        }
-        owners.push_back((trace_id.to_string(), index));
+        self.trace_owners.lock().expect("trace owner lock").push((trace_id.to_string(), index));
     }
 
     /// Counts a transport failure against a backend, narrating the
@@ -637,21 +634,13 @@ impl Shared {
                 backoff = backoff.saturating_mul(2);
             }
             let backend = &self.backends[index];
-            let attempt_start = self.spans.now_micros();
-            let outcome = backend.forward(line);
-            let (span_id, stage) = if attempt == 0 {
-                ("r:relay".to_string(), "relay")
-            } else {
-                (format!("r:failover-retry.{attempt}"), "failover-retry")
+            let outcome = {
+                let _span = match attempt {
+                    0 => Span::enter("relay", None),
+                    n => Span::numbered("failover-retry", n as u64),
+                };
+                backend.forward(line)
             };
-            self.spans.record(SpanRecord {
-                trace_id: trace.to_string(),
-                span_id,
-                parent: Some("r:request".to_string()),
-                stage: stage.to_string(),
-                start_micros: attempt_start,
-                duration_micros: self.spans.now_micros().saturating_sub(attempt_start),
-            });
             match outcome {
                 Ok(reply) if is_lifecycle_refusal(&reply) => {
                     // The daemon answered, but only to say it is going
@@ -820,26 +809,21 @@ impl Shared {
     /// with no client frame, so their spans live under the synthetic
     /// `probe` trace, one root span per probe.
     fn probe_all(&self) {
+        let _scope = TraceHandle::new(Arc::clone(&self.spans), "probe", "r", None).enter();
         for backend in &self.backends {
             self.metrics.probes.inc();
             let seq = self.probe_seq.fetch_add(1, Ordering::Relaxed);
-            let start_micros = self.spans.now_micros();
-            // A dedicated short-timeout connection: pooled relay
-            // connections have no read timeout (sweeps take seconds).
-            let probe = ConnectOptions {
-                read_timeout: Some(self.config.probe_timeout),
-                ..ConnectOptions::default()
+            let outcome = {
+                let _span = Span::numbered("probe", seq);
+                // A dedicated short-timeout connection: pooled relay
+                // connections have no read timeout (sweeps take seconds).
+                let probe = ConnectOptions {
+                    read_timeout: Some(self.config.probe_timeout),
+                    ..ConnectOptions::default()
+                };
+                Conn::connect_with(backend.addr, probe)
+                    .and_then(|mut conn| conn.roundtrip(&Request::Health.encode()))
             };
-            let outcome = Conn::connect_with(backend.addr, probe)
-                .and_then(|mut conn| conn.roundtrip(&Request::Health.encode()));
-            self.spans.record(SpanRecord {
-                trace_id: "probe".to_string(),
-                span_id: format!("r:probe.{seq}"),
-                parent: None,
-                stage: "probe".to_string(),
-                start_micros,
-                duration_micros: self.spans.now_micros().saturating_sub(start_micros),
-            });
             match outcome {
                 Ok(_) => backend.record_success(),
                 Err(_) => {
@@ -861,6 +845,19 @@ impl Shared {
                 }
             }
         }
+    }
+}
+
+/// `line` with the router's generated `trace` id spliced in when the
+/// client sent no `trace_id`, so the backend records its half of the tree
+/// under (and echoes) the id the router's own spans use. A frame that
+/// carries a `trace_id` is relayed byte-verbatim.
+fn with_trace_id<'a>(line: &'a str, meta: &FrameMeta, trace: &str) -> Cow<'a, str> {
+    match line.trim_end().strip_suffix('}') {
+        Some(object) if meta.trace_id.is_none() => {
+            Cow::Owned(format!("{object}, \"trace_id\": \"{}\"}}", escape(trace)))
+        }
+        _ => Cow::Borrowed(line),
     }
 }
 
@@ -995,9 +992,9 @@ pub fn serve_router_with_clock<A: ToSocketAddrs>(
         shutdown: AtomicBool::new(false),
         started: Instant::now(),
         metrics,
-        spans: SpanRecorder::new(clock),
+        spans: Arc::new(SpanRecorder::new(clock)),
         events: EventLog::new(),
-        trace_owners: Mutex::new(VecDeque::new()),
+        trace_owners: Mutex::new(Ring::new(TRACE_OWNER_CAPACITY)),
         probe_seq: AtomicU64::new(0),
         quotas: Mutex::new(HashMap::new()),
         probe_wake: (Mutex::new(()), Condvar::new()),
@@ -1446,6 +1443,29 @@ mod tests {
         assert!(body.contains("\"span_id\": \"d:request\", \"parent\": \"r:relay\""), "{body}");
         assert!(body.contains("\"span_id\": \"d:decode\""), "{body}");
         assert!(body.contains("\"span_id\": \"d:queue-wait\""), "{body}");
+        stop(daemons, router);
+    }
+
+    #[test]
+    fn frames_without_a_trace_id_are_traced_under_the_routers_ids() {
+        let (daemons, router) = fleet(2, RouterConfig::default());
+        let mut client = Client::connect(router.addr()).unwrap();
+        // One scenario, so every frame rides the same pooled backend
+        // connection, whose own generated ids the answers once echoed.
+        let run = Request::Run { scenario: "figure4/gemm/selective/default".to_string() };
+        for n in 0..3 {
+            let (reply, trace) = client.request_traced(&run, None).unwrap();
+            assert!(matches!(reply, Response::Ok { .. }), "{reply:?}");
+            assert_eq!(trace, Some(format!("r{n}")), "the answer echoes the router's id");
+        }
+        let body = ok_body(client.request(&Request::Trace { target: "r1".to_string() }).unwrap());
+        assert!(body.contains("\"span_id\": \"r:request\", \"parent\": null"), "{body}");
+        assert!(body.contains("\"span_id\": \"d:request\", \"parent\": \"r:relay\""), "{body}");
+        assert!(body.contains("\"span_id\": \"d:queue-wait\""), "{body}");
+        // A client's own id travels byte-verbatim.
+        let line = r#"{"op": "run", "scenario": "s", "trace_id": "c-1"}"#;
+        let meta = FrameMeta { trace_id: Some("c-1".to_string()), ..FrameMeta::default() };
+        assert_eq!(with_trace_id(line, &meta, "r9"), line);
         stop(daemons, router);
     }
 

@@ -15,9 +15,6 @@
 //!   response; protocol v3 adds the optional `auth` member and the
 //!   `quota_exceeded` response status ([`FrameMeta`]) that the
 //!   `dbt-router` fleet front door enforces;
-//! * [`json`] — the dependency-free JSON reader the protocol needs (the
-//!   repo's emitters are hand-rolled writers; this is the matching
-//!   parser);
 //! * [`server`] — the daemon: per-connection handlers that run each heavy
 //!   request on the thread that read it behind a counting gate (explicit
 //!   `busy` when full, never unbounded buffering), generic over the
@@ -45,14 +42,13 @@
 
 pub mod client;
 pub mod conn;
-pub mod json;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
 
 pub use client::Client;
 pub use conn::{Conn, ConnectOptions};
-pub use json::JsonValue;
+pub use dbt_json::JsonValue;
 pub use loadgen::{drive, LoadOptions, LoadOutcome, OpLatency};
 pub use protocol::{FrameMeta, ProgramSource, Request, Response, RunKnobs, DEFAULT_RUN_POLICY};
 pub use server::{

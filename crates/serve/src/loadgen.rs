@@ -26,7 +26,7 @@
 
 use crate::client::Client;
 use crate::protocol::{Request, Response};
-use dbt_obs::{Counter, Histogram, MetricsRegistry, Span, DEFAULT_LATENCY_BOUNDS_MICROS};
+use dbt_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_LATENCY_BOUNDS_MICROS};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -178,11 +178,9 @@ pub fn drive(
                             let trace_id = format!("c{client_index}-{seq}");
                             seq += 1;
                             let begun = Instant::now();
-                            let traced = {
-                                let _span = Span::on(latency);
-                                client.request_traced(request, Some(&trace_id))
-                            };
+                            let traced = client.request_traced(request, Some(&trace_id));
                             let took_micros = begun.elapsed().as_micros() as u64;
+                            latency.observe_micros(took_micros);
                             {
                                 let mut slot =
                                     slowest[index].lock().expect("slowest slot poisoned");

@@ -58,7 +58,7 @@
 //! the `logs` op the structured event-log ring (`dbt-serve/logs/v1`).
 //! Both are cheap ops answered inline, like `stats`.
 
-use crate::json::{escape, JsonValue};
+use dbt_json::{escape, JsonValue};
 
 /// Mitigation-policy label applied when a program-ref `run` request does
 /// not name one: the verdict-gated selective policy, the flagship of this

@@ -40,16 +40,18 @@
 //! `d:queue-wait` (the wait at the gate) and `d:encode` children recorded
 //! here, and the deeper `translate.*`/`simulate` stages recorded by the
 //! lab layers through the ambient [`dbt_obs::TraceHandle`] the handler
-//! enters around execution. The `trace` op assembles the tree; the `logs`
-//! op serves the daemon's structured [`EventLog`] (lifecycle events and
-//! request panics live there). Both rings are bounded by fixed capacities
+//! enters for the whole request. One [`dbt_obs::Span`] is both the root
+//! and the request's sample in the per-op latency histogram. The `trace`
+//! op assembles the tree; the `logs` op serves the daemon's structured
+//! [`EventLog`] (lifecycle events and request panics live there). Both
+//! rings are bounded by fixed capacities
 //! ([`dbt_obs::DEFAULT_SPAN_CAPACITY`], [`dbt_obs::DEFAULT_EVENT_CAPACITY`]).
 
 use crate::conn::{Conn, Frame, FrameCounters};
 use crate::protocol::{ProgramSource, Request, Response, RunKnobs};
 use dbt_obs::{
-    Counter, EventLog, Gauge, Histogram, LogLevel, MetricsRegistry, Span, SpanRecord, SpanRecorder,
-    TraceClock, TraceHandle, DEFAULT_LATENCY_BOUNDS_MICROS,
+    Counter, EventLog, Gauge, Histogram, LogLevel, MetricsRegistry, Span, SpanRecorder, TraceClock,
+    TraceHandle, DEFAULT_LATENCY_BOUNDS_MICROS,
 };
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -302,13 +304,16 @@ impl OpMetrics {
         }
     }
 
-    /// Counts one frame of `op` (unknown ops count as `invalid`) and times
-    /// it into the op's histogram until the returned span drops.
-    pub fn count(&self, op: &str) -> Span {
+    /// Counts one frame of `op` (unknown ops count as `invalid`) and
+    /// returns the `request` span that times it into the op's histogram
+    /// until it drops. Under an active trace the span is also the trace's
+    /// root and starts at `start_micros`, the trace-clock reading taken
+    /// when the frame arrived.
+    pub fn count(&self, op: &str, start_micros: u64) -> Span {
         let index = |op| OP_LABELS.iter().position(|known| *known == op);
         let index = index(op).or_else(|| index("invalid")).expect("invalid is registered");
         self.requests[index].inc();
-        Span::on(&self.latency[index])
+        Span::since("request", start_micros, Some(&self.latency[index]))
     }
 
     /// Frames seen across every op.
@@ -333,9 +338,8 @@ pub fn logs_response(events: &EventLog, level: Option<&str>) -> Response {
     }
 }
 
-/// Span-id prefix and root span id of daemon-side spans.
+/// Span-id prefix of daemon-side spans.
 const SPAN_PREFIX: &str = "d";
-const ROOT_SPAN: &str = "d:request";
 
 /// The server's own metric families, resolved once at startup on a
 /// per-daemon registry (a process can host several daemons — tests do —
@@ -420,54 +424,31 @@ impl LineService for Shared {
     /// trace id `t<n>` unless the client chose its own.
     fn respond(&self, _: &mut (), seq: u64, line: &str) -> (String, bool) {
         self.metrics.inflight.inc();
-        let decode_start = self.spans.now_micros();
+        let start = self.spans.now_micros();
         let (decoded, meta) = match Request::decode_frame_meta(line) {
             Ok((request, meta)) => (Ok(request), meta),
             Err(error) => (Err(error), Default::default()),
         };
-        let decode_end = self.spans.now_micros();
         let trace_id = meta.trace_id.unwrap_or_else(|| format!("t{seq}"));
+        // Heavy requests record a span tree under a `d:request` root that
+        // hangs under the frame's `parent_span`; cheap ones (including the
+        // `trace` fetch itself) stay span-free.
+        let trace = decoded.as_ref().map(Request::is_heavy).unwrap_or(false).then(|| {
+            let parent = meta.parent_span.as_deref();
+            TraceHandle::new(Arc::clone(&self.spans), &trace_id, SPAN_PREFIX, parent)
+        });
+        let _scope = trace.as_ref().map(TraceHandle::enter);
         // Count the frame up front (under its op as soon as it is known),
         // so a `stats` or `metrics` answer includes the very request that
         // asked.
         let op = decoded.as_ref().map(Request::op).unwrap_or("invalid");
-        let span = self.metrics.ops.count(op);
-        // Heavy requests get a span tree under the request root; cheap
-        // ones (including the `trace` fetch itself) stay span-free.
-        let trace = decoded.as_ref().map(Request::is_heavy).unwrap_or(false).then(|| {
-            self.spans.record(SpanRecord {
-                trace_id: trace_id.clone(),
-                span_id: format!("{SPAN_PREFIX}:decode"),
-                parent: Some(ROOT_SPAN.to_string()),
-                stage: "decode".to_string(),
-                start_micros: decode_start,
-                duration_micros: decode_end.saturating_sub(decode_start),
-            });
-            TraceHandle::new(Arc::clone(&self.spans), &trace_id, SPAN_PREFIX, ROOT_SPAN)
-        });
-        let (response, stop) = self.answer(decoded, trace.as_ref());
-        let answered = self.spans.now_micros();
+        let request = self.metrics.ops.count(op, start);
+        drop(Span::since("decode", start, None));
+        let (response, stop) = self.answer(decoded, &trace_id);
+        let encode = Span::enter("encode", None);
         let frame = response.encode_with_trace(Some(&trace_id));
-        if trace.is_some() {
-            let encoded = self.spans.now_micros();
-            self.spans.record(SpanRecord {
-                trace_id: trace_id.clone(),
-                span_id: format!("{SPAN_PREFIX}:encode"),
-                parent: Some(ROOT_SPAN.to_string()),
-                stage: "encode".to_string(),
-                start_micros: answered,
-                duration_micros: encoded.saturating_sub(answered),
-            });
-            self.spans.record(SpanRecord {
-                trace_id: trace_id.clone(),
-                span_id: ROOT_SPAN.to_string(),
-                parent: meta.parent_span,
-                stage: "request".to_string(),
-                start_micros: decode_start,
-                duration_micros: encoded.saturating_sub(decode_start),
-            });
-        }
-        drop(span);
+        drop(encode);
+        drop(request);
         self.metrics.inflight.dec();
         (frame, stop)
     }
@@ -488,14 +469,8 @@ impl LineService for Shared {
 }
 
 impl Shared {
-    /// The untimed request dispatch behind [`Shared::respond`]; `trace`
-    /// is the span context of a heavy request, entered around its
-    /// execution.
-    fn answer(
-        &self,
-        decoded: Result<Request, String>,
-        trace: Option<&TraceHandle>,
-    ) -> (Response, bool) {
+    /// The untimed request dispatch behind [`Shared::respond`].
+    fn answer(&self, decoded: Result<Request, String>, trace_id: &str) -> (Response, bool) {
         let request = match decoded {
             Ok(request) => request,
             Err(error) => return (Response::Error { op: "invalid".to_string(), error }, false),
@@ -538,14 +513,14 @@ impl Shared {
                 (Response::Ok { op, body: self.spans.tree_json(&target) }, false)
             }
             Request::Logs { level } => (logs_response(&self.events, level.as_deref()), false),
-            request => (self.run_heavy(request, op, trace), false),
+            request => (self.run_heavy(request, op, trace_id), false),
         }
     }
 
     /// Runs one heavy request on this thread once the gate admits it. A
     /// backend panic is caught here and answered as an `error` frame, so
     /// the connection and the gate slot survive it.
-    fn run_heavy(&self, request: Request, op: String, trace: Option<&TraceHandle>) -> Response {
+    fn run_heavy(&self, request: Request, op: String, trace_id: &str) -> Response {
         let arrived = self.spans.now_micros();
         let pass = match self.gate.enter() {
             Ok(pass) => pass,
@@ -557,23 +532,10 @@ impl Shared {
                 return Response::Error { op, error: "server is shutting down".to_string() }
             }
         };
-        // Surface the wait at the gate, then re-enter the request's trace
-        // context around execution (the lab layers' stage spans flow
-        // through it).
-        let scope = trace.map(|handle| {
-            let admitted = self.spans.now_micros();
-            self.spans.record(SpanRecord {
-                trace_id: handle.trace_id().to_string(),
-                span_id: format!("{SPAN_PREFIX}:queue-wait"),
-                parent: Some(ROOT_SPAN.to_string()),
-                stage: "queue-wait".to_string(),
-                start_micros: arrived,
-                duration_micros: admitted.saturating_sub(arrived),
-            });
-            handle.enter()
-        });
+        // Surface the wait at the gate; the lab layers' spans land in the
+        // request's trace, active on this thread since `respond` entered it.
+        drop(Span::since("queue-wait", arrived, None));
         let result = catch_unwind(AssertUnwindSafe(|| execute(&*self.backend, &request)));
-        drop(scope);
         drop(pass);
         match result {
             Ok(result) => {
@@ -591,8 +553,7 @@ impl Shared {
                     .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
                     .unwrap_or("no message");
                 let error = format!("the `{op}` request panicked: {message}");
-                let trace_id = trace.map(TraceHandle::trace_id);
-                self.events.log(LogLevel::Error, "serve.request", &error, trace_id, &[]);
+                self.events.log(LogLevel::Error, "serve.request", &error, Some(trace_id), &[]);
                 Response::Error { op, error }
             }
         }

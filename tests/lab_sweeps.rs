@@ -3,7 +3,7 @@
 //! serial measurement path.
 
 use dbt_lab::{
-    run_sweep, run_sweep_with, AttackVariant, ExecOptions, JobOutcome, ProgramSpec, Registry,
+    run_sweep, run_sweep_obs, AttackVariant, ExecOptions, JobOutcome, ProgramSpec, Registry,
     ScenarioKind, Sweep, TranslationService,
 };
 use dbt_platform::PolicyComparison;
@@ -79,7 +79,7 @@ fn each_translation_is_compiled_exactly_once_per_service_even_multithreaded() {
     let scenarios = mixed_sweep().expand();
     let opts = ExecOptions { threads: 4, verbose: false };
     let service = TranslationService::new();
-    let first = run_sweep_with("mixed", &scenarios, opts, &service);
+    let first = run_sweep_obs("mixed", &scenarios, opts, &service, None, None);
     assert!(
         first.stats.translation_misses > 0,
         "a cold service must compile something: {:?}",
@@ -97,7 +97,7 @@ fn each_translation_is_compiled_exactly_once_per_service_even_multithreaded() {
     // Re-running the identical sweep against the same service must not
     // compile a single translation again: each (program, config) was
     // translated exactly once, and the counter proves it.
-    let second = run_sweep_with("mixed", &scenarios, opts, &service);
+    let second = run_sweep_obs("mixed", &scenarios, opts, &service, None, None);
     assert_eq!(
         second.stats.translation_misses, 0,
         "every translation of the second sweep must be a memo hit: {:?}",
@@ -119,8 +119,8 @@ fn shared_and_fresh_services_produce_identical_cycles_and_stable_json() {
     // A pre-warmed shared service changes only the hit/miss split — every
     // cycle count, rollback and recovery rate stays identical.
     let service = TranslationService::new();
-    let _warmup = run_sweep_with("mixed", &scenarios, opts, &service);
-    let warm = run_sweep_with("mixed", &scenarios, opts, &service);
+    let _warmup = run_sweep_obs("mixed", &scenarios, opts, &service, None, None);
+    let warm = run_sweep_obs("mixed", &scenarios, opts, &service, None, None);
     assert_eq!(fresh_a.results, warm.results);
     assert_eq!(warm.stats.translation_misses, 0, "nothing left to compile: {:?}", warm.stats);
     assert!(warm.stats.translation_hits > 0);
@@ -166,7 +166,7 @@ fn the_full_registry_sweep_fits_the_default_translation_budget() {
     let service = TranslationService::new();
     let opts = ExecOptions { threads: 2, verbose: false };
     for sweep in registry.sweeps() {
-        let _ = run_sweep_with(&sweep.name, &sweep.expand(), opts, &service);
+        let _ = run_sweep_obs(&sweep.name, &sweep.expand(), opts, &service, None, None);
     }
     let stats = service.stats();
     assert_eq!(stats.evictions, 0, "{stats:?}");
