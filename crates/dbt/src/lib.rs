@@ -23,10 +23,10 @@
 //! The main entry point is [`DbtEngine`]. Engines created through
 //! [`DbtEngine::with_service`] share a process-wide, thread-safe
 //! [`TranslationService`]: a memoizing query layer that compiles each
-//! distinct (program, path, speculation options, policy, issue width)
-//! translation exactly once and hands every later run the cached product,
-//! so a multi-policy sweep does not redo identical decode/trace/analysis
-//! work per run.
+//! distinct (path, speculation options, policy, issue width) translation
+//! exactly once and hands every later run the cached product, whichever
+//! program the path belongs to, so a multi-policy sweep does not redo
+//! identical decode/trace/analysis work per run.
 
 pub mod codegen;
 pub mod config;

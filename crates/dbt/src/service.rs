@@ -1,6 +1,6 @@
 //! The cross-run translation service: a thread-safe, process-wide memo
-//! of translation products, shared by every engine that runs the same
-//! guest program.
+//! of translation products, shared by every engine that attaches it,
+//! whatever program each one runs.
 //!
 //! The harness historically re-translated every program from scratch for
 //! each `(program, policy)` run of a sweep, although translations are pure
@@ -17,19 +17,23 @@
 //!   speculate and take no mitigation, so their codegen is shared across
 //!   all policies as well.
 //!
-//! Entries are grouped per program fingerprint (see
-//! [`Program::fingerprint`](dbt_riscv::Program)) in a [`BoundedMap`]
-//! weighing one per compile product (analysis or codegen slot; a
-//! product's size is bounded because `max_trace_guest_insts` bounds every
-//! path); past the budget, whole least-recently-used programs are
-//! evicted. Every query resolves to exactly one compile process-wide, even
-//! when several sweep workers demand the same key concurrently (late
-//! askers block on the winner's `OnceLock`), so hit/miss counters are
-//! deterministic for a given job list regardless of thread count — *as
-//! long as the resident products stay within the budget*, which
+//! Every product is one entry of a [`BoundedMap`], keyed by its compile
+//! input alone: the guest path's content plus the query's own inputs, and
+//! never the program the path came from. Two programs that share code (a
+//! proof of concept run again with a fresh secret, an uploaded variant that
+//! differs only in its data) therefore share its products. The key is a
+//! 64-bit hash of that input, and each entry keeps the input itself: a hit
+//! must match it whole, so no two inputs can share a product even if their
+//! hashes collide (a colliding ask compiles uncached and counts a miss).
+//! Past the budget, single least-recently-used products are evicted. Every
+//! query resolves to exactly one compile process-wide, even when several
+//! sweep workers demand the same key concurrently (late askers block on
+//! the winner's `OnceLock`), so hit/miss counters are deterministic for a
+//! given job list regardless of thread count — *as long as the resident
+//! products stay within the budget*, which
 //! [`DEFAULT_SERVICE_BUDGET_PRODUCTS`] does for every in-repo working set.
 //! Once eviction engages under concurrency, the LRU victim depends on
-//! thread timing and evicted programs re-miss.
+//! thread timing and evicted products re-miss.
 
 use crate::codegen::generate;
 use crate::config::DbtConfig;
@@ -44,11 +48,11 @@ use dbt_persist::BoundedMap;
 use dbt_vliw::TranslatedBlock;
 use ghostbusters::{apply_with_verdict, MitigationPolicy, MitigationReport};
 use spectaint::LeakageVerdict;
+use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Result of the analysis query: the translated IR block, its unhardened
 /// dependency graph and, for optimised superblocks, the leakage verdict.
@@ -100,9 +104,9 @@ pub struct ServiceStats {
     /// Queries that had to compile (equals the number of distinct
     /// translation products produced process-wide).
     pub misses: u64,
-    /// Program entries currently resident.
-    pub programs: usize,
-    /// Program entries evicted to honour the product budget.
+    /// Compile products currently resident: what the budget bounds.
+    pub products: u64,
+    /// Compile products evicted to honour the budget.
     pub evictions: u64,
 }
 
@@ -129,12 +133,12 @@ impl ServiceStats {
             .counter("dbt_translate_misses_total", "Translation queries that had to compile.")
             .set(self.misses);
         registry
-            .gauge("dbt_translate_programs", "Program entries resident in the service.")
-            .set(self.programs as i64);
+            .gauge("dbt_translate_products", "Compile products resident in the service.")
+            .set(self.products as i64);
         registry
             .counter(
                 "dbt_translate_evictions_total",
-                "Program entries evicted to honour the product budget.",
+                "Compile products evicted to honour the product budget.",
             )
             .set(self.evictions);
     }
@@ -144,22 +148,6 @@ impl ServiceStats {
 fn hash64(value: &impl Hash) -> u64 {
     let mut hasher = DefaultHasher::new();
     value.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// Content fingerprint of a guest path: entry, every element, side exits
-/// and block kind. Two equal fingerprints describe the same compile input.
-fn path_fingerprint(path: &GuestPath, kind: BlockKind) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    path.entry_pc.hash(&mut hasher);
-    for element in &path.elements {
-        element.pc.hash(&mut hasher);
-        element.inst.hash(&mut hasher);
-        element.follow_taken.hash(&mut hasher);
-    }
-    path.fallthrough.hash(&mut hasher);
-    path.merged_blocks.hash(&mut hasher);
-    kind.hash(&mut hasher);
     hasher.finish()
 }
 
@@ -233,12 +221,26 @@ pub(crate) fn compile_path(
 /// One cache slot: filled exactly once, shared between waiting threads.
 type Slot<T> = Arc<OnceLock<Result<T, DbtError>>>;
 
-/// Memoized queries of one guest program. It weighs one compile product
-/// per slot against the service's budget.
-#[derive(Debug, Default)]
-struct ProgramTranslations {
-    analyses: HashMap<u64, Slot<AnalysisProduct>>,
-    codegens: HashMap<u64, Slot<CompileProduct>>,
+/// What a compile query reads besides its guest path. With the path, it
+/// is the query's whole input: a product is a pure function of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct QueryInput {
+    kind: BlockKind,
+    options: DfgOptions,
+    /// The codegen query's own inputs, `None` for the analysis query: the
+    /// policy (`None` for basic-tier blocks, which take no mitigation, so
+    /// every policy shares their code) and the issue width.
+    codegen: Option<(Option<MitigationPolicy>, usize)>,
+}
+
+/// One resident product with the input it was compiled from, which a hit
+/// must match: the map's key is only a hash of that input.
+#[derive(Debug)]
+struct Entry {
+    path: GuestPath,
+    input: QueryInput,
+    /// The product's `Slot<T>`, `T` being the query's product type.
+    slot: Arc<dyn Any + Send + Sync>,
 }
 
 /// Resolved phase-timing handles (one histogram per compile stage);
@@ -269,30 +271,29 @@ impl ServiceMetrics {
 /// The memoizing, thread-safe translation query layer.
 ///
 /// Construct one per process (or per sweep, for deterministic per-sweep
-/// counters) and hand it to every run of the same programs:
+/// counters) and hand it to every run:
 ///
 /// ```
 /// use dbt_engine::{DbtConfig, DbtEngine, TranslationService};
 ///
 /// let service = TranslationService::new();
-/// let fingerprint = 0x1234; // Program::fingerprint() of the guest program
-/// let engine = DbtEngine::with_service(DbtConfig::selective(), service.clone(), fingerprint);
+/// let engine = DbtEngine::with_service(DbtConfig::selective(), service.clone(), 0);
 /// assert_eq!(service.stats().misses, 0, "nothing translated yet");
 /// # let _ = engine;
 /// ```
 #[derive(Debug)]
 pub struct TranslationService {
-    programs: Mutex<BoundedMap<u64, ProgramTranslations>>,
+    entries: Mutex<BoundedMap<u64, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     metrics: Option<ServiceMetrics>,
 }
 
 /// Default budget of resident compile products (one per analysis or
-/// codegen slot). It holds every in-repo working set — the largest, the
-/// full `lab sweep` on one service, is 1,159 products over 17 programs —
-/// while keeping a daemon that faces an unbounded key space (fresh
-/// platform knobs, uploads) from growing without limit.
+/// codegen entry). It holds every in-repo working set — the largest, the
+/// full `lab sweep` on one service, is 1,091 products — while keeping a
+/// daemon that faces an unbounded key space (fresh platform knobs,
+/// uploads) from growing without limit.
 pub const DEFAULT_SERVICE_BUDGET_PRODUCTS: u64 = 1536;
 
 impl TranslationService {
@@ -302,8 +303,8 @@ impl TranslationService {
     }
 
     /// A service bounded to `products` resident compile products: beyond
-    /// that, the least recently used programs are evicted whole. The
-    /// program being translated is never the victim.
+    /// that, the least recently used products are evicted. The product
+    /// being inserted is never the victim.
     ///
     /// # Panics
     ///
@@ -327,55 +328,62 @@ impl TranslationService {
     fn build(products: u64, metrics: Option<ServiceMetrics>) -> Arc<TranslationService> {
         assert!(products >= 1, "the translation service needs a budget of at least one product");
         Arc::new(TranslationService {
-            programs: Mutex::new(BoundedMap::new(products)),
+            entries: Mutex::new(BoundedMap::new(products)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             metrics,
         })
     }
 
+    /// The resident products, also after a panic elsewhere poisoned their
+    /// lock: no compile runs under it, so the map is never left half
+    /// updated.
+    fn entries(&self) -> MutexGuard<'_, BoundedMap<u64, Entry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Snapshot of the counters.
     pub fn stats(&self) -> ServiceStats {
-        let programs = self.programs.lock().expect("service poisoned");
+        let entries = self.entries();
         ServiceStats {
             hits: self.hits.load(Ordering::SeqCst),
             misses: self.misses.load(Ordering::SeqCst),
-            programs: programs.len(),
-            evictions: programs.evictions(),
+            products: entries.weight(),
+            evictions: entries.evictions(),
         }
     }
 
-    /// Compile products resident across all programs: what the budget
-    /// bounds.
-    pub fn resident_products(&self) -> u64 {
-        self.programs.lock().expect("service poisoned").weight()
-    }
-
-    /// Resolves one memoized query of program `program`: returns the
-    /// cached value for `key` in the slot table `table` picks, or computes
-    /// it exactly once process-wide, counting a hit or a miss. A new slot
-    /// adds one product to the program's weight, which may evict other
-    /// least recently used programs.
-    fn query<T: Clone>(
+    /// Resolves one memoized query: the product of `path` and `input`
+    /// filed under `key` (a hash of both), or computes it exactly once
+    /// process-wide, counting a hit or a miss. A new entry weighs one
+    /// product, which may evict least recently used others. An entry
+    /// under `key` compiled from another input is a collision: `compute`
+    /// then runs uncached and counts a miss.
+    fn query<T: Clone + Send + Sync + 'static>(
         &self,
-        program: u64,
-        table: fn(&mut ProgramTranslations) -> &mut HashMap<u64, Slot<T>>,
         key: u64,
+        path: &GuestPath,
+        input: QueryInput,
         compute: impl FnOnce() -> Result<T, DbtError>,
     ) -> (Result<T, DbtError>, bool) {
         let slot = {
-            let mut programs = self.programs.lock().expect("service poisoned");
-            let entry = programs.get_or_insert_with(program, 0, Default::default);
-            let slots = table(entry);
-            match slots.get(&key) {
-                Some(slot) => Arc::clone(slot),
+            let mut entries = self.entries();
+            match entries.get(&key) {
+                Some(entry) if entry.input == input && entry.path == *path => {
+                    Arc::clone(&entry.slot).downcast().ok()
+                }
+                Some(_) => None,
                 None => {
-                    let slot = Slot::default();
-                    slots.insert(key, Arc::clone(&slot));
-                    programs.add_weight(&program, 1);
-                    slot
+                    let slot = Slot::<T>::default();
+                    let entry = Entry { path: path.clone(), input, slot: slot.clone() };
+                    entries.insert(key, entry, 1);
+                    Some(slot)
                 }
             }
+        };
+        let Some(slot) = slot else {
+            self.misses.fetch_add(1, Ordering::SeqCst);
+            return (compute(), false);
         };
         let mut computed = false;
         let result = slot
@@ -392,29 +400,29 @@ impl TranslationService {
         (result, !computed)
     }
 
-    /// Translates `path` for the program identified by `program_fingerprint`
-    /// under `config`, reusing memoized analysis and codegen products
-    /// whenever their inputs match.
+    /// Translates `path` under `config`, reusing memoized analysis and
+    /// codegen products whenever their inputs match, whichever program
+    /// they were first compiled for.
     ///
     /// # Errors
     ///
     /// Returns the (memoized) [`DbtError`] of the failing compile stage.
     pub fn translate(
         &self,
-        program_fingerprint: u64,
         config: &DbtConfig,
         path: &GuestPath,
         kind: BlockKind,
     ) -> Result<Translated, DbtError> {
         let options = effective_options(config, kind);
         let optimised = matches!(kind, BlockKind::Superblock { .. });
-        let path_fp = path_fingerprint(path, kind);
-        let analysis_key = hash64(&(path_fp, options));
         // Basic-tier codegen takes no mitigation, so the policy stays out of
-        // its key and every policy shares the product.
+        // its input and every policy shares the product.
         let policy = optimised.then_some(config.policy);
-        let codegen_key = hash64(&(analysis_key, policy, config.issue_width));
-        let fp = program_fingerprint;
+        let analysis_input = QueryInput { kind, options, codegen: None };
+        let codegen_input =
+            QueryInput { codegen: Some((policy, config.issue_width)), ..analysis_input };
+        // The path is hashed once; each query's key adds its own input.
+        let path_key = hash64(path);
         let analyse = || {
             let _span = Span::enter(
                 "translate.analysis",
@@ -423,13 +431,15 @@ impl TranslationService {
             run_analysis(path, kind, options)
         };
         let compile = || {
-            let (analysis, _) = self.query(fp, |p| &mut p.analyses, analysis_key, analyse);
+            let analysis_key = hash64(&(path_key, analysis_input));
+            let (analysis, _) = self.query(analysis_key, path, analysis_input, analyse);
             let analysis = analysis?;
             let _span =
                 Span::enter("translate.codegen", self.metrics.as_ref().map(|m| &m.codegen_seconds));
             run_codegen(&analysis, config.policy, config.issue_width)
         };
-        let (product, cache_hit) = self.query(fp, |p| &mut p.codegens, codegen_key, compile);
+        let codegen_key = hash64(&(path_key, codegen_input));
+        let (product, cache_hit) = self.query(codegen_key, path, codegen_input, compile);
         Ok(Translated { product: product?, cache_hit })
     }
 }
@@ -462,11 +472,9 @@ mod tests {
         let (mem, entry) = straightline_memory();
         let service = TranslationService::new();
         let path = basic_path(&mem, entry);
-        let first =
-            service.translate(1, &DbtConfig::unprotected(), &path, BlockKind::Basic).unwrap();
+        let first = service.translate(&DbtConfig::unprotected(), &path, BlockKind::Basic).unwrap();
         assert!(!first.cache_hit);
-        let second =
-            service.translate(1, &DbtConfig::unprotected(), &path, BlockKind::Basic).unwrap();
+        let second = service.translate(&DbtConfig::unprotected(), &path, BlockKind::Basic).unwrap();
         assert!(second.cache_hit);
         assert_eq!(first.product.code, second.product.code);
         assert!(Arc::ptr_eq(&first.product.code, &second.product.code), "products are shared");
@@ -481,9 +489,9 @@ mod tests {
         let service = TranslationService::new();
         let path = basic_path(&mem, entry);
         let unprotected =
-            service.translate(1, &DbtConfig::unprotected(), &path, BlockKind::Basic).unwrap();
+            service.translate(&DbtConfig::unprotected(), &path, BlockKind::Basic).unwrap();
         let selective =
-            service.translate(1, &DbtConfig::selective(), &path, BlockKind::Basic).unwrap();
+            service.translate(&DbtConfig::selective(), &path, BlockKind::Basic).unwrap();
         assert!(!unprotected.cache_hit);
         assert!(
             selective.cache_hit,
@@ -492,7 +500,7 @@ mod tests {
         // Disabling speculation still shares basic-tier products: the first
         // pass is conservative under every config.
         let nospec =
-            service.translate(1, &DbtConfig::no_speculation(), &path, BlockKind::Basic).unwrap();
+            service.translate(&DbtConfig::no_speculation(), &path, BlockKind::Basic).unwrap();
         assert!(nospec.cache_hit);
     }
 
@@ -503,37 +511,38 @@ mod tests {
         let path = basic_path(&mem, entry);
         let config = DbtConfig::fine_grained();
         let fresh = compile_path(&config, &path, BlockKind::Basic).unwrap();
-        let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
-        let memoized = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
+        let _ = service.translate(&config, &path, BlockKind::Basic).unwrap();
+        let memoized = service.translate(&config, &path, BlockKind::Basic).unwrap();
         assert!(memoized.cache_hit);
         assert_eq!(*fresh.code, *memoized.product.code);
     }
 
     #[test]
-    fn capacity_bound_evicts_the_least_recently_used_program() {
+    fn capacity_bound_evicts_the_least_recently_used_product() {
         let (mem, entry) = straightline_memory();
-        // Each program's basic-tier translation is two products (analysis
-        // and codegen), so a budget of four holds two programs.
+        // Each basic-tier translation is two products (its codegen, then
+        // the analysis that codegen asks for), so a budget of four holds
+        // two paths.
         let service = TranslationService::with_budget(4);
-        let path = basic_path(&mem, entry);
         let config = DbtConfig::unprotected();
-        for program in 1..=3u64 {
-            let _ = service.translate(program, &config, &path, BlockKind::Basic).unwrap();
-        }
+        let [a, b, c] = [0, 4, 8].map(|offset| basic_path(&mem, entry + offset));
+        let hit = |path| service.translate(&config, path, BlockKind::Basic).unwrap().cache_hit;
+        let resident = || (service.stats().products, service.stats().evictions);
+        assert!(!hit(&a) && !hit(&b));
+        assert_eq!(resident(), (4, 0));
+        // C's two products push out A's two, the least recently used.
+        assert!(!hit(&c));
+        assert_eq!(resident(), (4, 2));
+        assert!(hit(&b), "B was used after A");
+        assert!(!hit(&a), "A was the victim and re-compiles");
+        // A's products evicted B's analysis and C's codegen, the two least
+        // recently used: single products go, not whole paths, so B's
+        // codegen, used since, still hits.
+        assert_eq!(resident(), (4, 4));
+        assert!(hit(&b), "B's codegen survived its analysis");
+        assert!(!hit(&c), "C's codegen was a victim");
         let stats = service.stats();
-        assert_eq!(stats.programs, 2, "the product budget holds");
-        assert_eq!(stats.evictions, 1, "one whole program was evicted");
-        assert_eq!(service.resident_products(), 4);
-        // Program 1 was the least recently used and must re-translate.
-        let again = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
-        assert!(!again.cache_hit);
-        // A program growing in place evicts the others: a second codegen
-        // slot for program 1 (another issue width) pushes program 3 out.
-        let wide = DbtConfig { issue_width: 8, ..DbtConfig::unprotected() };
-        let _ = service.translate(1, &wide, &path, BlockKind::Basic).unwrap();
-        let stats = service.stats();
-        assert_eq!((stats.programs, stats.evictions), (1, 3));
-        assert_eq!(service.resident_products(), 3);
+        assert_eq!((stats.hits, stats.misses, stats.products, stats.evictions), (2, 10, 4, 6));
     }
 
     #[test]
@@ -546,9 +555,9 @@ mod tests {
         // translating under a valid config and asserting the Ok path — and
         // assert that a second ask for the same key does not recompile.
         let config = DbtConfig::unprotected();
-        assert!(service.translate(1, &config, &path, BlockKind::Basic).is_ok());
+        assert!(service.translate(&config, &path, BlockKind::Basic).is_ok());
         let misses = service.stats().misses;
-        assert!(service.translate(1, &config, &path, BlockKind::Basic).is_ok());
+        assert!(service.translate(&config, &path, BlockKind::Basic).is_ok());
         assert_eq!(service.stats().misses, misses, "no recompilation for a cached key");
     }
 
@@ -565,8 +574,8 @@ mod tests {
         let service = TranslationService::with_metrics(&registry);
         let path = basic_path(&mem, entry);
         let config = DbtConfig::unprotected();
-        let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
-        let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
+        let _ = service.translate(&config, &path, BlockKind::Basic).unwrap();
+        let _ = service.translate(&config, &path, BlockKind::Basic).unwrap();
         let text = registry.render();
         assert!(
             text.contains("dbt_translate_phase_seconds_count{phase=\"analysis\"} 1"),
@@ -585,13 +594,68 @@ mod tests {
         let service = TranslationService::new();
         let path = basic_path(&mem, entry);
         let config = DbtConfig::unprotected();
-        let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
-        let _ = service.translate(1, &config, &path, BlockKind::Basic).unwrap();
+        let _ = service.translate(&config, &path, BlockKind::Basic).unwrap();
+        let _ = service.translate(&config, &path, BlockKind::Basic).unwrap();
         service.stats().export(&registry);
         let text = registry.render();
         assert!(text.contains("dbt_translate_hits_total 1"), "{text}");
         assert!(text.contains("dbt_translate_misses_total 2"), "{text}");
-        assert!(text.contains("dbt_translate_programs 1"), "{text}");
+        assert!(text.contains("dbt_translate_products 2"), "{text}");
         assert!(text.contains("dbt_translate_evictions_total 0"), "{text}");
+    }
+
+    #[test]
+    fn inputs_forced_onto_one_key_each_get_their_own_product() {
+        let (mem, entry) = straightline_memory();
+        let service = TranslationService::new();
+        let [a, b] = [0, 4].map(|offset| basic_path(&mem, entry + offset));
+        let options = DfgOptions::no_speculation();
+        let input = QueryInput { kind: BlockKind::Basic, options, codegen: None };
+        // Every ask files under key 7, as a hash collision would.
+        let analyse = |path: &GuestPath| {
+            let (product, hit) =
+                service.query(7, path, input, || run_analysis(path, BlockKind::Basic, options));
+            (product.unwrap(), hit)
+        };
+        let (first, hit) = analyse(&a);
+        assert!(!hit);
+        let (second, hit) = analyse(&b);
+        assert!(!hit, "B's path differs from the input A left under the key");
+        let fresh = run_analysis(&b, BlockKind::Basic, options).unwrap();
+        assert_eq!(*second.ir, *fresh.ir, "B gets its own product");
+        assert_ne!(*second.ir, *first.ir);
+        // A keeps the key; B compiles uncached on every ask.
+        let (again, hit) = analyse(&a);
+        assert!(hit && Arc::ptr_eq(&again.ir, &first.ir));
+        assert!(!analyse(&b).1);
+        // A codegen input on the same path and key is another input too.
+        let codegen = QueryInput { codegen: Some((None, 4)), ..input };
+        let config = DbtConfig::unprotected();
+        let (code, hit) = service.query(7, &a, codegen, || run_codegen(&first, config.policy, 4));
+        assert!(!hit);
+        let fresh = compile_path(&config, &a, BlockKind::Basic).unwrap();
+        assert_eq!(*code.unwrap().code, *fresh.code);
+        let stats = service.stats();
+        assert_eq!((stats.hits, stats.misses, stats.products), (1, 4, 1));
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_serves_hits_inserts_and_stats() {
+        let (mem, entry) = straightline_memory();
+        let service = TranslationService::new();
+        let config = DbtConfig::unprotected();
+        let [a, b] = [0, 4].map(|offset| basic_path(&mem, entry + offset));
+        service.translate(&config, &a, BlockKind::Basic).unwrap();
+        let poisoner = Arc::clone(&service);
+        let panicked = std::thread::spawn(move || {
+            let _entries = poisoner.entries.lock().unwrap();
+            panic!("a panic while the translation service's lock is held");
+        })
+        .join();
+        assert!(panicked.is_err() && service.entries.is_poisoned());
+        assert!(service.translate(&config, &a, BlockKind::Basic).unwrap().cache_hit);
+        assert!(!service.translate(&config, &b, BlockKind::Basic).unwrap().cache_hit);
+        let stats = service.stats();
+        assert_eq!((stats.hits, stats.misses, stats.products), (1, 4, 4));
     }
 }

@@ -8,7 +8,7 @@ use dbt_riscv::{decode, GuestMemory, Inst, Reg};
 
 /// One guest instruction on a path, together with the trace-formation
 /// decision taken for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PathElement {
     /// Guest address of the instruction.
     pub pc: u64,
@@ -22,7 +22,7 @@ pub struct PathElement {
 }
 
 /// A selected guest path: the unit handed to the translator.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GuestPath {
     /// Guest address of the first instruction.
     pub entry_pc: u64,

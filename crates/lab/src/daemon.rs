@@ -6,7 +6,7 @@
 //! * a single shared [`TranslationService`] — every session of every
 //!   request resolves its compiles through one memo, so a client fleet
 //!   pays each distinct translation once per daemon lifetime, not once
-//!   per request;
+//!   per request or per program that contains it;
 //! * a single content-addressed [`RunMemo`] — whole run summaries keyed by
 //!   `(program fingerprint, platform-config fingerprint)`, so a repeated
 //!   identical scenario skips the simulation entirely;
@@ -260,11 +260,11 @@ impl LabBackend for LabDaemon {
         let service = self.service.stats();
         format!(
             "{{\"run_memo\": {}, \"translation\": {{\"hits\": {}, \"misses\": {}, \
-             \"programs\": {}, \"evictions\": {}}}, \"store\": {}}}",
+             \"products\": {}, \"evictions\": {}}}, \"store\": {}}}",
             memo.to_json(),
             service.hits,
             service.misses,
-            service.programs,
+            service.products,
             service.evictions,
             self.store.stats().to_json()
         )
@@ -378,7 +378,7 @@ mod tests {
         assert_eq!(
             daemon.stats_json(),
             "{\"run_memo\": {\"hits\": 0, \"misses\": 0, \"entries\": 0, \"evictions\": 0}, \
-             \"translation\": {\"hits\": 0, \"misses\": 0, \"programs\": 0, \"evictions\": 0}, \
+             \"translation\": {\"hits\": 0, \"misses\": 0, \"products\": 0, \"evictions\": 0}, \
              \"store\": {\"programs\": 0, \"uploads\": 0, \"dedup_hits\": 0, \"seeded\": 0, \
              \"evictions\": 0}}"
         );
@@ -535,7 +535,7 @@ mod tests {
             ("dbt_runmemo_evictions_total", ["run_memo", "evictions"]),
             ("dbt_translate_hits_total", ["translation", "hits"]),
             ("dbt_translate_misses_total", ["translation", "misses"]),
-            ("dbt_translate_programs", ["translation", "programs"]),
+            ("dbt_translate_products", ["translation", "products"]),
             ("dbt_translate_evictions_total", ["translation", "evictions"]),
             ("dbt_store_programs", ["store", "programs"]),
             ("dbt_store_uploads_total", ["store", "uploads"]),

@@ -14,10 +14,10 @@
 //!   `(program, platform)`, so each workload's baseline is simulated
 //!   exactly once per sweep, not once per comparison;
 //! * **translations** — every session of the sweep shares one
-//!   [`TranslationService`], so each distinct translation (per program,
-//!   path, speculation options, policy and issue width) is compiled
-//!   exactly once per sweep regardless of how many jobs and threads demand
-//!   it. The service's hit/miss counters land in [`ExecStats`] (and hence
+//!   [`TranslationService`], so each distinct translation (per path,
+//!   speculation options, policy and issue width, whichever program the
+//!   path belongs to) is compiled exactly once per sweep regardless of how
+//!   many jobs and threads demand it. The service's hit/miss counters land in [`ExecStats`] (and hence
 //!   in the sweep JSON), so the reuse is visible in the artifacts.
 
 use crate::scenario::{Scenario, ScenarioKind};

@@ -104,19 +104,6 @@ impl<K: Hash + Ord + Clone, V> BoundedMap<K, V> {
         self.evict_for(&key);
     }
 
-    /// Grows the entry under `key` by `delta` (a cache whose entries grow
-    /// in place), then evicts others until the weight fits the budget.
-    /// Absent and pinned keys are left alone.
-    pub fn add_weight(&mut self, key: &K, delta: u64) {
-        let order = &self.order;
-        let unpinned = |entry: &&mut Entry<V>| order.contains(&(entry.tick, key.clone()));
-        if let Some(entry) = self.entries.get_mut(key).filter(unpinned) {
-            entry.weight += delta;
-            self.weight += delta;
-            self.evict_for(key);
-        }
-    }
-
     /// Takes the entry under `key` out of the budget for good: it is never
     /// evicted and its weight stops counting.
     pub fn pin(&mut self, key: &K) {
@@ -197,14 +184,12 @@ mod tests {
         let mut map = BoundedMap::new(100);
         map.insert(1u64, (), 30);
         map.insert(2u64, (), 50);
-        assert_eq!(map.weight(), 80);
-        // Growing an entry in place counts, and evicts others when over.
-        map.add_weight(&2, 15);
-        assert_eq!((map.weight(), map.evictions()), (95, 0));
-        map.add_weight(&2, 10);
-        assert!(map.get(&1).is_none(), "1 was evicted to fit 2's growth");
+        assert_eq!((map.weight(), map.evictions()), (80, 0));
+        // Replacing a value swaps its weight rather than adding to it, and
+        // evicts others when the new weight is over.
+        map.insert(2u64, (), 75);
+        assert!(map.get(&1).is_none(), "1 was evicted to fit 2's new weight");
         assert_eq!((map.weight(), map.evictions()), (75, 1));
-        // Replacing a value swaps its weight rather than adding to it.
         map.insert(2u64, (), 5);
         assert_eq!((map.len(), map.weight()), (1, 5));
         map.get_or_insert_with(3, 7, || ());
@@ -222,8 +207,6 @@ mod tests {
             map.insert(key, 1, 1);
         }
         assert_eq!(map.get(&"seed"), Some(&mut 0));
-        // Pinned weight never grows either.
-        map.add_weight(&"seed", 50);
         assert_eq!((map.len(), map.weight(), map.evictions()), (3, 2, 2));
     }
 

@@ -29,7 +29,7 @@
 use crate::processor::RunSummary;
 use dbt_persist::BoundedMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Content address of one run: program fingerprint × config fingerprint.
 ///
@@ -186,9 +186,16 @@ impl RunMemo {
         })
     }
 
+    /// The resident slots, also after a panic elsewhere poisoned their
+    /// lock: no simulation runs under it, so the map is never left half
+    /// updated.
+    fn slots(&self) -> MutexGuard<'_, BoundedMap<RunKey, Slot>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Snapshot of the counters.
     pub fn stats(&self) -> MemoStats {
-        let slots = self.slots.lock().expect("run memo poisoned");
+        let slots = self.slots();
         MemoStats {
             hits: self.hits.load(Ordering::SeqCst),
             misses: self.misses.load(Ordering::SeqCst),
@@ -200,8 +207,7 @@ impl RunMemo {
     /// The slot for `key`, creating it (and evicting the least recently
     /// used *other* entry if the capacity bound is exceeded) as needed.
     fn slot(&self, key: RunKey) -> Slot {
-        let mut slots = self.slots.lock().expect("run memo poisoned");
-        Arc::clone(slots.get_or_insert_with(key, 1, Slot::default))
+        Arc::clone(self.slots().get_or_insert_with(key, 1, Slot::default))
     }
 
     /// Returns the cached run for `key`, simulating it (exactly once
@@ -323,6 +329,26 @@ mod tests {
             .get_or_run(RunKey { program: 1, config: 3 }, || panic!("must still be resident"))
             .unwrap();
         assert_eq!(kept.summary.cycles, 3);
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_serves_hits_inserts_and_stats() {
+        let memo = RunMemo::new();
+        let resident = RunKey { program: 1, config: 1 };
+        let _ = memo.get_or_run(resident, || Ok(sample_run(10)));
+        let poisoner = Arc::clone(&memo);
+        let panicked = std::thread::spawn(move || {
+            let _slots = poisoner.slots.lock().unwrap();
+            panic!("a panic while the run memo's lock is held");
+        })
+        .join();
+        assert!(panicked.is_err() && memo.slots.is_poisoned());
+        let hit = memo.get_or_run(resident, || panic!("must be a hit")).unwrap();
+        assert_eq!(hit.summary.cycles, 10);
+        let inserted = memo.get_or_run(RunKey { program: 2, config: 1 }, || Ok(sample_run(20)));
+        assert_eq!(inserted.unwrap().summary.cycles, 20);
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
     }
 
     #[test]

@@ -168,8 +168,8 @@ pub struct DbtProcessor {
 impl DbtProcessor {
     /// Creates a processor with `program` loaded and ready to run from its
     /// entry point, with an optional shared translation service (the
-    /// engine memoizes its translations there under the program's
-    /// fingerprint).
+    /// engine memoizes its translations there by compile input, so they
+    /// serve every program that shares the code).
     ///
     /// Construction is crate-internal: external callers go through the
     /// [`Session`](crate::Session) builder, which is also where a shared
@@ -195,7 +195,8 @@ impl DbtProcessor {
         // top of guest memory.
         core.arch_mut().set_reg(Reg::SP, (memory.len() as u64) & !0xf);
         let engine = match service {
-            Some(service) => DbtEngine::with_service(config.dbt, service, program.fingerprint()),
+            // `with_service` ignores its program fingerprint argument.
+            Some(service) => DbtEngine::with_service(config.dbt, service, 0),
             None => DbtEngine::new(config.dbt),
         };
         Ok(DbtProcessor { program: program.clone(), config, engine, core, memory })

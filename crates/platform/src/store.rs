@@ -30,7 +30,7 @@ use dbt_riscv::Program;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// How a request names a guest program.
 ///
@@ -251,6 +251,18 @@ impl ProgramStore {
         })
     }
 
+    /// The resident programs, also after a panic elsewhere poisoned their
+    /// lock: no builder or parser runs under it, so the map is never left
+    /// half updated.
+    fn programs(&self) -> MutexGuard<'_, BoundedMap<u64, Arc<Program>>> {
+        self.programs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The registry entries, poison-tolerant like [`ProgramStore::programs`].
+    fn named(&self) -> MutexGuard<'_, HashMap<String, Arc<NamedEntry>>> {
+        self.named.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers a named registry entry. The builder runs lazily, at most
     /// once, on the first [`ProgramStore::resolve`] that names it.
     pub fn register(
@@ -258,7 +270,7 @@ impl ProgramStore {
         name: &str,
         build: impl Fn() -> Result<Program, String> + Send + Sync + 'static,
     ) {
-        self.named.lock().expect("program store poisoned").insert(
+        self.named().insert(
             name.to_string(),
             Arc::new(NamedEntry { build: Box::new(build), seeded: OnceLock::new() }),
         );
@@ -266,15 +278,14 @@ impl ProgramStore {
 
     /// All registered names, sorted (for error messages and listings).
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> =
-            self.named.lock().expect("program store poisoned").keys().cloned().collect();
+        let mut names: Vec<String> = self.named().keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> StoreStats {
-        let programs = self.programs.lock().expect("program store poisoned");
+        let programs = self.programs();
         StoreStats {
             programs: programs.len(),
             uploads: self.uploads.load(Ordering::SeqCst),
@@ -287,7 +298,7 @@ impl ProgramStore {
     /// Guest image bytes of the resident unpinned programs: what the
     /// budget bounds.
     pub fn resident_bytes(&self) -> u64 {
-        self.programs.lock().expect("program store poisoned").weight()
+        self.programs().weight()
     }
 
     /// Interns `program` under its content fingerprint, evicting least
@@ -302,7 +313,7 @@ impl ProgramStore {
         // A seed joins at weight 0 and is pinned at once, so it never
         // counts against the budget.
         let weight = if pin { 0 } else { image_bytes(&program) };
-        let mut programs = self.programs.lock().expect("program store poisoned");
+        let mut programs = self.programs();
         let (program, resident) = match programs.get(&fp) {
             Some(resident) => (Arc::clone(resident), true),
             None => {
@@ -332,7 +343,7 @@ impl ProgramStore {
     /// The resident program with content fingerprint `fp`, if any.
     /// Counts as a use for LRU purposes.
     pub fn get(&self, fp: u64) -> Option<Arc<Program>> {
-        self.programs.lock().expect("program store poisoned").get(&fp).map(|p| Arc::clone(p))
+        self.programs().get(&fp).map(|p| Arc::clone(p))
     }
 
     /// Resolves a ref to its program: registry entries are lazily seeded
@@ -349,7 +360,7 @@ impl ProgramStore {
                 // Look up, then drop the lock *before* any fallible work:
                 // both the error message (`names` re-locks) and the
                 // builder below must run lock-free.
-                let entry = self.named.lock().expect("program store poisoned").get(name).cloned();
+                let entry = self.named().get(name).cloned();
                 let entry = entry.ok_or_else(|| {
                     format!("unknown program `{name}`; valid programs: {}", self.names().join(", "))
                 })?;
@@ -514,6 +525,29 @@ mod tests {
         }
         assert!(store.get(seeded_fp).is_some());
         assert!(store.stats().evictions > 0, "unpinned uploads did get evicted");
+    }
+
+    #[test]
+    fn poisoned_locks_still_serve_hits_inserts_and_stats() {
+        let store = ProgramStore::new();
+        store.register("tiny", || Ok(tiny(7)));
+        let (resident, _) = store.upload(tiny(1));
+        let poisoner = Arc::clone(&store);
+        let panicked = std::thread::spawn(move || {
+            let _programs = poisoner.programs.lock().unwrap();
+            let _named = poisoner.named.lock().unwrap();
+            panic!("a panic while the program store's locks are held");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(store.programs.is_poisoned() && store.named.is_poisoned());
+        assert!(store.upload(tiny(1)).1, "a dedup hit");
+        assert_eq!(store.get(resident).unwrap().fingerprint(), resident);
+        assert!(!store.upload(tiny(2)).1, "an insert");
+        let seeded = store.resolve(&ProgramRef::Registry("tiny".to_string())).unwrap();
+        assert_eq!(seeded.fingerprint(), tiny(7).fingerprint());
+        let stats = store.stats();
+        assert_eq!((stats.programs, stats.uploads, stats.dedup_hits, stats.seeded), (3, 3, 1, 1));
     }
 
     #[test]

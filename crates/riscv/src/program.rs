@@ -239,8 +239,8 @@ impl Program {
     /// table is how a run's outputs — e.g. the attacks' `recovered`
     /// buffer — are read back) at the same names. This makes the
     /// fingerprint a sound content address everywhere one is needed: the
-    /// program half of the translation-service and run-memo keys, and
-    /// the identity the `ProgramStore` deduplicates uploads by.
+    /// program half of the run-memo key, and the identity the
+    /// `ProgramStore` deduplicates uploads by.
     ///
     /// It is the [`Hash`] of the program under a default
     /// [`DefaultHasher`](std::collections::hash_map::DefaultHasher),

@@ -331,6 +331,8 @@ struct Shared {
     /// Monotonic probe counter: gives every probe span a unique id under
     /// the synthetic `probe` trace.
     probe_seq: AtomicU64,
+    /// The number of the next generated trace id, `r<n>`.
+    trace_seq: AtomicU64,
     /// Token buckets keyed by auth token (or peer IP when auth is off).
     quotas: Mutex<HashMap<String, TokenBucket>>,
     /// Wakes the prober early on shutdown.
@@ -351,15 +353,18 @@ impl LineService for Shared {
 
     /// Answers one request line: the encoded response frame to write and
     /// whether the router must stop afterwards.
-    fn respond(&self, conn: &mut ConnState, seq: u64, line: &str) -> (String, bool) {
+    fn respond(&self, conn: &mut ConnState, line: &str) -> (String, bool) {
         let start = self.spans.now_micros();
         let (decoded, meta) = match Request::decode_frame_meta(line) {
             Ok((request, meta)) => (Ok(request), meta),
             Err(error) => (Err(error), FrameMeta::default()),
         };
-        // The router's fallback trace id for the n-th frame of a
-        // connection is `r<n>`, like the daemon's `t<n>`.
-        let trace = meta.trace_id.clone().unwrap_or_else(|| format!("r{seq}"));
+        // A frame without a client-chosen trace id gets the router's next
+        // `r<n>`, numbered across all connections like the daemon's `t<n>`.
+        let trace = meta
+            .trace_id
+            .clone()
+            .unwrap_or_else(|| format!("r{}", self.trace_seq.fetch_add(1, Ordering::Relaxed)));
         // Heavy frames record the router's half of the tree under an
         // `r:request` root (decode through answer), parented under
         // whatever span the client put on the envelope.
@@ -996,6 +1001,7 @@ pub fn serve_router_with_clock<A: ToSocketAddrs>(
         events: EventLog::new(),
         trace_owners: Mutex::new(Ring::new(TRACE_OWNER_CAPACITY)),
         probe_seq: AtomicU64::new(0),
+        trace_seq: AtomicU64::new(0),
         quotas: Mutex::new(HashMap::new()),
         probe_wake: (Mutex::new(()), Condvar::new()),
     });
@@ -1395,9 +1401,10 @@ mod tests {
         let (reply, trace) = client.request_traced(&Request::Stats, Some("local-1")).unwrap();
         assert!(matches!(reply, Response::Ok { .. }));
         assert_eq!(trace.as_deref(), Some("local-1"));
-        // And generates deterministic `r<n>` ids when the client sent none.
+        // And generates `r<n>` ids, numbered over the router's id-less
+        // frames, when the client sent none.
         let (_, trace) = client.request_traced(&Request::Stats, None).unwrap();
-        assert_eq!(trace.as_deref(), Some("r2"));
+        assert_eq!(trace.as_deref(), Some("r0"));
         stop(daemons, router);
     }
 
@@ -1443,6 +1450,28 @@ mod tests {
         assert!(body.contains("\"span_id\": \"d:request\", \"parent\": \"r:relay\""), "{body}");
         assert!(body.contains("\"span_id\": \"d:decode\""), "{body}");
         assert!(body.contains("\"span_id\": \"d:queue-wait\""), "{body}");
+        stop(daemons, router);
+    }
+
+    #[test]
+    fn generated_trace_ids_are_unique_across_connections() {
+        let (daemons, router) = fleet(2, RouterConfig::default());
+        let run = Request::Run { scenario: "figure4/gemm/selective/default".to_string() };
+        // Two one-shot clients, each sending one id-less heavy frame.
+        let ids: Vec<String> = (0..2)
+            .map(|_| {
+                let mut client = Client::connect(router.addr()).unwrap();
+                client.request_traced(&run, None).unwrap().1.unwrap()
+            })
+            .collect();
+        assert_eq!(ids, ["r0", "r1"]);
+        let mut client = Client::connect(router.addr()).unwrap();
+        for id in &ids {
+            let body = ok_body(client.request(&Request::Trace { target: id.clone() }).unwrap());
+            assert_eq!(body.matches("\"span_id\": \"r:request\"").count(), 1, "{body}");
+            assert_eq!(body.matches("\"span_id\": \"d:request\"").count(), 1, "{body}");
+            assert_eq!(body.matches("\"parent\": null").count(), 1, "one root: {body}");
+        }
         stop(daemons, router);
     }
 

@@ -30,8 +30,9 @@
 //! all admitted work is done.
 //!
 //! Every answered request is tagged with a trace id — the frame's own
-//! `trace_id` when the client sent one, a deterministic per-connection
-//! `t<n>` otherwise — echoed on the response frame. Its latency lands in
+//! `trace_id` when the client sent one, the server's next `t<n>` otherwise
+//! (numbered across all connections, so no two requests share one) —
+//! echoed on the response frame. Its latency lands in
 //! the per-op `dbt_serve_request_seconds` histogram.
 //!
 //! Heavy requests additionally get a causal span tree keyed by that
@@ -55,7 +56,7 @@ use dbt_obs::{
 };
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -410,6 +411,8 @@ struct Shared {
     spans: Arc<SpanRecorder>,
     /// Structured lifecycle events, served by the `logs` op.
     events: EventLog,
+    /// The number of the next generated trace id, `t<n>`.
+    trace_seq: AtomicU64,
 }
 
 impl LineService for Shared {
@@ -420,16 +423,18 @@ impl LineService for Shared {
     }
 
     /// Parses and answers one request line, timing it into the per-op
-    /// latency histogram. The n-th frame of a connection gets the fallback
-    /// trace id `t<n>` unless the client chose its own.
-    fn respond(&self, _: &mut (), seq: u64, line: &str) -> (String, bool) {
+    /// latency histogram. A frame without a client-chosen trace id gets
+    /// the server's next `t<n>`.
+    fn respond(&self, _: &mut (), line: &str) -> (String, bool) {
         self.metrics.inflight.inc();
         let start = self.spans.now_micros();
         let (decoded, meta) = match Request::decode_frame_meta(line) {
             Ok((request, meta)) => (Ok(request), meta),
             Err(error) => (Err(error), Default::default()),
         };
-        let trace_id = meta.trace_id.unwrap_or_else(|| format!("t{seq}"));
+        let trace_id = meta
+            .trace_id
+            .unwrap_or_else(|| format!("t{}", self.trace_seq.fetch_add(1, Ordering::Relaxed)));
         // Heavy requests record a span tree under a `d:request` root that
         // hangs under the frame's `parent_span`; cheap ones (including the
         // `trace` fetch itself) stay span-free.
@@ -622,9 +627,9 @@ pub trait LineService: Send + Sync + 'static {
     type Session: Send;
     /// Starts a connection's state (and may attach counters to `conn`).
     fn open(&self, conn: &mut Conn) -> Self::Session;
-    /// Answers the connection's `seq`-th non-blank request line: the
-    /// response frame, and whether the endpoint must stop once it is sent.
-    fn respond(&self, session: &mut Self::Session, seq: u64, line: &str) -> (String, bool);
+    /// Answers one non-blank request line of a connection: the response
+    /// frame, and whether the endpoint must stop once it is sent.
+    fn respond(&self, session: &mut Self::Session, line: &str) -> (String, bool);
     /// Whether the endpoint is stopping; the acceptor exits once it is.
     fn stopping(&self) -> bool;
     /// Starts stopping, idempotently, and wakes the acceptor (blocked in
@@ -677,7 +682,6 @@ pub fn spawn_acceptor<S: LineService>(
 fn serve_connection<S: LineService>(stream: TcpStream, service: &S, max_frame_bytes: usize) {
     let Ok(mut conn) = Conn::new(stream) else { return };
     let mut session = service.open(&mut conn);
-    let mut seq = 0;
     let error = loop {
         let line = match conn.read_frame(max_frame_bytes) {
             Frame::Line(line) => line,
@@ -687,8 +691,7 @@ fn serve_connection<S: LineService>(stream: TcpStream, service: &S, max_frame_by
         if line.trim().is_empty() {
             continue;
         }
-        let (frame, stop) = service.respond(&mut session, seq, &line);
-        seq += 1;
+        let (frame, stop) = service.respond(&mut session, &line);
         if conn.send(&frame).is_err() {
             return;
         }
@@ -769,6 +772,7 @@ pub fn serve_with_clock<A: ToSocketAddrs>(
         metrics: ServerMetrics::new(),
         spans: Arc::new(SpanRecorder::new(clock)),
         events: EventLog::new(),
+        trace_seq: AtomicU64::new(0),
         config,
     });
     shared.events.log(
@@ -1074,7 +1078,7 @@ mod tests {
         let handle = serve("127.0.0.1:0", quiet_backend(), ServerConfig::default()).unwrap();
         let mut client = Client::connect(handle.addr()).unwrap();
 
-        // Generated ids are deterministic per connection: frame n gets `t<n>`.
+        // Generated ids number the server's id-less frames: the first is `t0`.
         let (reply, trace) = client.request_traced(&Request::Health, None).unwrap();
         assert!(matches!(reply, Response::Ok { .. }));
         assert_eq!(trace.as_deref(), Some("t0"));
@@ -1153,8 +1157,8 @@ mod tests {
         fn open(&self, conn: &mut Conn) {
             self.nodelay.lock().unwrap().push(conn.socket().nodelay().unwrap());
         }
-        fn respond(&self, _: &mut (), seq: u64, line: &str) -> (String, bool) {
-            (format!("echo {seq} {line}"), line == "stop")
+        fn respond(&self, _: &mut (), line: &str) -> (String, bool) {
+            (format!("echo {line}"), line == "stop")
         }
         fn stopping(&self) -> bool {
             self.stopping.load(Ordering::SeqCst)
@@ -1174,15 +1178,15 @@ mod tests {
             Arc::new(Echo { addr, stopping: AtomicBool::new(false), nodelay: Mutex::default() });
         let acceptor = spawn_acceptor(listener, Arc::clone(&echo), 16);
         let mut conn = Conn::connect(addr).unwrap();
-        assert_eq!(conn.roundtrip("hello").unwrap(), "echo 0 hello");
-        // Blank lines are skipped, neither answered nor counted.
-        assert_eq!(conn.roundtrip("\nagain").unwrap(), "echo 1 again");
+        assert_eq!(conn.roundtrip("hello").unwrap(), "echo hello");
+        // Blank lines are skipped: the next answer is the next line's.
+        assert_eq!(conn.roundtrip("\nagain").unwrap(), "echo again");
         // Over the cap: one `error` frame, then the connection closes.
         let reply = conn.roundtrip(&"x".repeat(17)).unwrap();
         assert!(reply.contains("16-byte limit"), "{reply}");
         assert!(conn.read_line().is_err());
         let mut conn = Conn::connect(addr).unwrap();
-        assert_eq!(conn.roundtrip("stop").unwrap(), "echo 0 stop");
+        assert_eq!(conn.roundtrip("stop").unwrap(), "echo stop");
         acceptor.join().unwrap();
         assert_eq!(*echo.nodelay.lock().unwrap(), [true, true], "every accepted socket");
     }
@@ -1222,9 +1226,31 @@ mod tests {
         client.request_meta(&analyze, &meta).unwrap();
         let body = ok_body(&mut client, &Request::Trace { target: "job-2".to_string() });
         assert!(body.contains("\"span_id\": \"d:request\", \"parent\": \"r:relay\""), "{body}");
-        // Cheap requests (the trace fetches above included) record nothing.
-        let body = ok_body(&mut client, &Request::Trace { target: "t2".to_string() });
+        // Cheap requests record nothing: `t0` is the first trace fetch above.
+        let body = ok_body(&mut client, &Request::Trace { target: "t0".to_string() });
         assert!(body.contains("\"spans\": []"), "{body}");
+        handle.shutdown();
+        handle.wait();
+    }
+
+    #[test]
+    fn generated_trace_ids_are_unique_across_connections() {
+        let handle = serve("127.0.0.1:0", quiet_backend(), ServerConfig::default()).unwrap();
+        let analyze = Request::Analyze { program: "p".to_string() };
+        // Two one-shot clients, each sending one id-less heavy frame.
+        let ids: Vec<String> = (0..2)
+            .map(|_| {
+                let mut client = Client::connect(handle.addr()).unwrap();
+                client.request_traced(&analyze, None).unwrap().1.unwrap()
+            })
+            .collect();
+        assert_eq!(ids, ["t0", "t1"]);
+        let mut client = Client::connect(handle.addr()).unwrap();
+        for id in &ids {
+            let body = ok_body(&mut client, &Request::Trace { target: id.clone() });
+            assert_eq!(body.matches("\"span_id\": \"d:request\"").count(), 1, "{body}");
+            assert_eq!(body.matches("\"parent\": null").count(), 1, "one root: {body}");
+        }
         handle.shutdown();
         handle.wait();
     }

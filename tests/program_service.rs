@@ -227,13 +227,17 @@ fn invalid_run_knobs_answer_error_frames_and_keep_the_worker() {
     handle.wait();
 }
 
-/// A program of 32 short basic blocks carrying `data` bytes of image:
+/// A program of 33 short basic blocks carrying `data` bytes of image:
 /// `value` tells the variants apart, the data section makes each one
 /// heavy for the program store and the blocks (two compile products
-/// each) make it heavy for the translation service.
+/// each) make it heavy for the translation service. Every block's code
+/// depends on `value`, so no two variants share a compile product.
 fn heavy_upload(value: u64, data: u64) -> String {
-    let blocks = "    addi a1, a1, 1\n    beq a1, zero, done\n".repeat(32);
-    format!(".data payload, {data}\n    li a0, {value}\n{blocks}done:\n    ecall\n")
+    let step = value + 1;
+    let blocks = format!("    addi a1, a1, {step}\n    beq a1, zero, done\n").repeat(32);
+    format!(
+        ".data payload, {data}\n    li a0, {value}\n{blocks}done:\n    li a2, {value}\n    ecall\n"
+    )
 }
 
 /// The upload answer without its `programs` member, which counts the
@@ -271,8 +275,8 @@ fn a_flood_of_uploads_and_runs_stays_within_every_cache_budget() {
         let reference = fresh.run_program(&fp, policy, &RunKnobs::default()).expect("run fp:");
         assert_eq!(strip_stats(&ran), strip_stats(&reference), "run {fp} under {policy}");
     }
-    // Attack runs with distinct secrets: fresh run-memo keys and fresh
-    // programs for the translation service.
+    // Attack runs with distinct secrets: fresh run-memo keys, whose code
+    // the translation service shares with every other secret's.
     for (index, secret) in ["FloodSecret1", "floodsecret2"].iter().enumerate() {
         let program = ["spectre-v1", "spectre-v4"][index];
         let knobs = RunKnobs { secret: Some(secret.to_string()), ..RunKnobs::default() };
@@ -291,7 +295,7 @@ fn a_flood_of_uploads_and_runs_stays_within_every_cache_budget() {
     );
     let service = daemon.service();
     assert!(service.stats().evictions > 0, "the flood overran the product budget");
-    assert!(service.resident_products() <= dbt_engine::DEFAULT_SERVICE_BUDGET_PRODUCTS);
+    assert!(service.stats().products <= dbt_engine::DEFAULT_SERVICE_BUDGET_PRODUCTS);
     assert!(daemon.memo().stats().entries as u64 <= DEFAULT_MEMO_CAPACITY as u64);
     // An evicted upload is gone, exactly as if it was never uploaded.
     let first = upload_identity(
