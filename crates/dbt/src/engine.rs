@@ -5,7 +5,7 @@ use crate::config::DbtConfig;
 use crate::pcmap::PcMap;
 use crate::profile::Profile;
 use crate::schedule::ScheduleError;
-use crate::service::{compile_path, CompileProduct, TranslationService};
+use crate::service::{CompileProduct, TranslationService};
 use crate::tcache::{Tier, TranslationCache};
 use crate::trace_builder::{build_basic_block, build_superblock, GuestPath};
 use dbt_ir::BlockKind;
@@ -68,10 +68,10 @@ impl From<ScheduleError> for DbtError {
 /// Translation-side counters.
 ///
 /// `basic_translations` and `superblock_translations` count per-run
-/// translation *events* — they are identical whether or not a
-/// [`TranslationService`] is attached, so per-run observables stay
-/// byte-stable. `service_hits` / `service_misses` record how many of those
-/// events were served from the shared memo vs. compiled here.
+/// translation *events* — they are identical whether the engine's
+/// [`TranslationService`] is shared or private, so per-run observables
+/// stay byte-stable. `service_hits` / `service_misses` record how many of
+/// those events were served from the service's memo vs. compiled here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// First-pass (basic block) translations performed.
@@ -80,10 +80,9 @@ pub struct EngineStats {
     pub superblock_translations: u64,
     /// Guest instructions covered by all translations.
     pub guest_insts_translated: u64,
-    /// Translation events answered by the attached service's memo.
+    /// Translation events answered by the service's memo.
     pub service_hits: u64,
-    /// Translation events this engine had to compile (or that had no
-    /// service attached).
+    /// Translation events this engine had to compile.
     pub service_misses: u64,
 }
 
@@ -111,29 +110,21 @@ pub struct DbtEngine {
     summary: MitigationSummary,
     reports: Vec<(u64, MitigationReport)>,
     stats: EngineStats,
-    service: Option<Arc<TranslationService>>,
+    service: Arc<TranslationService>,
 }
 
 impl DbtEngine {
-    /// Creates an engine with the given configuration and no shared
-    /// translation service (every translation is compiled locally).
+    /// Creates an engine with the given configuration and a private
+    /// translation service of its own. Within one engine every
+    /// translation is a distinct path, so a private service never hits:
+    /// it only gives the engine the one compile path every engine uses.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is out of range (see
     /// [`DbtConfig::is_valid`]).
     pub fn new(config: DbtConfig) -> DbtEngine {
-        assert!(config.is_valid(), "invalid DBT configuration: {config:?}");
-        DbtEngine {
-            config,
-            profile: Profile::new(),
-            tcache: TranslationCache::new(),
-            branch_meta: PcMap::default(),
-            summary: MitigationSummary::new(),
-            reports: Vec::new(),
-            stats: EngineStats::default(),
-            service: None,
-        }
+        DbtEngine::with_service(config, TranslationService::new(), 0)
     }
 
     /// Creates an engine that resolves translations through a shared
@@ -157,12 +148,17 @@ impl DbtEngine {
         service: Arc<TranslationService>,
         _program_fingerprint: u64,
     ) -> DbtEngine {
-        DbtEngine { service: Some(service), ..DbtEngine::new(config) }
-    }
-
-    /// The attached translation service, if any.
-    pub fn service(&self) -> Option<&Arc<TranslationService>> {
-        self.service.as_ref()
+        assert!(config.is_valid(), "invalid DBT configuration: {config:?}");
+        DbtEngine {
+            config,
+            profile: Profile::new(),
+            tcache: TranslationCache::new(),
+            branch_meta: PcMap::default(),
+            summary: MitigationSummary::new(),
+            reports: Vec::new(),
+            stats: EngineStats::default(),
+            service,
+        }
     }
 
     /// The engine configuration.
@@ -195,26 +191,16 @@ impl DbtEngine {
         &self.tcache
     }
 
-    /// Resolves one compile: through the attached service's memo when one
-    /// is bound, locally otherwise. Records the mitigation report (for
-    /// optimised blocks) and the service counters; the products are
-    /// identical either way, since both paths run the same pure pipeline.
+    /// Resolves one compile through the service's memo. Records the
+    /// mitigation report (for optimised blocks) and the service counters.
     fn obtain(&mut self, path: &GuestPath, kind: BlockKind) -> Result<CompileProduct, DbtError> {
-        let product = match &self.service {
-            Some(service) => {
-                let translated = service.translate(&self.config, path, kind)?;
-                if translated.cache_hit {
-                    self.stats.service_hits += 1;
-                } else {
-                    self.stats.service_misses += 1;
-                }
-                translated.product
-            }
-            None => {
-                self.stats.service_misses += 1;
-                compile_path(&self.config, path, kind)?
-            }
-        };
+        let translated = self.service.translate(&self.config, path, kind)?;
+        if translated.cache_hit {
+            self.stats.service_hits += 1;
+        } else {
+            self.stats.service_misses += 1;
+        }
+        let product = translated.product;
         if let Some(analysed) = &product.analysed {
             self.summary.record(&analysed.report);
             self.reports.push((analysed.ir.entry_pc(), (*analysed.report).clone()));

@@ -26,7 +26,9 @@
 //! distinct (path, speculation options, policy, issue width) translation
 //! exactly once and hands every later run the cached product, whichever
 //! program the path belongs to, so a multi-policy sweep does not redo
-//! identical decode/trace/analysis work per run.
+//! identical decode/trace/analysis work per run. An engine created with
+//! [`DbtEngine::new`] compiles through a private service of its own, so
+//! every translation takes the same path.
 
 pub mod codegen;
 pub mod config;

@@ -207,9 +207,10 @@ fn run_codegen(
     Ok(CompileProduct { code: Arc::new(code), analysed })
 }
 
-/// Compiles a path without any memoization (the service-less path the
-/// engine falls back to).
-pub(crate) fn compile_path(
+/// Compiles a path without any memoization: the oracle the memoized
+/// products are checked against.
+#[cfg(test)]
+fn compile_path(
     config: &DbtConfig,
     path: &GuestPath,
     kind: BlockKind,
@@ -237,10 +238,39 @@ struct QueryInput {
 /// must match: the map's key is only a hash of that input.
 #[derive(Debug)]
 struct Entry {
-    path: GuestPath,
+    /// Shared by a path's analysis entry and the codegen entries filed
+    /// with it, so the path is kept once however many policies compile it.
+    path: Arc<GuestPath>,
     input: QueryInput,
     /// The product's `Slot<T>`, `T` being the query's product type.
     slot: Arc<dyn Any + Send + Sync>,
+}
+
+impl Entry {
+    /// The product's slot, if this entry was compiled from `path` and
+    /// `input`.
+    fn slot_for(&self, path: &GuestPath, input: QueryInput) -> Option<Arc<dyn Any + Send + Sync>> {
+        (self.input == input && *self.path == *path).then(|| Arc::clone(&self.slot))
+    }
+}
+
+/// The entry of `path` and `input` under `key`, now the most recently
+/// used: the resident one, or a new empty one that keeps `shared` (or a
+/// copy of `path`). Returns its slot and path, or `None` when the key
+/// holds another input.
+fn resident<T: Send + Sync + 'static>(
+    entries: &mut BoundedMap<u64, Entry>,
+    (key, input): (u64, QueryInput),
+    path: &GuestPath,
+    shared: Option<Arc<GuestPath>>,
+) -> Option<(Arc<dyn Any + Send + Sync>, Arc<GuestPath>)> {
+    if let Some(entry) = entries.get(&key) {
+        return entry.slot_for(path, input).map(|slot| (slot, Arc::clone(&entry.path)));
+    }
+    let path = shared.unwrap_or_else(|| Arc::new(path.clone()));
+    let slot: Arc<dyn Any + Send + Sync> = Slot::<T>::default();
+    entries.insert(key, Entry { path: Arc::clone(&path), input, slot: Arc::clone(&slot) }, 1);
+    Some((slot, path))
 }
 
 /// Resolved phase-timing handles (one histogram per compile stage);
@@ -355,10 +385,9 @@ impl TranslationService {
 
     /// Resolves one memoized query: the product of `path` and `input`
     /// filed under `key` (a hash of both), or computes it exactly once
-    /// process-wide, counting a hit or a miss. A new entry weighs one
-    /// product, which may evict least recently used others. An entry
-    /// under `key` compiled from another input is a collision: `compute`
-    /// then runs uncached and counts a miss.
+    /// process-wide. A new entry weighs one product, which may evict least
+    /// recently used others. An entry under `key` compiled from another
+    /// input is a collision: `compute` then runs uncached.
     fn query<T: Clone + Send + Sync + 'static>(
         &self,
         key: u64,
@@ -366,22 +395,22 @@ impl TranslationService {
         input: QueryInput,
         compute: impl FnOnce() -> Result<T, DbtError>,
     ) -> (Result<T, DbtError>, bool) {
-        let slot = {
-            let mut entries = self.entries();
-            match entries.get(&key) {
-                Some(entry) if entry.input == input && entry.path == *path => {
-                    Arc::clone(&entry.slot).downcast().ok()
-                }
-                Some(_) => None,
-                None => {
-                    let slot = Slot::<T>::default();
-                    let entry = Entry { path: path.clone(), input, slot: slot.clone() };
-                    entries.insert(key, entry, 1);
-                    Some(slot)
-                }
-            }
-        };
-        let Some(slot) = slot else {
+        let slot =
+            resident::<T>(&mut self.entries(), (key, input), path, None).map(|(slot, _)| slot);
+        self.resolve(slot, compute)
+    }
+
+    /// Fills `slot` with `compute` unless another ask already did, and
+    /// counts a hit or a miss; without a slot (a collision) `compute` runs
+    /// uncached and counts a miss.
+    fn resolve<T: Clone + Send + Sync + 'static>(
+        &self,
+        slot: Option<Arc<dyn Any + Send + Sync>>,
+        compute: impl FnOnce() -> Result<T, DbtError>,
+    ) -> (Result<T, DbtError>, bool) {
+        let Some(slot) =
+            slot.and_then(|slot| slot.downcast::<OnceLock<Result<T, DbtError>>>().ok())
+        else {
             self.misses.fetch_add(1, Ordering::SeqCst);
             return (compute(), false);
         };
@@ -430,8 +459,8 @@ impl TranslationService {
             );
             run_analysis(path, kind, options)
         };
+        let analysis_key = hash64(&(path_key, analysis_input));
         let compile = || {
-            let analysis_key = hash64(&(path_key, analysis_input));
             let (analysis, _) = self.query(analysis_key, path, analysis_input, analyse);
             let analysis = analysis?;
             let _span =
@@ -439,7 +468,28 @@ impl TranslationService {
             run_codegen(&analysis, config.policy, config.issue_width)
         };
         let codegen_key = hash64(&(path_key, codegen_input));
-        let (product, cache_hit) = self.query(codegen_key, path, codegen_input, compile);
+        let slot = {
+            let mut entries = self.entries();
+            match entries.get(&codegen_key).map(|entry| entry.slot_for(path, codegen_input)) {
+                // A hit keeps the analysis its codegen came from as recent
+                // as the codegen.
+                Some(slot) => {
+                    entries.get(&analysis_key);
+                    slot
+                }
+                // A miss asks for the analysis next, so its entry is touched
+                // (or created empty) before the codegen's insert can evict
+                // it, and both entries keep one copy of the path.
+                None => {
+                    let analysis = (analysis_key, analysis_input);
+                    let shared = resident::<AnalysisProduct>(&mut entries, analysis, path, None);
+                    let codegen = (codegen_key, codegen_input);
+                    resident::<CompileProduct>(&mut entries, codegen, path, shared.map(|(_, p)| p))
+                        .map(|(slot, _)| slot)
+                }
+            }
+        };
+        let (product, cache_hit) = self.resolve(slot, compile);
         Ok(Translated { product: product?, cache_hit })
     }
 }
@@ -535,14 +585,63 @@ mod tests {
         assert_eq!(resident(), (4, 2));
         assert!(hit(&b), "B was used after A");
         assert!(!hit(&a), "A was the victim and re-compiles");
-        // A's products evicted B's analysis and C's codegen, the two least
-        // recently used: single products go, not whole paths, so B's
-        // codegen, used since, still hits.
+        // B's codegen hit also touched B's analysis, so A's two products
+        // evicted C's two, the least recently used.
         assert_eq!(resident(), (4, 4));
-        assert!(hit(&b), "B's codegen survived its analysis");
-        assert!(!hit(&c), "C's codegen was a victim");
+        assert!(hit(&b), "B's products survived");
+        assert!(!hit(&c), "C's products were the victims");
         let stats = service.stats();
         assert_eq!((stats.hits, stats.misses, stats.products, stats.evictions), (2, 10, 4, 6));
+    }
+
+    #[test]
+    fn retranslating_a_path_whose_analysis_is_least_recent_recompiles_only_its_codegen() {
+        let (mem, entry) = straightline_memory();
+        let service = TranslationService::with_budget(4);
+        let wide = DbtConfig::unprotected();
+        let narrow = DbtConfig { issue_width: 2, ..wide };
+        let [a, b] = [0, 4].map(|offset| basic_path(&mem, entry + offset));
+        let translate = |config: &DbtConfig, path| {
+            service.translate(config, path, BlockKind::Basic).unwrap().cache_hit
+        };
+        assert!(!translate(&wide, &a) && !translate(&wide, &b));
+        // B's narrow codegen reuses B's analysis and evicts A's codegen,
+        // which leaves A's analysis the least recently used product.
+        assert!(!translate(&narrow, &b));
+        assert_eq!((service.stats().products, service.stats().evictions), (4, 1));
+        let before = service.stats();
+        assert!(!translate(&wide, &a), "A's codegen was evicted");
+        let after = service.stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (1, 1),
+            "A's analysis is touched before its codegen's insert evicts, so it stays and hits"
+        );
+        assert!(translate(&wide, &a) && translate(&narrow, &b), "B's wide codegen was the victim");
+    }
+
+    #[test]
+    fn a_superblock_under_every_speculating_policy_keeps_one_copy_of_its_path() {
+        let (mem, entry) = straightline_memory();
+        let service = TranslationService::new();
+        let path = basic_path(&mem, entry);
+        let kind = BlockKind::Superblock { merged_blocks: 1 };
+        let speculating = &MitigationPolicy::ALL[..4];
+        assert!(!speculating.contains(&MitigationPolicy::NoSpeculation));
+        for &policy in speculating {
+            service.translate(&DbtConfig::for_policy(policy), &path, kind).unwrap();
+        }
+        let stats = service.stats();
+        assert_eq!((stats.hits, stats.misses, stats.products), (3, 5, 5), "one shared analysis");
+        let options = DbtConfig::unprotected().speculation;
+        let key = hash64(&(hash64(&path), QueryInput { kind, options, codegen: None }));
+        let mut entries = service.entries();
+        let analysis = entries.get(&key).expect("the analysis is resident");
+        assert_eq!(
+            Arc::strong_count(&analysis.path),
+            5,
+            "the analysis and its four codegen entries share one path"
+        );
     }
 
     #[test]

@@ -47,10 +47,9 @@
 //! across PRs) next to the human tables on stdout.
 
 use dbt_lab::{
-    adhoc_scenario, analyze_built, analyze_program, format_attack_table, format_table,
-    format_variant_table, profile_program, run_sweep, run_sweep_obs, strip_stats, ExecOptions,
-    LabDaemon, PlatformOverrides, ProgramSpec, Registry, ScenarioKind, SourceKind,
-    TranslationService,
+    adhoc_scenario, analyze_built, analyze_program, build_source, format_attack_table,
+    format_table, format_variant_table, profile_program, run_sweep, run_sweep_obs, strip_stats,
+    ExecOptions, LabDaemon, PlatformOverrides, Registry, ScenarioKind, TranslationService,
 };
 use dbt_router::{serve_router, QuotaConfig, RouterConfig, RouterHandle};
 use dbt_serve::{
@@ -389,24 +388,18 @@ fn cmd_sweep(registry: &Registry, args: &Args) -> Result<(), String> {
 
 /// Reads an ad-hoc program source file: `.s` is text assembly, `.json` a
 /// program image; anything else is sniffed (a leading `{` means image).
-/// Returns the file stem (the report label), the source kind and the text.
-fn load_source(path: &str) -> Result<(String, SourceKind, String), String> {
+/// Returns the file stem (the report label) and the source.
+fn load_source(path: &str) -> Result<(String, ProgramSource), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let kind = if path.ends_with(".json") {
-        SourceKind::Image
-    } else if path.ends_with(".s") {
-        SourceKind::Asm
-    } else if text.trim_start().starts_with('{') {
-        SourceKind::Image
-    } else {
-        SourceKind::Asm
-    };
+    let image =
+        path.ends_with(".json") || (!path.ends_with(".s") && text.trim_start().starts_with('{'));
+    let source = if image { ProgramSource::Image(text) } else { ProgramSource::Asm(text) };
     let stem = std::path::Path::new(path)
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("program")
         .to_string();
-    Ok((stem, kind, text))
+    Ok((stem, source))
 }
 
 /// `true` when an `analyze` argument names a source file rather than a
@@ -423,11 +416,10 @@ fn cmd_run_file(args: &Args) -> Result<(), String> {
         .ok_or_else(|| "run-file expects a path (e.g. `lab run-file gadget.s`)".to_string())?;
     let policy = MitigationPolicy::from_label(&args.policy)
         .ok_or_else(|| format!("unknown policy `{}` (see the sweep tables)", args.policy))?;
-    let (label, kind, text) = load_source(path)?;
-    // Build once up front so parse errors carry the source diagnostics
-    // instead of surfacing as a failed job row.
-    let spec = ProgramSpec::Source { label: label.clone(), kind, text };
-    let program = spec.build()?;
+    let (label, source) = load_source(path)?;
+    // Build up front so parse errors carry the source diagnostics instead
+    // of surfacing as a failed job row.
+    let program = Arc::new(build_source(&source)?);
     let scenario = adhoc_scenario(&label, program, policy, PlatformOverrides::default(), None);
     let opts = ExecOptions { threads: 1, verbose: !args.quiet };
     let report = run_sweep(&scenario.name, std::slice::from_ref(&scenario), opts);
@@ -441,9 +433,8 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         .first()
         .ok_or_else(|| "analyze expects a program name (e.g. `lab analyze gemm`)".to_string())?;
     let report = if looks_like_path(program) {
-        let (label, kind, text) = load_source(program)?;
-        let built = ProgramSpec::Source { label: label.clone(), kind, text }.build()?;
-        analyze_built(&label, &built)?
+        let (label, source) = load_source(program)?;
+        analyze_built(&label, &build_source(&source)?)?
     } else {
         analyze_program(program, args.size)?
     };
@@ -540,14 +531,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         }
         "sweep" => Request::Sweep { name: arg("sweep name")?, threads: args.threads },
         "analyze" => Request::Analyze { program: arg("program name or ref")? },
-        "upload" => {
-            let (_, kind, text) = load_source(&arg("source file path")?)?;
-            let source = match kind {
-                SourceKind::Asm => ProgramSource::Asm(text),
-                SourceKind::Image => ProgramSource::Image(text),
-            };
-            Request::Upload { source }
-        }
+        "upload" => Request::Upload { source: load_source(&arg("source file path")?)?.1 },
         "profile" => Request::Profile { program: arg("program ref")?, policy: args.policy.clone() },
         "stats" => Request::Stats,
         "metrics" => Request::Metrics,

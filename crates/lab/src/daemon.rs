@@ -30,7 +30,9 @@ use crate::analyze::{analyze_built, resolve_program};
 use crate::exec::{run_sweep_obs, ExecOptions};
 use crate::profile::profile_built;
 use crate::registry::Registry;
-use crate::scenario::{PlatformOverrides, PlatformVariant, ProgramSpec, Scenario, ScenarioKind};
+use crate::scenario::{
+    build_source, PlatformOverrides, PlatformVariant, ProgramSpec, Scenario, ScenarioKind,
+};
 use dbt_obs::MetricsRegistry;
 use dbt_platform::{ProgramRef, ProgramStore, RunMemo, TranslationService};
 use dbt_riscv::Program;
@@ -204,11 +206,7 @@ impl LabBackend for LabDaemon {
     }
 
     fn upload(&self, source: &ProgramSource) -> Result<String, String> {
-        let program = match source {
-            ProgramSource::Asm(text) => dbt_riscv::parse_asm(text).map_err(|e| e.to_string())?,
-            ProgramSource::Image(text) => Program::from_image(text).map_err(|e| e.to_string())?,
-        };
-        let (fingerprint, dedup) = self.store.upload(program);
+        let (fingerprint, dedup) = self.store.upload(build_source(source)?);
         Ok(format!(
             "{{\"fingerprint\": \"fp:{fingerprint:016x}\", \"dedup\": {dedup}, \
              \"programs\": {}}}",

@@ -7,12 +7,12 @@
 //! simulation runs on a scoped thread of its own, so a one-job request
 //! answered from the run memo spawns no thread at all.
 //!
-//! Redundant work is deduplicated at two levels through a sweep-wide
-//! shared context:
+//! Every run of a sweep goes through two content-addressed caches:
 //!
-//! * **runs** — unprotected baseline runs are memoized per
-//!   `(program, platform)`, so each workload's baseline is simulated
-//!   exactly once per sweep, not once per comparison;
+//! * **runs** — a [`RunMemo`] (the caller's, or a fresh one per sweep)
+//!   answers each `(program fingerprint, platform config)` exactly once,
+//!   so a workload's unprotected baseline is simulated once however many
+//!   perf jobs compare against it;
 //! * **translations** — every session of the sweep shares one
 //!   [`TranslationService`], so each distinct translation (per path,
 //!   speculation options, policy and issue width, whichever program the
@@ -24,9 +24,8 @@ use crate::scenario::{Scenario, ScenarioKind};
 use dbt_obs::{Histogram, MetricsRegistry, Span, TraceHandle, DEFAULT_LATENCY_BOUNDS_MICROS};
 use dbt_platform::{CachedRun, RunKey, RunMemo, Session, TranslationService};
 use ghostbusters::MitigationPolicy;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Metric family of the executor's wall-clock phase timings, labelled by
 /// `phase` (currently just `simulate`; the translation phases live under
@@ -47,7 +46,7 @@ impl ExecOptions {
     /// Resolves `threads == 0` to the machine's parallelism, capped by the
     /// number of jobs (never below 1). Auto mode uses at least two workers
     /// when there is more than one job, so the parallel path (work queue,
-    /// baseline-cache contention) is exercised even on single-CPU machines;
+    /// run-memo contention) is exercised even on single-CPU machines;
     /// output is deterministic either way.
     pub fn effective_threads(&self, jobs: usize) -> usize {
         let auto = std::thread::available_parallelism()
@@ -140,10 +139,11 @@ pub struct JobResult {
 pub struct ExecStats {
     /// Number of jobs run.
     pub jobs: usize,
-    /// Total simulations, including deduplicated baselines.
+    /// Simulations that ran (run-memo misses), baselines included.
     pub simulations: usize,
     /// Unprotected baseline simulations (one per distinct
-    /// `(program, platform)` pair among the perf jobs).
+    /// `(program, platform)` pair among the perf jobs that the run memo
+    /// did not already hold).
     pub baseline_simulations: usize,
     /// Translation events of this sweep's sessions answered from the
     /// shared [`TranslationService`] memo.
@@ -165,23 +165,17 @@ pub struct LabReport {
     pub stats: ExecStats,
 }
 
-/// One run-cache entry: filled exactly once, shared between waiting
-/// workers.
-type BaselineSlot = Arc<OnceLock<Result<CachedRun, String>>>;
-
 /// Shared state of one sweep: the translation service every session of the
-/// sweep attaches to, the memoized unprotected baseline runs (the historic
-/// standalone `BaselineCache`, folded in here), an optional cross-sweep
-/// [`RunMemo`] (the daemon's content-addressed run-summary cache), and the
+/// sweep attaches to, the [`RunMemo`] every run is asked through (the
+/// daemon's content-addressed run cache, or a fresh one), and the
 /// simulation counters.
 ///
-/// All memo levels are exactly-once under concurrency: late askers block
-/// on the winner's `OnceLock`, so the counters are deterministic for a
-/// given job list regardless of worker count.
+/// Both caches are exactly-once under concurrency: late askers block on
+/// the winner's `OnceLock`, so the counters are deterministic for a given
+/// job list regardless of worker count.
 struct SweepContext {
     service: Arc<TranslationService>,
-    memo: Option<Arc<RunMemo>>,
-    baselines: Mutex<HashMap<String, BaselineSlot>>,
+    memo: Arc<RunMemo>,
     baseline_sims: AtomicUsize,
     sims: AtomicUsize,
     translation_hits: AtomicU64,
@@ -195,13 +189,12 @@ struct SweepContext {
 impl SweepContext {
     fn new(
         service: Arc<TranslationService>,
-        memo: Option<Arc<RunMemo>>,
+        memo: Arc<RunMemo>,
         metrics: Option<&Arc<MetricsRegistry>>,
     ) -> SweepContext {
         SweepContext {
             service,
             memo,
-            baselines: Mutex::new(HashMap::new()),
             baseline_sims: AtomicUsize::new(0),
             sims: AtomicUsize::new(0),
             translation_hits: AtomicU64::new(0),
@@ -217,25 +210,14 @@ impl SweepContext {
         }
     }
 
-    /// Folds one finished session's translation counters into the sweep's.
-    ///
-    /// The sweep report attributes only the queries *this sweep's sessions*
-    /// issued (summed from each engine's own counters), so sharing the
-    /// service with other concurrent users never inflates these numbers.
-    fn record_translations(&self, session: &Session) {
-        let stats = session.engine().stats();
-        self.translation_hits.fetch_add(stats.service_hits, Ordering::SeqCst);
-        self.translation_misses.fetch_add(stats.service_misses, Ordering::SeqCst);
-    }
-
     /// Runs `program` under `config` through a [`Session`] attached to the
     /// sweep's shared translation service.
     ///
-    /// When the context carries a [`RunMemo`], the whole run is looked up
-    /// under its content address first — a repeated identical scenario is
-    /// answered from the memo without building a session at all (so memo
-    /// hits contribute neither simulations nor translation queries to the
-    /// sweep's counters). `secret_len` asks for the guest's `recovered`
+    /// The whole run is looked up in the [`RunMemo`] under its content
+    /// address first — a run already answered (an earlier job's baseline,
+    /// a repeated scenario) is served without building a session at all
+    /// (so memo hits contribute neither simulations nor translation
+    /// queries to the sweep's counters). `secret_len` asks for the guest's `recovered`
     /// symbol to be read back after the run, so attack observables are
     /// part of the cached value whatever kind of job populated the entry.
     ///
@@ -266,7 +248,12 @@ impl SweepContext {
                 .build()
                 .map_err(|e| e.to_string())?;
             let summary = session.run().map_err(|e| e.to_string())?;
-            self.record_translations(&session);
+            // The report counts only the queries this sweep's sessions issued
+            // (each engine's own counters), so other users of a shared
+            // service never inflate them.
+            let stats = session.engine().stats();
+            self.translation_hits.fetch_add(stats.service_hits, Ordering::SeqCst);
+            self.translation_misses.fetch_add(stats.service_misses, Ordering::SeqCst);
             let recovered = match secret_len {
                 Some(len) => {
                     Some(session.load_symbol_bytes("recovered", len).map_err(|e| e.to_string())?)
@@ -279,22 +266,7 @@ impl SweepContext {
                 recovered,
             })
         };
-        match &self.memo {
-            Some(memo) => memo.get_or_run(RunKey::new(program, &config), || on_own_thread(run)),
-            None => on_own_thread(run),
-        }
-    }
-
-    /// Returns the memoized unprotected baseline for `key`, simulating it
-    /// (once, sweep-wide) if it is not cached yet.
-    fn baseline(
-        &self,
-        key: String,
-        simulate: impl FnOnce() -> Result<CachedRun, String>,
-    ) -> Result<CachedRun, String> {
-        let slot =
-            self.baselines.lock().expect("baseline cache poisoned").entry(key).or_default().clone();
-        slot.get_or_init(simulate).clone()
+        self.memo.get_or_run(RunKey::new(program, &config), || on_own_thread(run))
     }
 }
 
@@ -331,15 +303,8 @@ fn run_job(scenario: &Scenario, ctx: &SweepContext) -> JobOutcome {
     let secret_len = scenario.program.secret().map(<[u8]>::len);
     match scenario.kind {
         ScenarioKind::Perf => {
-            let baseline = ctx.baseline(scenario.baseline_key(), || {
-                ctx.simulate(
-                    &program,
-                    scenario.platform.overrides.apply(MitigationPolicy::Unprotected),
-                    secret_len,
-                    true,
-                )
-            });
-            let baseline = match baseline {
+            let unprotected = scenario.platform.overrides.apply(MitigationPolicy::Unprotected);
+            let baseline = match ctx.simulate(&program, unprotected, secret_len, true) {
                 Ok(b) => b,
                 Err(e) => return JobOutcome::Failed { error: format!("baseline: {e}") },
             };
@@ -380,7 +345,7 @@ fn run_job(scenario: &Scenario, ctx: &SweepContext) -> JobOutcome {
 }
 
 /// Runs `scenarios` on a worker pool and returns the report in expansion
-/// order, with a fresh per-sweep [`TranslationService`].
+/// order, with a fresh per-sweep [`TranslationService`] and [`RunMemo`].
 ///
 /// Output is deterministic: the same scenario list produces the same report
 /// (and therefore byte-identical JSON) for any worker count — including
@@ -403,16 +368,17 @@ pub fn run_sweep(sweep: &str, scenarios: &[Scenario], opts: ExecOptions) -> LabR
 /// memoized translations are pure functions of the same inputs a fresh
 /// compile would see.
 ///
-/// With a memo attached, every simulation is looked up under its
-/// `(program fingerprint, config fingerprint)` address first, so a
-/// scenario that an earlier sweep (or an earlier daemon request) already
-/// ran is answered without simulating — or even translating — anything.
-/// Memo hits change only the *counters* of the report (`simulations` and
-/// the translation hit/miss pair shrink, since no session runs); the cycle
-/// data, recovery rates and every other observable are byte-identical to a
-/// memo-less run, because the platform is a deterministic simulator and
-/// the memo key covers every input it reads. This is the executor the
-/// `dbt-serve` daemon drives.
+/// Every simulation is looked up under its `(program fingerprint, config
+/// fingerprint)` address first, in `memo` or, without one, in a fresh
+/// memo for this sweep alone. With the caller's memo, a scenario that an
+/// earlier sweep (or an earlier daemon request) already ran is answered
+/// without simulating — or even translating — anything. Memo hits change
+/// only the *counters* of the report (`simulations` and the translation
+/// hit/miss pair shrink, since no session runs); the cycle data, recovery
+/// rates and every other observable are byte-identical to a fresh-memo
+/// run, because the platform is a deterministic simulator and the memo
+/// key covers every input it reads. This is the executor the `dbt-serve`
+/// daemon drives.
 ///
 /// With a registry attached, every simulation that actually runs (never a
 /// memo hit) is timed into a `dbt_lab_phase_seconds{phase="simulate"}`
@@ -428,7 +394,8 @@ pub fn run_sweep_obs(
 ) -> LabReport {
     let jobs = scenarios.len();
     let threads = opts.effective_threads(jobs);
-    let ctx = SweepContext::new(Arc::clone(service), memo.map(Arc::clone), metrics);
+    let memo = memo.map_or_else(RunMemo::new, Arc::clone);
+    let ctx = SweepContext::new(Arc::clone(service), memo, metrics);
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<JobResult>> = Vec::new();
     slots.resize_with(jobs, || None);
@@ -485,7 +452,7 @@ pub fn run_sweep_obs(
 mod tests {
     use super::*;
     use crate::registry::Sweep;
-    use crate::scenario::ProgramSpec;
+    use crate::scenario::{PlatformOverrides, PlatformVariant, ProgramSpec};
     use dbt_workloads::WorkloadSize;
 
     fn tiny_sweep() -> Sweep {
@@ -509,6 +476,23 @@ mod tests {
         // same program hit the memo.
         assert!(report.stats.translation_hits > 0, "{:?}", report.stats);
         assert!(report.stats.translation_misses > 0, "{:?}", report.stats);
+    }
+
+    #[test]
+    fn a_baseline_is_shared_across_policies_but_not_platforms() {
+        let narrow = PlatformVariant::new(
+            "issue-2",
+            PlatformOverrides { issue_width: Some(2), ..PlatformOverrides::default() },
+        );
+        let scenarios = Sweep::new("widths", "gemm on two platforms", ScenarioKind::Perf)
+            .program("gemm", ProgramSpec::Workload { name: "gemm", size: WorkloadSize::Mini })
+            .policies(&[MitigationPolicy::Unprotected, MitigationPolicy::Fence])
+            .platforms(vec![PlatformVariant::default_platform(), narrow])
+            .expand();
+        let report = run_sweep("widths", &scenarios, ExecOptions { threads: 2, verbose: false });
+        assert_eq!(report.stats.jobs, 4);
+        assert_eq!(report.stats.baseline_simulations, 2, "one baseline per platform");
+        assert_eq!(report.stats.simulations, 4, "two baselines and two fenced runs");
     }
 
     #[test]
@@ -540,6 +524,18 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_cycle_baseline_keeps_slowdowns_finite() {
+        let metrics = PerfMetrics {
+            cycles: 100,
+            baseline_cycles: 0,
+            rollbacks: 0,
+            guest_insts: 0,
+            patterns: 0,
+        };
+        assert_eq!(metrics.slowdown(), 100.0, "the baseline is clamped to one cycle");
+    }
+
+    #[test]
     fn a_shared_run_memo_answers_repeated_sweeps_without_simulating() {
         let scenarios = tiny_sweep().expand();
         let service = TranslationService::new();
@@ -547,8 +543,11 @@ mod tests {
         let opts = ExecOptions { threads: 4, verbose: false };
         let first = run_sweep_obs("tiny", &scenarios, opts, &service, Some(&memo), None);
         let cold = memo.stats();
-        assert_eq!(cold.hits, 0, "distinct scenarios cannot hit a cold memo");
+        // Each of the 10 jobs asks for its baseline, and the 8 protected
+        // ones for their own run: 18 asks for 10 distinct runs.
+        assert_eq!(cold.hits + cold.misses, 18);
         assert_eq!(cold.misses, first.stats.simulations as u64, "one entry per simulation");
+        assert_eq!(cold.misses, 10);
 
         let second = run_sweep_obs("tiny", &scenarios, opts, &service, Some(&memo), None);
         assert_eq!(first.results, second.results, "memo hits must not change observables");
@@ -560,7 +559,7 @@ mod tests {
         );
         let warm = memo.stats();
         assert_eq!(warm.misses, cold.misses, "nothing new to simulate");
-        assert_eq!(warm.hits, cold.misses, "same ask list, now fully cached");
+        assert_eq!(warm.hits, cold.hits + 18, "same ask list, now fully cached");
 
         // The memo-less report of the same job list agrees on every
         // observable (only the counters differ).

@@ -18,9 +18,10 @@
 //!   simulation runs on a thread of its own, so a run-memo hit spawns
 //!   none); every job runs through a
 //!   [`dbt_platform::Session`] attached to one shared
-//!   [`TranslationService`], so each workload's unprotected baseline is
-//!   simulated exactly once and each distinct translation is compiled
-//!   exactly once per sweep (the hit/miss counters land in the JSON);
+//!   [`TranslationService`] and is asked through one [`RunMemo`], so each
+//!   workload's unprotected baseline is simulated exactly once and each
+//!   distinct translation is compiled exactly once per sweep (the hit/miss
+//!   counters land in the JSON);
 //! * [`json`] — stable, dependency-free JSON (`BENCH_<sweep>.json`)
 //!   suitable for diffing across PRs;
 //! * [`daemon`] — the [`LabDaemon`] backend behind `lab serve`: one
@@ -70,8 +71,8 @@ pub use exec::{
 pub use profile::{canonical_label, profile_built, profile_program, ProfileOutput};
 pub use registry::{Registry, Sweep, SweepProgram, DEFAULT_SECRET};
 pub use scenario::{
-    AttackVariant, PlatformOverrides, PlatformVariant, ProgramSpec, Scenario, ScenarioKind,
-    SourceKind,
+    build_source, AttackVariant, PlatformOverrides, PlatformVariant, ProgramSpec, Scenario,
+    ScenarioKind,
 };
 pub use table::{
     format_attack_table, format_table, format_variant_table, geometric_mean, SlowdownRow,

@@ -4,6 +4,7 @@
 use dbt_cache::CacheConfig;
 use dbt_platform::PlatformConfig;
 use dbt_riscv::Program;
+use dbt_serve::ProgramSource;
 use dbt_workloads::{pointer_matmul, workload, WorkloadSize};
 use ghostbusters::MitigationPolicy;
 use std::sync::Arc;
@@ -46,42 +47,14 @@ impl AttackVariant {
     }
 }
 
-/// The textual form of an ad-hoc program source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceKind {
-    /// Text assembly ([`dbt_riscv::parse_asm`]).
-    Asm,
-    /// A program-image JSON document ([`dbt_riscv::Program::from_image`]).
-    Image,
-}
-
-impl SourceKind {
-    /// Lower-case label used in spec keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            SourceKind::Asm => "asm",
-            SourceKind::Image => "image",
-        }
-    }
-}
-
-/// Stable 64-bit content hash used in spec keys (the same in-process
-/// determinism contract as [`Program::fingerprint`]).
-fn hash64(bytes: &[u8]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    bytes.hash(&mut hasher);
-    hasher.finish()
-}
-
 /// A recipe for building one guest program.
 ///
 /// Programs are described declaratively so scenarios can be listed, named
 /// and expanded without assembling anything; the executor builds the actual
 /// [`Program`] only when the job runs. Beyond the in-repo recipes, a spec
-/// can carry an *ad-hoc* program: one already resident in a
-/// [`ProgramStore`](dbt_platform::ProgramStore) ([`ProgramSpec::Stored`])
-/// or raw source text submitted by a client ([`ProgramSpec::Source`]).
+/// can carry an *ad-hoc* program, already built ([`ProgramSpec::Stored`]):
+/// one resident in a [`ProgramStore`](dbt_platform::ProgramStore), or one
+/// [`build_source`] parsed from a file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramSpec {
     /// A kernel from the Polybench-style suite, by name.
@@ -114,15 +87,6 @@ pub enum ProgramSpec {
         /// stored program.
         secret: Option<Vec<u8>>,
     },
-    /// Raw program source, built on demand.
-    Source {
-        /// Row label (usually the source file's stem).
-        label: String,
-        /// Whether `text` is assembly or an image document.
-        kind: SourceKind,
-        /// The source text.
-        text: String,
-    },
 }
 
 impl ProgramSpec {
@@ -132,40 +96,7 @@ impl ProgramSpec {
             ProgramSpec::Workload { name, .. } => (*name).to_string(),
             ProgramSpec::PointerMatmul { .. } => "ptr-matmul".to_string(),
             ProgramSpec::Attack { variant, .. } => variant.label().to_string(),
-            ProgramSpec::Stored { label, .. } | ProgramSpec::Source { label, .. } => label.clone(),
-        }
-    }
-
-    /// Stable identity of the *built program* — two specs with equal keys
-    /// assemble byte-identical guest programs, so baseline cycles measured
-    /// for one are valid for the other.
-    ///
-    /// Content-carrying variants key on content fingerprints: the built
-    /// program's [`Program::fingerprint`] for both [`ProgramSpec::Stored`]
-    /// and [`ProgramSpec::Source`] (so the asm, image and stored forms of
-    /// one program share a single baseline-cache and run-memo identity),
-    /// and a hash of the secret bytes for [`ProgramSpec::Attack`] (the
-    /// secret is the only input of the attack builders). A source that
-    /// does not build falls back to a hash of its raw text.
-    pub fn key(&self) -> String {
-        match self {
-            ProgramSpec::Workload { name, size } => format!("workload:{name}@{size:?}"),
-            ProgramSpec::PointerMatmul { size } => format!("ptr-matmul@{size:?}"),
-            ProgramSpec::Attack { variant, secret } => {
-                format!("{}@secret-fp:{:016x}", variant.label(), hash64(secret))
-            }
-            ProgramSpec::Stored { program, secret, .. } => match secret {
-                Some(secret) => format!(
-                    "stored:fp:{:016x}+secret-fp:{:016x}",
-                    program.fingerprint(),
-                    hash64(secret)
-                ),
-                None => format!("stored:fp:{:016x}", program.fingerprint()),
-            },
-            ProgramSpec::Source { kind, text, .. } => match self.build() {
-                Ok(program) => format!("stored:fp:{:016x}", program.fingerprint()),
-                Err(_) => format!("source:{}:{:016x}", kind.label(), hash64(text.as_bytes())),
-            },
+            ProgramSpec::Stored { label, .. } => label.clone(),
         }
     }
 
@@ -184,7 +115,7 @@ impl ProgramSpec {
     /// # Errors
     ///
     /// Returns a human-readable message if the kernel name is unknown,
-    /// assembly fails, or an ad-hoc source does not parse.
+    /// assembly fails, or a secret cannot be planted.
     pub fn build(&self) -> Result<Arc<Program>, String> {
         let program = match self {
             ProgramSpec::Workload { name, size } => workload(name, *size)
@@ -201,20 +132,29 @@ impl ProgramSpec {
                 None => return Ok(Arc::clone(program)),
                 Some(secret) => plant_secret(program, secret),
             },
-            ProgramSpec::Source { kind, text, .. } => match kind {
-                SourceKind::Asm => dbt_riscv::parse_asm(text).map_err(|e| e.to_string()),
-                SourceKind::Image => Program::from_image(text).map_err(|e| e.to_string()),
-            },
         };
         program.map(Arc::new)
+    }
+}
+
+/// Builds the program of an ad-hoc source: text assembly
+/// ([`dbt_riscv::parse_asm`]) or a program-image document
+/// ([`Program::from_image`]).
+///
+/// # Errors
+///
+/// Returns the parser's message if the source does not build.
+pub fn build_source(source: &ProgramSource) -> Result<Program, String> {
+    match source {
+        ProgramSource::Asm(text) => dbt_riscv::parse_asm(text).map_err(|e| e.to_string()),
+        ProgramSource::Image(text) => Program::from_image(text).map_err(|e| e.to_string()),
     }
 }
 
 /// Rebuilds `program` with `secret` written into its data section at the
 /// `secret` symbol. The planted bytes are program content — the patched
 /// program's [`Program::fingerprint`] differs from the original's, so
-/// run-memo and baseline-cache entries never mix runs of different
-/// secrets.
+/// run-memo entries never mix runs of different secrets.
 ///
 /// # Errors
 ///
@@ -349,14 +289,6 @@ pub struct Scenario {
     pub kind: ScenarioKind,
 }
 
-impl Scenario {
-    /// Cache key identifying this scenario's unprotected baseline: same
-    /// program, same platform ⇒ same baseline cycles.
-    pub fn baseline_key(&self) -> String {
-        format!("{}|{:?}", self.program.key(), self.platform.overrides)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,67 +312,24 @@ mod tests {
     }
 
     #[test]
-    fn attack_keys_are_content_fingerprints_not_debug_dumps() {
-        let a = ProgramSpec::Attack { variant: AttackVariant::SpectreV1, secret: b"GB".to_vec() };
-        let b = ProgramSpec::Attack { variant: AttackVariant::SpectreV1, secret: b"GB".to_vec() };
-        let c = ProgramSpec::Attack { variant: AttackVariant::SpectreV1, secret: b"XY".to_vec() };
-        assert_eq!(a.key(), b.key(), "equal secrets, equal keys");
-        assert_ne!(a.key(), c.key(), "the secret is program content");
-        assert!(!a.key().contains('['), "no debug formatting in keys: {}", a.key());
-        assert!(a.key().contains("secret-fp:"), "{}", a.key());
-    }
-
-    #[test]
-    fn stored_and_source_specs_key_on_content() {
-        let program =
-            Arc::new(dbt_riscv::parse_asm("li a0, 9\necall\n").expect("tiny program parses"));
+    fn stored_specs_are_not_copied_and_both_source_forms_build_one_program() {
+        let text = "li a0, 9\necall\n";
+        let program = Arc::new(dbt_riscv::parse_asm(text).expect("tiny program parses"));
         let stored = ProgramSpec::Stored {
             label: "fp:whatever".to_string(),
             program: Arc::clone(&program),
             secret: None,
         };
         assert_eq!(stored.label(), "fp:whatever");
-        assert!(stored.key().contains(&format!("{:016x}", program.fingerprint())));
-        assert!(Arc::ptr_eq(&stored.build().unwrap(), &program), "stored programs are not copied");
         assert_eq!(stored.secret(), None);
+        assert!(Arc::ptr_eq(&stored.build().unwrap(), &program), "stored programs are not copied");
 
-        let with_secret = ProgramSpec::Stored {
-            label: "fp:whatever".to_string(),
-            program: Arc::clone(&program),
-            secret: Some(b"GB".to_vec()),
-        };
-        assert_eq!(with_secret.secret(), Some(&b"GB"[..]));
-        assert_ne!(with_secret.key(), stored.key(), "a planted secret changes run identity");
-
-        let source = ProgramSpec::Source {
-            label: "gadget".to_string(),
-            kind: SourceKind::Asm,
-            text: "li a0, 9\necall\n".to_string(),
-        };
-        assert_eq!(*source.build().unwrap(), *program, "source builds the same program");
-        let relabeled = ProgramSpec::Source {
-            label: "other-name".to_string(),
-            kind: SourceKind::Asm,
-            text: "li a0, 9\necall\n".to_string(),
-        };
-        assert_eq!(source.key(), relabeled.key(), "labels are not identity; content is");
-
-        let image = ProgramSpec::Source {
-            label: "gadget".to_string(),
-            kind: SourceKind::Image,
-            text: program.to_image(),
-        };
-        assert_eq!(*image.build().unwrap(), *program);
-        assert_eq!(image.key(), source.key(), "same built program, same key across source forms");
-        assert_eq!(image.key(), stored.key(), "source forms share the stored form's identity");
-
-        let broken = ProgramSpec::Source {
-            label: "broken".to_string(),
-            kind: SourceKind::Asm,
-            text: "frobnicate a0".to_string(),
-        };
-        assert!(broken.build().is_err());
-        assert!(broken.key().starts_with("source:asm:"), "unbuildable sources keep the text hash");
+        let asm = build_source(&ProgramSource::Asm(text.to_string())).unwrap();
+        let image = build_source(&ProgramSource::Image(program.to_image())).unwrap();
+        assert_eq!(asm, *program, "assembly builds the program");
+        assert_eq!(image, *program, "its image builds the same program");
+        assert!(build_source(&ProgramSource::Asm("frobnicate a0".to_string())).is_err());
+        assert!(build_source(&ProgramSource::Image("{}".to_string())).is_err());
     }
 
     #[test]
@@ -493,26 +382,5 @@ mod tests {
         assert_eq!(config.core.issue_width, 2);
         assert!(!config.dbt.speculation.branch_speculation);
         assert!(config.dbt.speculation.memory_speculation, "untouched field keeps its default");
-    }
-
-    #[test]
-    fn baseline_key_depends_on_program_and_platform_but_not_policy() {
-        let make = |policy, platform: PlatformVariant| Scenario {
-            name: "t".into(),
-            program_label: "gemm".into(),
-            program: ProgramSpec::Workload { name: "gemm", size: WorkloadSize::Mini },
-            policy,
-            platform,
-            kind: ScenarioKind::Perf,
-        };
-        let a = make(MitigationPolicy::Unprotected, PlatformVariant::default_platform());
-        let b = make(MitigationPolicy::Fence, PlatformVariant::default_platform());
-        assert_eq!(a.baseline_key(), b.baseline_key());
-        let narrow = PlatformVariant::new(
-            "issue-2",
-            PlatformOverrides { issue_width: Some(2), ..PlatformOverrides::default() },
-        );
-        let c = make(MitigationPolicy::Unprotected, narrow);
-        assert_ne!(a.baseline_key(), c.baseline_key());
     }
 }

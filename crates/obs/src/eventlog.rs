@@ -14,7 +14,7 @@
 
 use crate::ring::Ring;
 use dbt_json::escape;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default bound of an [`EventLog`] ring.
 pub const DEFAULT_EVENT_CAPACITY: usize = 256;
@@ -105,8 +105,11 @@ impl EventLog {
         EventLog { inner: Mutex::new(LogRing { ring: Ring::new(capacity), next_seq: 0 }) }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, LogRing> {
-        self.inner.lock().expect("event log lock poisoned")
+    /// The ring, also after a panic elsewhere poisoned its lock: a push
+    /// leaves it valid at every step (a record lost mid-append shows as a
+    /// gap in `seq`, like an eviction).
+    fn lock(&self) -> MutexGuard<'_, LogRing> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Appends one event. Sequence numbers keep counting across
@@ -204,6 +207,24 @@ mod tests {
         }
         let kept: Vec<u64> = log.records(LogLevel::Debug).into_iter().map(|r| r.seq).collect();
         assert_eq!(kept, vec![1, 2], "seq must reveal the evicted head");
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_logs_and_renders() {
+        let log = std::sync::Arc::new(EventLog::new());
+        log.log(LogLevel::Info, "test", "before", None, &[]);
+        let poisoner = std::sync::Arc::clone(&log);
+        let panicked = std::thread::spawn(move || {
+            let _inner = poisoner.inner.lock().unwrap();
+            panic!("a panic while the event log's lock is held");
+        })
+        .join();
+        assert!(panicked.is_err() && log.inner.is_poisoned());
+        log.log(LogLevel::Warn, "test", "after", None, &[]);
+        let kept: Vec<u64> = log.records(LogLevel::Debug).into_iter().map(|r| r.seq).collect();
+        assert_eq!(kept, vec![0, 1]);
+        assert!(log.json(LogLevel::Warn).contains("\"message\": \"after\""));
+        assert_eq!(log.dropped(), 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::metric::{micros_as_seconds, Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What kind of samples a family holds; a name registers as exactly one
 /// kind for the life of the registry.
@@ -72,6 +72,13 @@ impl MetricsRegistry {
     /// A fresh, empty registry.
     pub fn new() -> Arc<MetricsRegistry> {
         Arc::new(MetricsRegistry::default())
+    }
+
+    /// The families, also after a panic elsewhere poisoned their lock: a
+    /// registration inserts a whole family or sample, or nothing, so the
+    /// map is never left half updated.
+    fn families(&self) -> MutexGuard<'_, BTreeMap<String, Family>> {
+        self.families.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Get-or-register the unlabelled counter `name`.
@@ -161,7 +168,7 @@ impl MetricsRegistry {
             assert!(valid_name(label), "invalid label name {label:?} on metric {name:?}");
         }
         let key = canonical_labels(labels);
-        let mut families = self.families.lock().expect("metrics registry poisoned");
+        let mut families = self.families();
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             help: help.to_string(),
             kind,
@@ -182,7 +189,7 @@ impl MetricsRegistry {
     /// `_count`). Output order and formatting are byte-stable for a
     /// fixed registry state.
     pub fn render(&self) -> String {
-        let families = self.families.lock().expect("metrics registry poisoned");
+        let families = self.families();
         let mut out = String::new();
         for (name, family) in families.iter() {
             out.push_str("# HELP ");
@@ -291,6 +298,23 @@ fn escape_help(help: &str) -> String {
 mod tests {
     use super::*;
     use crate::metric::DEFAULT_LATENCY_BOUNDS_MICROS;
+
+    #[test]
+    fn a_poisoned_lock_still_registers_and_renders() {
+        let registry = MetricsRegistry::new();
+        registry.counter("dbt_before_total", "Registered before the panic.").inc();
+        let poisoner = Arc::clone(&registry);
+        let panicked = std::thread::spawn(move || {
+            let _families = poisoner.families.lock().unwrap();
+            panic!("a panic while the registry's lock is held");
+        })
+        .join();
+        assert!(panicked.is_err() && registry.families.is_poisoned());
+        registry.counter("dbt_after_total", "Registered after the panic.").inc();
+        let text = registry.render();
+        assert!(text.contains("dbt_before_total 1\n"), "{text}");
+        assert!(text.contains("dbt_after_total 1\n"), "{text}");
+    }
 
     #[test]
     fn registration_is_get_or_insert() {

@@ -274,7 +274,10 @@ impl TraceHandle {
     /// `"{prefix}:{stage}"` for the first occurrence of a stage in the
     /// trace, `"{prefix}:{stage}.{n}"` for repeats.
     fn next_span_id(&self, stage: &str) -> String {
-        let mut counts = self.counts.lock().expect("span counts lock poisoned");
+        // A poisoned lock is recovered: bumping one count cannot be left
+        // half done, and spans record from `Drop`, where a panic could
+        // abort an unwinding thread.
+        let mut counts = self.counts.lock().unwrap_or_else(PoisonError::into_inner);
         let slot = counts.entry(stage.to_string()).or_insert(0);
         let occurrence = *slot;
         *slot += 1;
@@ -539,6 +542,24 @@ mod tests {
         let handle = TraceHandle::new(Arc::clone(&spans), "t1", "d", Some("d:request"));
         let _scope = handle.enter();
         drop(Span::enter("simulate", None));
+        drop(Span::enter("simulate", None));
+        let ids: Vec<String> = spans.spans_for("t1").into_iter().map(|s| s.span_id).collect();
+        assert_eq!(ids, vec!["d:simulate", "d:simulate.1"]);
+    }
+
+    #[test]
+    fn a_poisoned_span_count_lock_still_numbers_and_records_spans() {
+        let spans = recorder(16);
+        let handle = TraceHandle::new(Arc::clone(&spans), "t1", "d", None);
+        let _scope = handle.enter();
+        drop(Span::enter("simulate", None));
+        let counts = Arc::clone(&handle.counts);
+        let panicked = std::thread::spawn(move || {
+            let _counts = counts.lock().unwrap();
+            panic!("a panic while the span counts' lock is held");
+        })
+        .join();
+        assert!(panicked.is_err() && handle.counts.is_poisoned());
         drop(Span::enter("simulate", None));
         let ids: Vec<String> = spans.spans_for("t1").into_iter().map(|s| s.span_id).collect();
         assert_eq!(ids, vec!["d:simulate", "d:simulate.1"]);

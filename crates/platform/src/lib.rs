@@ -1,16 +1,18 @@
 //! Full-system simulator of the DBT-based processor.
 //!
-//! [`DbtProcessor`] wires together the three pieces built in the substrate
+//! A [`Session`] wires together the three pieces built in the substrate
 //! crates — the [DBT engine](dbt_engine::DbtEngine), the in-order
 //! [VLIW core](dbt_vliw::VliwCore) with its data cache, and a guest memory
 //! image — and drives a guest [`Program`](dbt_riscv::Program) to completion,
 //! exactly like Hybrid-DBT runs RISC-V binaries on its VLIW.
 //!
-//! Runs are created through the [`Session`] builder — the single public
-//! entry point the attack proof-of-concepts, the Polybench-style workloads
-//! and the benchmark harness all go through. Sessions can share a
-//! [`TranslationService`], the process-wide memo that translates each
-//! `(program, config)` exactly once however many runs demand it.
+//! Sessions are created through their builder — the single public entry
+//! point the attack proofs of concept, the Polybench-style workloads and
+//! the lab executor all go through. Sessions can share a
+//! [`TranslationService`], the process-wide memo that files each
+//! translation product under its compile input, so every run whose code
+//! contains a compiled path reuses it. A [`RunMemo`] above it answers each
+//! whole run (program fingerprint, platform configuration) exactly once.
 //!
 //! # Example
 //!
@@ -46,14 +48,12 @@
 pub mod memo;
 pub mod processor;
 pub mod profile;
-pub mod run;
 pub mod session;
 pub mod store;
 
 pub use dbt_engine::{ServiceStats, TranslationService};
 pub use memo::{CachedRun, MemoStats, RunKey, RunMemo, DEFAULT_MEMO_CAPACITY};
-pub use processor::{DbtProcessor, PlatformConfig, PlatformError, RunSummary};
+pub use processor::{PlatformConfig, PlatformError, RunSummary};
 pub use profile::ProfileReport;
-pub use run::PolicyComparison;
 pub use session::{Session, SessionBuilder};
 pub use store::{ProgramRef, ProgramStore, StoreStats, DEFAULT_STORE_BUDGET_BYTES};

@@ -1,11 +1,11 @@
-//! The DBT-based processor: engine + core + memory.
+//! The platform's configuration, errors and run summary, shared by every
+//! [`Session`](crate::Session).
 
-use dbt_engine::{DbtConfig, DbtEngine, DbtError, TranslationService};
-use dbt_riscv::{GuestMemory, MemError, Program, Reg};
-use dbt_vliw::{CoreConfig, CoreError, VliwCore};
+use dbt_engine::{DbtConfig, DbtError};
+use dbt_riscv::MemError;
+use dbt_vliw::{CoreConfig, CoreError};
 use ghostbusters::MitigationPolicy;
 use std::fmt;
-use std::sync::Arc;
 
 /// Configuration of the whole platform.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,7 +15,7 @@ pub struct PlatformConfig {
     /// VLIW core configuration (issue width, MCB, cache, rollback penalty).
     pub core: CoreConfig,
     /// Safety budget: maximum number of translated blocks executed in one
-    /// [`DbtProcessor::run`] call.
+    /// [`Session::run`](crate::Session::run) call.
     pub max_blocks: u64,
 }
 
@@ -155,170 +155,11 @@ pub struct RunSummary {
     pub guest_insts: u64,
 }
 
-/// The simulated DBT-based processor.
-#[derive(Debug, Clone)]
-pub struct DbtProcessor {
-    program: Program,
-    config: PlatformConfig,
-    engine: DbtEngine,
-    core: VliwCore,
-    memory: GuestMemory,
-}
-
-impl DbtProcessor {
-    /// Creates a processor with `program` loaded and ready to run from its
-    /// entry point, with an optional shared translation service (the
-    /// engine memoizes its translations there by compile input, so they
-    /// serve every program that shares the code).
-    ///
-    /// Construction is crate-internal: external callers go through the
-    /// [`Session`](crate::Session) builder, which is also where a shared
-    /// [`TranslationService`] is attached.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::Mem`] if the program image cannot be built.
-    pub(crate) fn new(
-        program: &Program,
-        config: PlatformConfig,
-        service: Option<Arc<TranslationService>>,
-    ) -> Result<DbtProcessor, PlatformError> {
-        let memory = program.build_memory().map_err(|_| {
-            PlatformError::Mem(MemError::OutOfBounds {
-                addr: 0,
-                size: 0,
-                limit: program.memory_size(),
-            })
-        })?;
-        let mut core = VliwCore::new(config.core, program.entry());
-        // Same calling convention as the reference interpreter: stack at the
-        // top of guest memory.
-        core.arch_mut().set_reg(Reg::SP, (memory.len() as u64) & !0xf);
-        let engine = match service {
-            // `with_service` ignores its program fingerprint argument.
-            Some(service) => DbtEngine::with_service(config.dbt, service, 0),
-            None => DbtEngine::new(config.dbt),
-        };
-        Ok(DbtProcessor { program: program.clone(), config, engine, core, memory })
-    }
-
-    /// The loaded guest program.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// The platform configuration.
-    pub fn config(&self) -> &PlatformConfig {
-        &self.config
-    }
-
-    /// The DBT engine (profiles, translation cache, mitigation reports).
-    pub fn engine(&self) -> &DbtEngine {
-        &self.engine
-    }
-
-    /// The VLIW core (cycle counter, cache, architectural state).
-    pub fn core(&self) -> &VliwCore {
-        &self.core
-    }
-
-    /// Guest memory.
-    pub fn memory(&self) -> &GuestMemory {
-        &self.memory
-    }
-
-    /// Mutable guest memory (e.g. to plant a secret before running).
-    pub fn memory_mut(&mut self) -> &mut GuestMemory {
-        &mut self.memory
-    }
-
-    /// Address of a named guest symbol.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::UnknownSymbol`] if the program does not
-    /// define it.
-    pub fn symbol(&self, name: &str) -> Result<u64, PlatformError> {
-        self.program
-            .symbol(name)
-            .ok_or_else(|| PlatformError::UnknownSymbol { name: name.to_string() })
-    }
-
-    /// Reads a 64-bit value at a named guest symbol.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the symbol is unknown or out of bounds.
-    pub fn load_symbol_u64(&self, name: &str) -> Result<u64, PlatformError> {
-        Ok(self.memory.load_u64(self.symbol(name)?)?)
-    }
-
-    /// Reads `len` bytes at a named guest symbol.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the symbol is unknown or out of bounds.
-    pub fn load_symbol_bytes(&self, name: &str, len: usize) -> Result<Vec<u8>, PlatformError> {
-        Ok(self.memory.read_bytes(self.symbol(name)?, len)?)
-    }
-
-    /// Assembles the deterministic cycle-domain profile of this
-    /// processor's execution so far (normally called once, after
-    /// [`DbtProcessor::run`] with the summary it returned).
-    pub fn profile_report(&self, program: &str, summary: &RunSummary) -> crate::ProfileReport {
-        crate::ProfileReport::assemble(
-            program,
-            self.config.dbt.policy.label(),
-            summary,
-            &self.core,
-            self.engine.stats(),
-        )
-    }
-
-    /// Runs the guest program until it halts or the block budget runs out.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PlatformError`] on translation or execution faults.
-    pub fn run(&mut self) -> Result<RunSummary, PlatformError> {
-        let mut pc = self.core.arch().pc();
-        let mut blocks = 0u64;
-        let mut guest_insts = 0u64;
-        let mut halted = false;
-        while blocks < self.config.max_blocks {
-            let block = self.engine.block_for(pc, &self.memory)?;
-            let outcome = self.core.execute_block(&block, &mut self.memory)?;
-            self.engine.note_block_exit(pc, outcome.next_pc);
-            blocks += 1;
-            guest_insts += block.guest_inst_count as u64;
-            match outcome.next_pc {
-                Some(next) => {
-                    self.core.arch_mut().set_pc(next);
-                    pc = next;
-                }
-                None => {
-                    halted = true;
-                    break;
-                }
-            }
-        }
-        if !halted && blocks >= self.config.max_blocks {
-            return Err(PlatformError::BudgetExhausted { blocks });
-        }
-        Ok(RunSummary {
-            cycles: self.core.cycles(),
-            blocks_executed: blocks,
-            rollbacks: self.core.stats().rollbacks,
-            halted,
-            guest_insts,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbt_riscv::{Assembler, ExitReason, Interpreter};
+    use crate::Session;
+    use dbt_riscv::{Assembler, ExitReason, Interpreter, Program, Reg};
 
     fn loop_program() -> Program {
         // Sums 0..100 into memory, with a data-dependent branch inside the
@@ -355,46 +196,34 @@ mod tests {
         assert_eq!(reference.run(1_000_000).unwrap(), ExitReason::Ecall);
 
         for policy in MitigationPolicy::ALL {
-            let mut processor =
-                DbtProcessor::new(&program, PlatformConfig::for_policy(policy), None).unwrap();
-            let summary = processor.run().unwrap();
+            let mut session = Session::builder().program(&program).policy(policy).build().unwrap();
+            let summary = session.run().unwrap();
             assert!(summary.halted, "{policy}: program must halt");
             assert!(summary.cycles > 0);
             assert_eq!(
-                processor.load_symbol_u64("out").unwrap(),
+                session.load_symbol_u64("out").unwrap(),
                 reference.memory().load_u64(program.symbol("out").unwrap()).unwrap(),
                 "{policy}: architectural result must match the reference"
             );
-            assert_eq!(processor.load_symbol_u64("evens").unwrap(), 50);
+            assert_eq!(session.load_symbol_u64("evens").unwrap(), 50);
         }
     }
 
     #[test]
     fn speculation_is_not_slower_than_no_speculation() {
         let program = loop_program();
-        let mut unprotected = DbtProcessor::new(
-            &program,
-            PlatformConfig::for_policy(MitigationPolicy::Unprotected),
-            None,
-        )
-        .unwrap();
-        let mut nospec = DbtProcessor::new(
-            &program,
-            PlatformConfig::for_policy(MitigationPolicy::NoSpeculation),
-            None,
-        )
-        .unwrap();
-        let fast = unprotected.run().unwrap();
-        let slow = nospec.run().unwrap();
+        let run = |policy| Session::builder().program(&program).policy(policy).run().unwrap();
+        let fast = run(MitigationPolicy::Unprotected);
+        let slow = run(MitigationPolicy::NoSpeculation);
         assert!(fast.cycles <= slow.cycles);
     }
 
     #[test]
     fn unknown_symbol_is_an_error() {
         let program = loop_program();
-        let processor = DbtProcessor::new(&program, PlatformConfig::default(), None).unwrap();
+        let session = Session::builder().program(&program).build().unwrap();
         assert!(matches!(
-            processor.load_symbol_u64("nope"),
+            session.load_symbol_u64("nope"),
             Err(PlatformError::UnknownSymbol { .. })
         ));
     }
@@ -407,8 +236,7 @@ mod tests {
         asm.nop();
         asm.jump(spin);
         let program = asm.assemble().unwrap();
-        let config = PlatformConfig { max_blocks: 10, ..PlatformConfig::default() };
-        let mut processor = DbtProcessor::new(&program, config, None).unwrap();
-        assert!(matches!(processor.run(), Err(PlatformError::BudgetExhausted { .. })));
+        let outcome = Session::builder().program(&program).max_blocks(10).run();
+        assert!(matches!(outcome, Err(PlatformError::BudgetExhausted { .. })));
     }
 }

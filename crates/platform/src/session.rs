@@ -3,8 +3,8 @@
 //!
 //! A session is built declaratively — program, mitigation policy (or a
 //! full [`PlatformConfig`]), optional shared [`TranslationService`], block
-//! budget — and then either run in one shot or stepped through manually
-//! (plant a secret, run, read symbols back):
+//! budget — and then either run in one shot or built first and run, with
+//! its memory and symbols read back afterwards:
 //!
 //! ```
 //! use dbt_platform::{Session, TranslationService};
@@ -44,14 +44,16 @@
 //! # }
 //! ```
 //!
-//! Sharing one [`TranslationService`] across sessions lets every run of the
-//! same program reuse translation products instead of recompiling them —
-//! the sweep engine passes one service to all of its worker threads, so
-//! each `(program, config)` is translated exactly once per sweep.
+//! Sharing one [`TranslationService`] across sessions lets every run reuse
+//! the translation products of earlier runs instead of recompiling them.
+//! Products are keyed by their compile input alone, so two programs that
+//! share code share its products; the sweep engine passes one service to
+//! all of its worker threads. A session built without a service compiles
+//! through a private one.
 
-use crate::processor::{DbtProcessor, PlatformConfig, PlatformError, RunSummary};
+use crate::processor::{PlatformConfig, PlatformError, RunSummary};
 use dbt_engine::{DbtEngine, TranslationService};
-use dbt_riscv::{GuestMemory, Program};
+use dbt_riscv::{GuestMemory, MemError, Program, Reg};
 use dbt_vliw::VliwCore;
 use ghostbusters::MitigationPolicy;
 use std::sync::Arc;
@@ -104,7 +106,9 @@ impl<'p> SessionBuilder<'p> {
         self
     }
 
-    /// Builds the session.
+    /// Builds the session: loads the program image, points the core at the
+    /// program's entry with the stack at the top of guest memory (the
+    /// reference interpreter's calling convention) and attaches the engine.
     ///
     /// # Errors
     ///
@@ -116,7 +120,19 @@ impl<'p> SessionBuilder<'p> {
         if let Some(max_blocks) = self.max_blocks {
             config.max_blocks = max_blocks;
         }
-        Ok(Session { processor: DbtProcessor::new(program, config, self.service)? })
+        let memory = program.build_memory().map_err(|_| {
+            PlatformError::Mem(MemError::OutOfBounds {
+                addr: 0,
+                size: 0,
+                limit: program.memory_size(),
+            })
+        })?;
+        let mut core = VliwCore::new(config.core, program.entry());
+        core.arch_mut().set_reg(Reg::SP, (memory.len() as u64) & !0xf);
+        // `with_service` ignores its program fingerprint argument.
+        let service = self.service.unwrap_or_else(TranslationService::new);
+        let engine = DbtEngine::with_service(config.dbt, service, 0);
+        Ok(Session { program: program.clone(), config, engine, core, memory })
     }
 
     /// Builds the session and runs it to completion in one shot.
@@ -129,13 +145,16 @@ impl<'p> SessionBuilder<'p> {
     }
 }
 
-/// One run of one guest program on the simulated DBT processor.
-///
-/// This wraps the underlying [`DbtProcessor`] and is the only public way
-/// to construct one; see the [module docs](self) for the builder idiom.
+/// One run of one guest program on the simulated DBT processor: the DBT
+/// engine, the in-order VLIW core with its data cache, and the guest
+/// memory image. See the [module docs](self) for the builder idiom.
 #[derive(Debug, Clone)]
 pub struct Session {
-    processor: DbtProcessor,
+    program: Program,
+    config: PlatformConfig,
+    engine: DbtEngine,
+    core: VliwCore,
+    memory: GuestMemory,
 }
 
 impl Session {
@@ -148,34 +167,56 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns a [`PlatformError`] on translation or execution faults.
+    /// Returns a [`PlatformError`] on translation or execution faults, or
+    /// [`PlatformError::BudgetExhausted`] if the program does not halt
+    /// within [`PlatformConfig::max_blocks`] blocks.
     pub fn run(&mut self) -> Result<RunSummary, PlatformError> {
-        self.processor.run()
-    }
-
-    /// The underlying processor (engine, core, caches), for inspection.
-    pub fn processor(&self) -> &DbtProcessor {
-        &self.processor
-    }
-
-    /// The loaded guest program.
-    pub fn program(&self) -> &Program {
-        self.processor.program()
+        let mut pc = self.core.arch().pc();
+        let mut blocks = 0u64;
+        let mut guest_insts = 0u64;
+        let mut halted = false;
+        while blocks < self.config.max_blocks {
+            let block = self.engine.block_for(pc, &self.memory)?;
+            let outcome = self.core.execute_block(&block, &mut self.memory)?;
+            self.engine.note_block_exit(pc, outcome.next_pc);
+            blocks += 1;
+            guest_insts += block.guest_inst_count as u64;
+            match outcome.next_pc {
+                Some(next) => {
+                    self.core.arch_mut().set_pc(next);
+                    pc = next;
+                }
+                None => {
+                    halted = true;
+                    break;
+                }
+            }
+        }
+        if !halted && blocks >= self.config.max_blocks {
+            return Err(PlatformError::BudgetExhausted { blocks });
+        }
+        Ok(RunSummary {
+            cycles: self.core.cycles(),
+            blocks_executed: blocks,
+            rollbacks: self.core.stats().rollbacks,
+            halted,
+            guest_insts,
+        })
     }
 
     /// The platform configuration.
     pub fn config(&self) -> &PlatformConfig {
-        self.processor.config()
+        &self.config
     }
 
     /// The DBT engine (profiles, translation cache, mitigation reports).
     pub fn engine(&self) -> &DbtEngine {
-        self.processor.engine()
+        &self.engine
     }
 
     /// The VLIW core (cycle counter, cache, architectural state).
     pub fn core(&self) -> &VliwCore {
-        self.processor.core()
+        &self.core
     }
 
     /// The deterministic cycle-domain profile of the run: per-phase cycle
@@ -183,17 +224,18 @@ impl Session {
     /// is the label stamped into the report; `summary` is what
     /// [`Session::run`] returned.
     pub fn profile_report(&self, program: &str, summary: &RunSummary) -> crate::ProfileReport {
-        self.processor.profile_report(program, summary)
+        crate::ProfileReport::assemble(
+            program,
+            self.config.dbt.policy.label(),
+            summary,
+            &self.core,
+            self.engine.stats(),
+        )
     }
 
     /// Guest memory.
     pub fn memory(&self) -> &GuestMemory {
-        self.processor.memory()
-    }
-
-    /// Mutable guest memory (e.g. to plant a secret before running).
-    pub fn memory_mut(&mut self) -> &mut GuestMemory {
-        self.processor.memory_mut()
+        &self.memory
     }
 
     /// Address of a named guest symbol.
@@ -203,7 +245,9 @@ impl Session {
     /// Returns [`PlatformError::UnknownSymbol`] if the program does not
     /// define it.
     pub fn symbol(&self, name: &str) -> Result<u64, PlatformError> {
-        self.processor.symbol(name)
+        self.program
+            .symbol(name)
+            .ok_or_else(|| PlatformError::UnknownSymbol { name: name.to_string() })
     }
 
     /// Reads a 64-bit value at a named guest symbol.
@@ -212,7 +256,7 @@ impl Session {
     ///
     /// Returns an error if the symbol is unknown or out of bounds.
     pub fn load_symbol_u64(&self, name: &str) -> Result<u64, PlatformError> {
-        self.processor.load_symbol_u64(name)
+        Ok(self.memory.load_u64(self.symbol(name)?)?)
     }
 
     /// Reads `len` bytes at a named guest symbol.
@@ -221,7 +265,7 @@ impl Session {
     ///
     /// Returns an error if the symbol is unknown or out of bounds.
     pub fn load_symbol_bytes(&self, name: &str, len: usize) -> Result<Vec<u8>, PlatformError> {
-        self.processor.load_symbol_bytes(name, len)
+        Ok(self.memory.read_bytes(self.symbol(name)?, len)?)
     }
 }
 

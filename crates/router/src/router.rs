@@ -60,7 +60,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -117,6 +117,14 @@ impl Default for RouterConfig {
     }
 }
 
+/// Locks `mutex`, also after a panic elsewhere poisoned it: no code that
+/// could leave a pool, trace-owner ring, quota bucket or the probe wake
+/// flag half updated runs under the router's locks, and a request panic
+/// must not turn every later relay into another panic.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One backend daemon: address, breaker state, connection pool and its
 /// pre-registered per-backend metric handles.
 struct Backend {
@@ -142,11 +150,11 @@ impl Backend {
     /// a pooled connection when one exists (one silent retry on a fresh
     /// connection covers pool entries whose daemon restarted).
     fn forward(&self, line: &str) -> std::io::Result<String> {
-        let pooled = self.pool.lock().expect("backend pool lock").pop();
+        let pooled = lock(&self.pool).pop();
         if let Some(mut conn) = pooled {
             if let Ok(reply) = conn.roundtrip(line) {
                 self.forwarded.inc();
-                self.pool.lock().expect("backend pool lock").push(conn);
+                lock(&self.pool).push(conn);
                 return Ok(reply);
             }
             // The pooled connection went stale; fall through to a fresh one.
@@ -154,7 +162,7 @@ impl Backend {
         let mut conn = Conn::connect(self.addr)?;
         let reply = conn.roundtrip(line)?;
         self.forwarded.inc();
-        self.pool.lock().expect("backend pool lock").push(conn);
+        lock(&self.pool).push(conn);
         Ok(reply)
     }
 
@@ -180,7 +188,7 @@ impl Backend {
         self.up.store(false, Ordering::SeqCst);
         self.up_gauge.set(0);
         // Pooled connections point at a dead peer; drop them.
-        self.pool.lock().expect("backend pool lock").clear();
+        lock(&self.pool).clear();
     }
 }
 
@@ -393,8 +401,8 @@ impl LineService for Shared {
     fn stop(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
             self.events.log(LogLevel::Info, "router.lifecycle", "stopping", None, &[]);
-            let (lock, cvar) = &self.probe_wake;
-            drop(lock.lock().expect("probe wake lock"));
+            let (wake, cvar) = &self.probe_wake;
+            drop(lock(wake));
             cvar.notify_all();
             wake_acceptor(self.addr);
         }
@@ -488,13 +496,13 @@ impl Shared {
 
     /// The backend that answered `trace_id`'s relay, if still remembered.
     fn owner_of(&self, trace_id: &str) -> Option<usize> {
-        let owners = self.trace_owners.lock().expect("trace owner lock");
+        let owners = lock(&self.trace_owners);
         owners.iter().rev().find(|(id, _)| id == trace_id).map(|&(_, index)| index)
     }
 
     /// Remembers which backend answered `trace_id` (newest kept).
     fn record_owner(&self, trace_id: &str, index: usize) {
-        self.trace_owners.lock().expect("trace owner lock").push((trace_id.to_string(), index));
+        lock(&self.trace_owners).push((trace_id.to_string(), index));
     }
 
     /// Counts a transport failure against a backend, narrating the
@@ -578,7 +586,7 @@ impl Shared {
         }
         let key = meta.auth.clone().unwrap_or_else(|| conn.peer.clone());
         let now_micros = self.started.elapsed().as_micros() as u64;
-        let mut buckets = self.quotas.lock().expect("quota table lock");
+        let mut buckets = lock(&self.quotas);
         let bucket =
             buckets.entry(key).or_insert_with(|| TokenBucket::new(quota.rate_per_sec, quota.burst));
         if bucket.try_take(now_micros) {
@@ -1021,12 +1029,11 @@ pub fn serve_router_with_clock<A: ToSocketAddrs>(
                 // under, so a stop that lands before this thread first
                 // waits still ends the wait (a lost wake-up would hold
                 // `wait` for a whole probe interval).
-                let (lock, cvar) = &shared.probe_wake;
-                let guard = lock.lock().expect("probe wake lock");
+                let (wake, cvar) = &shared.probe_wake;
                 let interval = shared.config.probe_interval;
                 let _unused = cvar
-                    .wait_timeout_while(guard, interval, |_| !shared.stopping())
-                    .expect("probe wake wait");
+                    .wait_timeout_while(lock(wake), interval, |_| !shared.stopping())
+                    .unwrap_or_else(PoisonError::into_inner);
             }
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
@@ -1192,6 +1199,26 @@ mod tests {
             }
         }
         assert!(pooled > 0, "the routed loop left a pooled relay connection");
+        stop(daemons, router);
+    }
+
+    #[test]
+    fn a_poisoned_backend_pool_still_relays() {
+        let (daemons, router) = fleet(1, RouterConfig::default());
+        let mut client = Client::connect(router.addr()).unwrap();
+        let request = Request::Analyze { program: "p".to_string() };
+        assert_eq!(ok_body(client.request(&request).unwrap()), "tag0 analyzed p\n");
+        let shared = Arc::clone(&router.shared);
+        let panicked = std::thread::spawn(move || {
+            let _pool = shared.backends[0].pool.lock().unwrap();
+            panic!("a panic while a backend pool's lock is held");
+        })
+        .join();
+        assert!(panicked.is_err() && router.shared.backends[0].pool.is_poisoned());
+        for _ in 0..2 {
+            assert_eq!(ok_body(client.request(&request).unwrap()), "tag0 analyzed p\n");
+        }
+        assert_eq!(lock(&router.shared.backends[0].pool).len(), 1, "the relay was pooled again");
         stop(daemons, router);
     }
 

@@ -6,7 +6,7 @@
 //! cargo run --release -p ghostbusters-examples --bin polybench_slowdown
 //! ```
 
-use dbt_platform::{PolicyComparison, TranslationService};
+use dbt_platform::{PlatformError, Session, TranslationService};
 use dbt_workloads::{suite, WorkloadSize};
 use ghostbusters::MitigationPolicy;
 
@@ -17,15 +17,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let service = TranslationService::new();
     for workload in suite(WorkloadSize::Mini) {
-        let comparison =
-            PolicyComparison::measure_with(workload.name, &workload.program, &service)?;
+        let cycles = |policy| -> Result<u64, PlatformError> {
+            let session = Session::builder().program(&workload.program).policy(policy);
+            Ok(session.service(&service).run()?.cycles)
+        };
+        let unprotected = cycles(MitigationPolicy::Unprotected)?;
+        let percent = |policy| -> Result<f64, PlatformError> {
+            Ok(cycles(policy)? as f64 / unprotected.max(1) as f64 * 100.0)
+        };
         println!(
             "{:<12} {:>12} {:>13.1}% {:>9.1}% {:>15.1}%",
-            comparison.name,
-            comparison.unprotected_cycles(),
-            comparison.slowdown(MitigationPolicy::FineGrained) * 100.0,
-            comparison.slowdown(MitigationPolicy::Fence) * 100.0,
-            comparison.slowdown(MitigationPolicy::NoSpeculation) * 100.0,
+            workload.name,
+            unprotected,
+            percent(MitigationPolicy::FineGrained)?,
+            percent(MitigationPolicy::Fence)?,
+            percent(MitigationPolicy::NoSpeculation)?,
         );
     }
     Ok(())

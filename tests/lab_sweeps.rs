@@ -1,12 +1,12 @@
 //! Integration tests of the `dbt-lab` sweep engine: deterministic output
-//! under parallelism, baseline-cycle caching, and agreement with the legacy
-//! serial measurement path.
+//! under parallelism, baseline-cycle caching, and agreement with plain
+//! serial `Session` runs.
 
 use dbt_lab::{
     run_sweep, run_sweep_obs, AttackVariant, ExecOptions, JobOutcome, ProgramSpec, Registry,
     ScenarioKind, Sweep, TranslationService,
 };
-use dbt_platform::PolicyComparison;
+use dbt_platform::Session;
 use dbt_workloads::WorkloadSize;
 use ghostbusters::MitigationPolicy;
 
@@ -59,17 +59,21 @@ fn sweep_slowdowns_agree_with_the_legacy_serial_path() {
     assert_eq!(table.rows.len(), 1);
     assert_eq!(table.policies, MitigationPolicy::ALL.to_vec());
 
-    // The serial path: every policy on one fresh service, one after another.
+    // The serial path: every policy in a plain session on one fresh
+    // service, one after another.
     let program = ProgramSpec::Workload { name: "gemm", size: WorkloadSize::Mini }.build().unwrap();
-    let legacy =
-        PolicyComparison::measure_with("gemm", &program, &TranslationService::new()).unwrap();
-    assert_eq!(table.rows[0].baseline_cycles, legacy.unprotected_cycles());
+    let service = TranslationService::new();
+    let cycles = |policy| {
+        Session::builder().program(&program).policy(policy).service(&service).run().unwrap().cycles
+    };
+    let baseline = cycles(MitigationPolicy::Unprotected);
+    assert_eq!(table.rows[0].baseline_cycles, baseline);
     for (i, &policy) in MitigationPolicy::ALL.iter().enumerate() {
+        let legacy = cycles(policy) as f64 / baseline.max(1) as f64;
         assert!(
-            (table.rows[0].slowdown[i] - legacy.slowdown(policy)).abs() < 1e-12,
-            "{policy:?}: sweep {} vs legacy {}",
+            (table.rows[0].slowdown[i] - legacy).abs() < 1e-12,
+            "{policy:?}: sweep {} vs legacy {legacy}",
             table.rows[0].slowdown[i],
-            legacy.slowdown(policy)
         );
     }
 }

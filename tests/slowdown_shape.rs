@@ -3,9 +3,27 @@
 //! speculation costs real performance, and the fence variant sits in
 //! between (or equal) on pattern-free code.
 
-use dbt_platform::PolicyComparison;
-use dbt_workloads::{pointer_matmul, suite, WorkloadSize};
+use dbt_lab::{run_sweep, ExecOptions, JobOutcome, ProgramSpec, ScenarioKind, Sweep};
+use dbt_workloads::WorkloadSize;
 use ghostbusters::MitigationPolicy;
+use std::collections::HashMap;
+
+/// Runs `sweep` under every policy and returns each job's slowdown against
+/// its unprotected baseline, by program label and policy.
+fn slowdowns(sweep: Sweep) -> HashMap<(String, MitigationPolicy), f64> {
+    let report = run_sweep(&sweep.name, &sweep.expand(), ExecOptions::default());
+    let slowdown = |result: &dbt_lab::JobResult| match &result.outcome {
+        JobOutcome::Perf(metrics) => metrics.slowdown(),
+        other => panic!("{}: {other:?}", result.scenario.name),
+    };
+    report
+        .results
+        .iter()
+        .map(|result| {
+            ((result.scenario.program_label.clone(), result.scenario.policy), slowdown(result))
+        })
+        .collect()
+}
 
 #[test]
 fn fine_grained_is_free_on_polybench_and_no_speculation_is_not() {
@@ -14,26 +32,28 @@ fn fine_grained_is_free_on_polybench_and_no_speculation_is_not() {
     // A representative subset at the default problem size (the mini size
     // leaves several kernels below the hot threshold, where speculation —
     // and therefore the cost of disabling it — never kicks in).
-    let workloads: Vec<_> = suite(WorkloadSize::Small)
-        .into_iter()
-        .filter(|w| matches!(w.name, "gemm" | "atax" | "syrk" | "jacobi-1d"))
-        .collect();
-    let count = workloads.len() as f64;
-    for workload in workloads {
-        let comparison = PolicyComparison::measure(workload.name, &workload.program).unwrap();
-        let fine = comparison.slowdown(MitigationPolicy::FineGrained);
-        let fence = comparison.slowdown(MitigationPolicy::Fence);
-        let nospec = comparison.slowdown(MitigationPolicy::NoSpeculation);
+    let names = ["gemm", "atax", "syrk", "jacobi-1d"];
+    let mut sweep = Sweep::new("shape", "four dense kernels", ScenarioKind::Perf);
+    for name in names {
+        sweep = sweep.program(name, ProgramSpec::Workload { name, size: WorkloadSize::Small });
+    }
+    let slowdowns = slowdowns(sweep);
+    let count = names.len() as f64;
+    for name in names {
+        let slowdown = |policy| slowdowns[&(name.to_string(), policy)];
+        let fine = slowdown(MitigationPolicy::FineGrained);
+        let fence = slowdown(MitigationPolicy::Fence);
+        let nospec = slowdown(MitigationPolicy::NoSpeculation);
         assert!(
             fine <= 1.02,
             "{}: our approach should not slow down pattern-free code (got {:.3})",
-            comparison.name,
+            name,
             fine
         );
         assert!(
             fence <= 1.02,
             "{}: the fence variant should not slow down pattern-free code (got {:.3})",
-            comparison.name,
+            name,
             fence
         );
         // At the mini problem size a couple of kernels can land within noise
@@ -41,7 +61,7 @@ fn fine_grained_is_free_on_polybench_and_no_speculation_is_not() {
         assert!(
             nospec >= fine * 0.97,
             "{}: disabling speculation should not be cheaper (nospec {:.3} vs fine {:.3})",
-            comparison.name,
+            name,
             nospec,
             fine
         );
@@ -61,10 +81,12 @@ fn pointer_matmul_pays_more_with_the_fence_than_with_fine_grained() {
     // large enough for its superblocks to be built from a well-trained
     // profile, so this experiment uses the default (Small) size, as the
     // benchmark harness does.
-    let workload = pointer_matmul(WorkloadSize::Small);
-    let comparison = PolicyComparison::measure(workload.name, &workload.program).unwrap();
-    let fine = comparison.slowdown(MitigationPolicy::FineGrained);
-    let fence = comparison.slowdown(MitigationPolicy::Fence);
+    let sweep = Sweep::new("ptr", "pointer matmul", ScenarioKind::Perf)
+        .program("ptr-matmul", ProgramSpec::PointerMatmul { size: WorkloadSize::Small });
+    let slowdowns = slowdowns(sweep);
+    let slowdown = |policy| slowdowns[&("ptr-matmul".to_string(), policy)];
+    let fine = slowdown(MitigationPolicy::FineGrained);
+    let fence = slowdown(MitigationPolicy::Fence);
     // With the Spectre pattern in the hot loop both countermeasures now have
     // a visible cost, and the fence is at least as expensive as the
     // fine-grained constraint (the paper reports 15 % vs 4 %).
